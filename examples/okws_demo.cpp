@@ -6,11 +6,11 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <vector>
 
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
 #include "src/okws/okws_world.h"
 #include "src/okws/services.h"
 
@@ -37,35 +37,29 @@ void Show(const char* what, const HttpLoadClient::Result& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool trace = false;
+  bool events = false;
   bool dump_metrics = false;
-  bool provenance = false;
   bool profile = false;
   const char* metrics_file = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace = true;
+    if (std::strcmp(argv[i], "--events") == 0) {
+      events = true;
     } else if (std::strcmp(argv[i], "--dump-metrics") == 0) {
       dump_metrics = true;
-    } else if (std::strcmp(argv[i], "--provenance") == 0) {
-      provenance = true;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
     } else if (std::strcmp(argv[i], "--metrics-file") == 0 && i + 1 < argc) {
       metrics_file = argv[++i];  // snapshot written here at exit (CI smoke)
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--trace] [--dump-metrics] [--provenance] "
-                   "[--profile] [--metrics-file PATH]\n",
+                   "usage: %s [--events] [--dump-metrics] [--profile] "
+                   "[--metrics-file PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (trace) {
-    asbestos::obs::TraceRing::SetEnabled(true);
-  }
-  if (provenance) {
-    asbestos::obs::ProvenanceLedger::SetEnabled(true);
+  if (events) {
+    asbestos::obs::EventLog::SetEnabled(true);
   }
   if (profile) {
     asbestos::obs::CycleProfiler::SetEnabled(true);
@@ -127,58 +121,54 @@ int main(int argc, char** argv) {
   std::printf("every cross-user denial above was kernel label enforcement, not "
               "application politeness.\n");
 
-  if (trace) {
-    // Run one more request against a cleared ring so its span chain prints
-    // alone: netd.accept -> demux.dispatch -> worker.request ->
-    // dbproxy.stmt -> worker.respond -> netd.reply.
-    obs::TraceRing::Get().Clear();
-    std::printf("\nspan timeline for one traced request (--trace):\n");
+  if (events) {
+    // Run one more request and print its span chain alone: netd.accept ->
+    // demux.dispatch -> worker.request -> dbproxy.stmt -> worker.respond ->
+    // netd.reply. Everything is read through a full-clearance reader (a
+    // low-clearance reader would see, and count, nothing high).
+    const obs::EventLog& log = obs::EventLog::Get();
+    const uint64_t first_seq = log.total_appended();
+    std::printf("\nspan timeline for one request (--events):\n");
     Show("GET /notes?op=list (alice)",
          Fetch(world, "/notes?op=list", "alice", "looking-glass"));
-    obs::TraceReader reader(Label::Top());
-    for (const obs::SpanEvent& ev : reader.Visible()) {
-      std::printf("  trace=%llu @%-8llu %-8s %-16s %-32s label=%s\n",
-                  (unsigned long long)ev.trace_id, (unsigned long long)ev.at_cycles,
-                  ev.component.c_str(), ev.name.c_str(), ev.detail.c_str(),
-                  ev.label.ToString().c_str());
+    obs::Reader reader(Label::Top());
+    for (const obs::Record& r : reader.Visible(obs::kSpans)) {
+      if (r.seq >= first_seq) {
+        std::printf("  trace=%llu @%-8llu %-8s %-16s %-32s label=%s\n",
+                    (unsigned long long)r.trace_id, (unsigned long long)r.at_cycles,
+                    r.subject.c_str(), r.name.c_str(), r.detail.c_str(),
+                    r.label.ToString().c_str());
+      }
     }
-  }
 
-  if (provenance) {
-    // Answer "why is this process tainted?" for the newest contamination the
-    // ledger saw: walk its taint back hop by hop to the origin, then list
-    // every refusal the run produced — both through a full-clearance reader
-    // (a low-clearance reader would see, and count, nothing high).
-    std::printf("\ntaint provenance (--provenance):\n");
-    const obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-    obs::ProvenanceReader reader(Label::Top());
-    const obs::TaintEdge* newest = nullptr;
-    for (const obs::TaintEdge& e : ledger.edges()) {
-      if (e.kind == obs::EdgeKind::kContaminate) {
-        newest = &e;
+    // Answer "why is this process tainted?" for the newest contamination:
+    // walk its taint back hop by hop to the origin, then list the refusals.
+    const obs::Record* newest = nullptr;
+    for (const obs::Record& r : log.records()) {
+      if (r.kind == obs::RecordKind::kContaminate) {
+        newest = &r;
       }
     }
     if (newest != nullptr) {
       uint64_t handle = 0;
-      for (const auto& [h, level] : newest->cause.Entries()) {
+      for (const auto& [h, level] : newest->label.Entries()) {
         if (LevelLeq(Level::kL2, level)) {
           handle = h.value();
           break;
         }
       }
-      std::printf("  WhyTainted(%s, handle %llu):\n", newest->subject.c_str(),
+      std::printf("\nWhyTainted(%s, handle %llu):\n", newest->subject.c_str(),
                   (unsigned long long)handle);
       for (const obs::TaintHop& hop : reader.WhyTainted(newest->subject, handle)) {
-        std::printf("    #%-4llu @%-8llu %s\n", (unsigned long long)hop.edge.id,
+        std::printf("  #%-6llu @%-8llu %s\n", (unsigned long long)hop.edge.seq,
                     (unsigned long long)hop.edge.at_cycles, hop.via.c_str());
       }
     }
-    std::printf("  refusals (%llu total, %zu retained):\n",
-                (unsigned long long)ledger.total_refusals(),
-                reader.VisibleRefusals().size());
-    for (const obs::RefusalRecord& r : reader.VisibleRefusals()) {
-      std::printf("    #%-4llu %-24s %-10s %s\n", (unsigned long long)r.id,
-                  r.site.c_str(), r.subject.c_str(), r.detail.c_str());
+    const std::vector<obs::Record> refusals = reader.Visible(obs::kRefusals);
+    std::printf("\nrefusals (%zu retained):\n", refusals.size());
+    for (const obs::Record& r : refusals) {
+      std::printf("  #%-6llu %-24s %-10s %s\n", (unsigned long long)r.seq, r.name.c_str(),
+                  r.subject.c_str(), r.detail.c_str());
     }
   }
 

@@ -69,13 +69,13 @@ REQUIRED_METRIC_FAMILIES = {
         "store.",
     ],
     # The release-job demo smoke runs the full OKWS suite with the cycle
-    # profiler and provenance ledger ON, so its snapshot must carry the
+    # profiler and event log ON, so its snapshot must carry the
     # observability-plane families on top of the kernel/okws ones.
     "DEMO_okws.metrics.json": [
         "kernel.stats.",
         "okws.",
         "obs.prof.sys.",
-        "obs.ledger.",
+        "obs.log.",
     ],
 }
 

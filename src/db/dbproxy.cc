@@ -6,9 +6,8 @@
 #include "src/base/strings.h"
 #include "src/kernel/bootstrap.h"
 #include "src/kernel/label_checks.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
 #include "src/sim/costs.h"
 #include "src/store/label_codec.h"
 
@@ -401,13 +400,13 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
   const std::string username = msg.data.substr(0, nl);
   const std::string sql = msg.data.substr(nl + 1);
 
-  if (obs::TraceRing::enabled() && msg.trace_id != 0) {
+  if (obs::EventLog::enabled() && msg.trace_id != 0) {
     // Statement text stays out of the ring (it may embed user data); the
     // span carries the verb and the requesting user only.
     const size_t sp = sql.find(' ');
-    obs::TraceRing::Get().Emit(msg.trace_id, "dbproxy", "dbproxy.stmt",
-                               sql.substr(0, sp) + " user=" + username,
-                               ctx.send_label());
+    obs::EventLog::Get().Span(msg.trace_id, "dbproxy", "dbproxy.stmt",
+                              sql.substr(0, sp) + " user=" + username,
+                              ctx.send_label());
   }
 
   auto parsed = ParseSql(sql);
@@ -483,8 +482,8 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
     static obs::Counter& violations =
         obs::Registry::Get().counter("db.readonly_tag_violations");
     violations.Add();
-    if (obs::ProvenanceLedger::enabled()) {
-      obs::ProvenanceLedger::Get().RecordRefusal(
+    if (obs::EventLog::enabled()) {
+      obs::EventLog::Get().Refusal(
           "dbproxy.readonly_tag", "dbproxy",
           "read-only tagged query parses as a write", 0, Level::kStar,
           Level::kStar, Label::Bottom(), Label::Bottom(), msg.trace_id);
@@ -498,10 +497,10 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
     // user. The kernel already guaranteed ES ⊑ V.
     const Label bound({{binding.taint, Level::kL3}, {binding.grant, Level::kL0}}, Level::kL2);
     if (!msg.verify.Leq(bound) || !LevelLeq(msg.verify.Get(binding.grant), Level::kL0)) {
-      if (obs::ProvenanceLedger::enabled()) {
+      if (obs::EventLog::enabled()) {
         const DeliveryRefusal why = ExplainDeliveryRefusal(
             msg.verify, bound, Label::Bottom(), Label::Top(), Label::Top());
-        obs::ProvenanceLedger::Get().RecordRefusal(
+        obs::EventLog::Get().Refusal(
             "dbproxy.verify_bound", "dbproxy",
             "write verify label exceeds the user's {uT 3, uG 0, 2} bound (§7.5)",
             why.handle, why.es_level, why.bound_level, msg.verify, bound,
@@ -515,8 +514,8 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
     // §7.6: declassified writes require declassification privilege, proven
     // by a verify label holding uT at ⋆.
     if (msg.verify.Get(binding.taint) != Level::kStar) {
-      if (obs::ProvenanceLedger::enabled()) {
-        obs::ProvenanceLedger::Get().RecordRefusal(
+      if (obs::EventLog::enabled()) {
+        obs::EventLog::Get().Refusal(
             "dbproxy.declassify", "dbproxy",
             "declassified write without uT ⋆ in verify (§7.6)",
             binding.taint.value(), msg.verify.Get(binding.taint), Level::kStar,

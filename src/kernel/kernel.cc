@@ -7,10 +7,9 @@
 
 #include "src/base/panic.h"
 #include "src/labels/intern.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
 #include "src/sim/costs.h"
 #include "src/store/store.h"
 
@@ -154,16 +153,16 @@ Status ProcessContext::SetReceiveLevel(Handle h, Level level) {
 
 void ProcessContext::SelfContaminate(const Label& add) {
   Label& qs = kernel_->ContextSendLabel(*proc_, ep_);
-  const uint64_t pre_rep = obs::ProvenanceLedger::enabled() ? qs.rep_id() : 0;
+  const uint64_t pre_rep = obs::EventLog::enabled() ? qs.rep_id() : 0;
   const LabelWorkStats baseline = GetLabelWorkStats();
   // QS ← QS ⊔ (add ⊓ QS⋆): contamination cannot strip the caller's ⋆ levels;
   // those are dropped only through SetSendLevel.
   Label capped = Label::Glb(add, qs.StarsOnly());
   qs.JoinInPlace(capped);
   kernel_->ChargeLabelWorkSince(baseline);
-  if (obs::ProvenanceLedger::enabled()) {
-    obs::ProvenanceLedger::Get().RecordEdge(
-        obs::EdgeKind::kOrigin, proc_->name, "", pre_rep, qs.rep_id(), add,
+  if (obs::EventLog::enabled()) {
+    obs::EventLog::Get().Edge(
+        obs::RecordKind::kOrigin, proc_->name, "", pre_rep, qs.rep_id(), add,
         kernel_->current_trace_id_);
   }
 }
@@ -524,13 +523,13 @@ void Kernel::SysNewHandle(Process& proc, EventProcess* ep, SyscallFrame& f) {
   mem_.vnodes += 1;
   mem_.plain_handles += 1;
   Label& qs = ContextSendLabel(proc, ep);
-  const uint64_t pre_rep = obs::ProvenanceLedger::enabled() ? qs.rep_id() : 0;
+  const uint64_t pre_rep = obs::EventLog::enabled() ? qs.rep_id() : 0;
   const LabelWorkStats baseline = GetLabelWorkStats();
   qs.Set(h, Level::kStar);
   ChargeLabelWorkSince(baseline);
-  if (obs::ProvenanceLedger::enabled()) {
-    obs::ProvenanceLedger::Get().RecordEdge(
-        obs::EdgeKind::kOrigin, proc.name, "", pre_rep, qs.rep_id(),
+  if (obs::EventLog::enabled()) {
+    obs::EventLog::Get().Edge(
+        obs::RecordKind::kOrigin, proc.name, "", pre_rep, qs.rep_id(),
         Label({{h, Level::kStar}}, Level::kL3), current_trace_id_);
   }
   UpdatePeak();
@@ -581,16 +580,16 @@ void Kernel::SysSetSendLevel(Process& proc, EventProcess* ep, SyscallFrame& f) {
     f.status = Status::kAccessDenied;
     return;
   }
-  const uint64_t pre_rep = obs::ProvenanceLedger::enabled() ? qs.rep_id() : 0;
+  const uint64_t pre_rep = obs::EventLog::enabled() ? qs.rep_id() : 0;
   const LabelWorkStats baseline = GetLabelWorkStats();
   qs.Set(f.handle, f.level);
   ChargeLabelWorkSince(baseline);
-  if (obs::ProvenanceLedger::enabled() && !LevelLeq(f.level, current) &&
+  if (obs::EventLog::enabled() && !LevelLeq(f.level, current) &&
       LevelLeq(Level::kL2, f.level)) {
     // A raise into taint territory is voluntary self-contamination: taint
     // with no inbound message, so it gets an origin edge.
-    obs::ProvenanceLedger::Get().RecordEdge(
-        obs::EdgeKind::kOrigin, proc.name, "", pre_rep, qs.rep_id(),
+    obs::EventLog::Get().Edge(
+        obs::RecordKind::kOrigin, proc.name, "", pre_rep, qs.rep_id(),
         Label({{f.handle, f.level}}, Level::kL1), current_trace_id_);
   }
   f.status = Status::kOk;
@@ -664,7 +663,7 @@ void Kernel::SysSend(Process& proc, EventProcess* ep, SyscallFrame& f) {
   if (!privileged) {
     ChargeLabelWorkSince(baseline);
     stats_.drops_privilege += 1;
-    if (obs::ProvenanceLedger::enabled()) {
+    if (obs::EventLog::enabled()) {
       // Cold path: re-find the first handle whose decontamination needs a ⋆
       // the sender does not hold (requirements 2 and 3). The label reads
       // and the Lub below are forensics, not kernel work — shield the
@@ -690,7 +689,7 @@ void Kernel::SysSend(Process& proc, EventProcess* ep, SyscallFrame& f) {
           }
         }
       }
-      obs::ProvenanceLedger::Get().RecordRefusal(
+      obs::EventLog::Get().Refusal(
           "kernel.send_privilege", proc.name,
           "decontamination requires \xe2\x8b\x86 the sender lacks (reqs 2-3)",
           failed, had, Level::kStar,
@@ -716,7 +715,7 @@ void Kernel::SysSend(Process& proc, EventProcess* ep, SyscallFrame& f) {
   qm.decont_send = args.decont_send;
   qm.decont_receive = args.decont_receive;
   qm.payload_bytes = payload;
-  if (obs::ProvenanceLedger::enabled()) {
+  if (obs::EventLog::enabled()) {
     qm.sender = proc.name;
   }
   ChargeLabelWorkSince(baseline);
@@ -965,13 +964,13 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     if (!ok) {
       ChargeLabelWorkSince(baseline);
       stats_.drops_dr_port += 1;
-      if (obs::ProvenanceLedger::enabled()) {
+      if (obs::EventLog::enabled()) {
         // D_R ⊑ pR is ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR with ES = D_R, QR = pR and
         // the rest neutral, so the delivery explainer pinpoints the handle.
         const DeliveryRefusal why =
             ExplainDeliveryRefusal(qm.decont_receive, pv->port_label,
                                    Label::Bottom(), Label::Top(), Label::Top());
-        obs::ProvenanceLedger::Get().RecordRefusal(
+        obs::EventLog::Get().Refusal(
             "kernel.dr_port", proc->name,
             "D_R exceeds the port label (req 4)", why.handle, why.es_level,
             why.bound_level, qm.decont_receive, pv->port_label,
@@ -988,7 +987,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     if (!ok) {
       ChargeLabelWorkSince(baseline);
       stats_.drops_label_check += 1;
-      if (obs::ProvenanceLedger::enabled()) {
+      if (obs::EventLog::enabled()) {
         const DeliveryRefusal why =
             ExplainDeliveryRefusal(qm.effective_send, qr, qm.decont_receive,
                                    qm.msg.verify, pv->port_label);
@@ -999,7 +998,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
         detail += " exceeds bound ";
         detail += LevelName(why.bound_level);
         detail += " (req 1)";
-        obs::ProvenanceLedger::Get().RecordRefusal(
+        obs::EventLog::Get().Refusal(
             "kernel.delivery", proc->name, detail, why.handle, why.es_level,
             why.bound_level, qm.effective_send, why.bound, qm.msg.trace_id);
       }
@@ -1036,7 +1035,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     // of the contamination, as the paper's equation does.
     Label& qs = ep != nullptr ? ep->send_label : qs_ref;
     Label& qr_mut = ep != nullptr ? ep->recv_label : proc->recv_label;
-    const bool prov = obs::ProvenanceLedger::enabled();
+    const bool prov = obs::EventLog::enabled();
     const uint64_t pre_qs_rep = prov ? qs.rep_id() : 0;
     const uint64_t pre_qr_rep = prov ? qr_mut.rep_id() : 0;
     const LabelWorkStats fx_baseline = GetLabelWorkStats();
@@ -1085,30 +1084,30 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     ChargeLabelWorkSince(fx_baseline);
 
     if (prov) {
-      // The receive-side label effects, as provenance edges. Recorded after
+      // The receive-side label effects, as taint edges. Recorded after
       // the mutations so post reps are the labels the handler will run with.
-      obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
+      obs::EventLog& log = obs::EventLog::Get();
       if (contaminates) {
-        ledger.RecordEdge(obs::EdgeKind::kContaminate, proc->name, qm.sender,
-                          pre_qs_rep, qs.rep_id(), qm.effective_send,
-                          qm.msg.trace_id);
+        log.Edge(obs::RecordKind::kContaminate, proc->name, qm.sender,
+                 pre_qs_rep, qs.rep_id(), qm.effective_send,
+                 qm.msg.trace_id);
       }
       if (!IsTopLabel(qm.decont_send)) {
-        ledger.RecordEdge(obs::EdgeKind::kGrant, proc->name, qm.sender,
-                          pre_qs_rep, qs.rep_id(), qm.decont_send,
-                          qm.msg.trace_id);
+        log.Edge(obs::RecordKind::kGrant, proc->name, qm.sender,
+                 pre_qs_rep, qs.rep_id(), qm.decont_send,
+                 qm.msg.trace_id);
       }
       if (!IsBottomLabel(qm.decont_receive)) {
-        ledger.RecordEdge(obs::EdgeKind::kGrant, proc->name, qm.sender,
-                          pre_qr_rep, qr_mut.rep_id(), qm.decont_receive,
-                          qm.msg.trace_id);
+        log.Edge(obs::RecordKind::kGrant, proc->name, qm.sender,
+                 pre_qr_rep, qr_mut.rep_id(), qm.decont_receive,
+                 qm.msg.trace_id);
       }
       if (!IsTopLabel(qm.msg.verify)) {
         // The verify label lowered the delivery bound: a declassification
         // the verify-port holder vouched for.
-        ledger.RecordEdge(obs::EdgeKind::kDeclassify, proc->name, qm.sender,
-                          pre_qs_rep, qs.rep_id(), qm.msg.verify,
-                          qm.msg.trace_id);
+        log.Edge(obs::RecordKind::kDeclassify, proc->name, qm.sender,
+                 pre_qs_rep, qs.rep_id(), qm.msg.verify,
+                 qm.msg.trace_id);
       }
     }
 
@@ -1124,9 +1123,9 @@ bool Kernel::DeliverFromPort(Vnode& port) {
       ProcessContext ctx(this, proc, ep, created_ep);
       const uint64_t prev_trace = current_trace_id_;
       current_trace_id_ = qm.msg.trace_id;
-      if (obs::TraceRing::enabled() && qm.msg.trace_id != 0) {
-        obs::TraceRing::Get().Emit(qm.msg.trace_id, "kernel", "kernel.deliver",
-                                   proc->name, qm.effective_send);
+      if (obs::EventLog::enabled() && qm.msg.trace_id != 0) {
+        obs::EventLog::Get().Span(qm.msg.trace_id, "kernel", "kernel.deliver",
+                                  proc->name, qm.effective_send);
       }
       proc->code->HandleMessage(ctx, qm.msg);
       current_trace_id_ = prev_trace;

@@ -302,9 +302,9 @@ class Kernel {
     Label decont_send;       // D_S
     Label decont_receive;    // D_R
     uint64_t payload_bytes = 0;
-    // Sender process name, filled only while the provenance ledger is
-    // enabled (the paper's kernel does not tell receivers who sent; this
-    // exists solely so taint edges can point at their source).
+    // Sender process name, filled only while the event log is enabled (the
+    // paper's kernel does not tell receivers who sent; this exists solely
+    // so taint edges can point at their source).
     std::string sender;
   };
 

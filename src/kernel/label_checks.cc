@@ -421,7 +421,7 @@ DeliveryRefusal ExplainDeliveryRefusal(const Label& es, const Label& qr,
                                        const Label& pr) {
   // Explanation is observability, not delivery: shield the linear work
   // counters so the refusal's charged cost is identical with and without
-  // the provenance ledger watching.
+  // the event log watching.
   LabelWorkStats saved = GetLabelWorkStats();
   DeliveryRefusal out;
   out.bound = Label::Glb(Label::Glb(Label::Lub(qr, dr), v), pr);

@@ -49,7 +49,7 @@ bool NeedsContaminationNaive(const Label& es, const Label& qs);
 // CheckDeliveryAllowed returned false on the same labels. This is the slow,
 // explanatory path — it materializes (QR ⊔ DR) ⊓ V ⊓ pR — and is invisible
 // to LabelWorkStats/the verdict cache: explaining a refusal for the
-// provenance ledger must not change the charged cost of refusing.
+// event log must not change the charged cost of refusing.
 struct DeliveryRefusal {
   uint64_t handle = 0;  // first failing handle; 0 = the defaults already fail
   Level es_level = Level::kStar;     // ES at that handle (or ES default)

@@ -44,7 +44,7 @@ struct Message {
   Payload data;
   Handle reply_port;            // conventional reply destination (0 if none)
   Label verify = Label::Top();  // the sender's V label, delivered for analysis
-  // Flow-trace id (src/obs/trace.h). 0 = untraced. Minted at the system
+  // Flow-trace id (src/obs/event_log.h). 0 = untraced. Minted at the system
   // edge (netd accept, replication hello); the kernel stamps unset ids from
   // the trace of the message being handled, so the id propagates through
   // reply chains without per-process plumbing. Carries no authority and no

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/costs.h"
 
 namespace asbestos {
@@ -47,11 +47,11 @@ void NetdProcess::PollNetwork(ProcessContext& ctx) {
         conn.net_conn = ev.conn;
         conn.port = uc;
         // The system edge: a request's flow trace begins here.
-        conn.trace_id = obs::TraceRing::Get().MintTraceId();
-        if (obs::TraceRing::enabled()) {
-          obs::TraceRing::Get().Emit(conn.trace_id, "netd", "netd.accept",
-                                     "tcp_port=" + std::to_string(ev.listen_port),
-                                     Label::Bottom());
+        conn.trace_id = obs::EventLog::Get().MintTraceId();
+        if (obs::EventLog::enabled()) {
+          obs::EventLog::Get().Span(conn.trace_id, "netd", "netd.accept",
+                                    "tcp_port=" + std::to_string(ev.listen_port),
+                                    Label::Bottom());
         }
         const uint64_t conn_trace = conn.trace_id;
         conns_.emplace(uc.value(), std::move(conn));
@@ -134,9 +134,9 @@ void NetdProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
 void NetdProcess::EmitReadSpan(const Conn& conn, uint64_t bytes) {
   static obs::Counter& reads = obs::Registry::Get().counter("netd.reads");
   reads.Add();
-  if (obs::TraceRing::enabled() && conn.trace_id != 0) {
-    obs::TraceRing::Get().Emit(conn.trace_id, "netd", "netd.read",
-                               "bytes=" + std::to_string(bytes), ConnSpanLabel(conn));
+  if (obs::EventLog::enabled() && conn.trace_id != 0) {
+    obs::EventLog::Get().Span(conn.trace_id, "netd", "netd.read",
+                              "bytes=" + std::to_string(bytes), ConnSpanLabel(conn));
   }
 }
 
@@ -183,10 +183,10 @@ void NetdProcess::HandleConnMessage(ProcessContext& ctx, Conn& conn, const Messa
       static obs::Counter& write_bytes = obs::Registry::Get().counter("netd.write_bytes");
       writes.Add();
       write_bytes.Add(msg.data.size());
-      if (obs::TraceRing::enabled() && conn.trace_id != 0) {
-        obs::TraceRing::Get().Emit(conn.trace_id, "netd", "netd.reply",
-                                   "bytes=" + std::to_string(msg.data.size()),
-                                   ConnSpanLabel(conn));
+      if (obs::EventLog::enabled() && conn.trace_id != 0) {
+        obs::EventLog::Get().Span(conn.trace_id, "netd", "netd.reply",
+                                  "bytes=" + std::to_string(msg.data.size()),
+                                  ConnSpanLabel(conn));
       }
       if (msg.reply_port.valid()) {
         Message r;

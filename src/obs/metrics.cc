@@ -34,6 +34,8 @@ std::string NumberToJson(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string EscapeJson(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -63,8 +65,6 @@ std::string EscapeJson(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 void CycleHistogram::Record(uint64_t cycles) {
   ++count_;

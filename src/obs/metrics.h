@@ -110,6 +110,9 @@ class GaugeSink {
 
 using GaugeGroupFn = std::function<void(GaugeSink&)>;
 
+// `s` escaped for use inside a JSON string literal.
+std::string EscapeJson(const std::string& s);
+
 class Registry {
  public:
   // The process-wide registry. Leaked on purpose: call sites cache

@@ -16,7 +16,7 @@
 // the primary's ship stack in one merged flamegraph even though the two
 // sides never share a C++ call stack.
 //
-// Like the trace ring and the provenance ledger, the profiler is DISABLED
+// Like the event log (src/obs/event_log.h), the profiler is DISABLED
 // by default behind one global bool; every instrumented site pays one
 // branch when off and builds no strings. Measurement reads the virtual
 // clock but never charges it: profiling must not perturb the Figure-9

@@ -1,17 +1,15 @@
 #include "src/obs/reset.h"
 
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
 
 namespace asbestos {
 namespace obs {
 
 void ResetAll() {
   Registry::Get().ResetValues();
-  TraceRing::Get().Clear();
-  ProvenanceLedger::Get().Clear();
+  EventLog::Get().Clear();
   CycleProfiler::Get().Clear();
 }
 

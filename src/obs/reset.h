@@ -5,10 +5,10 @@
 // of every case that ran before it and BENCH_*.metrics.json numbers bleed
 // across benchmark repetitions. ResetAll() zeroes the registry's stored
 // values (counters/gauges/histograms — names and cached references stay
-// valid) and clears the trace ring, the provenance ledger, and the cycle
-// profiler. It does NOT touch the virtual cycle clock, the label work/mem
-// stats, or the check caches: those are the *measured* state, owned by the
-// harnesses that reset them explicitly.
+// valid) and clears the event log and the cycle profiler. It does NOT touch
+// the virtual cycle clock, the label work/mem stats, or the check caches:
+// those are the *measured* state, owned by the harnesses that reset them
+// explicitly.
 #ifndef SRC_OBS_RESET_H_
 #define SRC_OBS_RESET_H_
 

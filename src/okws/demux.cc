@@ -2,8 +2,7 @@
 
 #include "src/base/strings.h"
 #include "src/net/netd.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/okws/session_codec.h"
 #include "src/sim/costs.h"
 #include "src/sim/cycles.h"
@@ -305,12 +304,12 @@ void DemuxProcess::ForwardToWorker(ProcessContext& ctx, uint64_t cookie, ConnSta
   ctx.ChargeCycles(costs::kDemuxConnCycles);
   const WorkerInfo& worker = workers_.at(conn.service);
 
-  if (obs::TraceRing::enabled() && ctx.current_trace_id() != 0) {
+  if (obs::EventLog::enabled() && ctx.current_trace_id() != 0) {
     // The dispatch decision: this connection's trace now belongs to the
     // service. Spans from user-space carry the emitter's own send label.
-    obs::TraceRing::Get().Emit(ctx.current_trace_id(), "demux", "demux.dispatch",
-                               "service=" + conn.service + " user=" + conn.username,
-                               ctx.send_label());
+    obs::EventLog::Get().Span(ctx.current_trace_id(), "demux", "demux.dispatch",
+                              "service=" + conn.service + " user=" + conn.username,
+                              ctx.send_label());
   }
 
   // Step 5: grant netd uT ⋆ for this connection; netd raises its receive
@@ -408,9 +407,9 @@ void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
     // §7.1: the worker proves it is the process the launcher started by
     // presenting its verification handle at level 0.
     if (!LevelLeq(msg.verify.Get(Handle::FromValue(it->second.verify_value)), Level::kL0)) {
-      if (obs::ProvenanceLedger::enabled()) {
+      if (obs::EventLog::enabled()) {
         const Handle wv = Handle::FromValue(it->second.verify_value);
-        obs::ProvenanceLedger::Get().RecordRefusal(
+        obs::EventLog::Get().Refusal(
             "demux.register", "demux",
             "worker for '" + it->first + "' lacks its verification handle at 0 (§7.1)",
             wv.value(), msg.verify.Get(wv), Level::kL0, msg.verify,

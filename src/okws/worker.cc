@@ -7,7 +7,7 @@
 #include "src/db/sql_parser.h"
 #include "src/kernel/memstats.h"
 #include "src/net/netd.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/sim/costs.h"
 
 namespace asbestos {
@@ -169,10 +169,10 @@ void WorkerProcess::OnConnForUser(ProcessContext& ctx, const Message& msg) {
   // Declassifiers hold the user's taint at ⋆ instead of carrying it at 3
   // (§7.6); the label state itself tells us which we are.
   rq.declassifier = ctx.send_label().Get(rq.taint) == Level::kStar;
-  if (obs::TraceRing::enabled() && rq.trace_id != 0) {
-    obs::TraceRing::Get().Emit(rq.trace_id, "worker", "worker.request",
-                               service_name_ + " user=" + rq.username,
-                               ctx.send_label());
+  if (obs::EventLog::enabled() && rq.trace_id != 0) {
+    obs::EventLog::Get().Span(rq.trace_id, "worker", "worker.request",
+                              service_name_ + " user=" + rq.username,
+                              ctx.send_label());
   }
 
   Handle state_uw;
@@ -265,9 +265,9 @@ void WorkerProcess::FinishRequest(ProcessContext& ctx, InFlight& rq, int status,
   ++served;
   ctx.WriteMem(stats_addr_, &served, sizeof(served));
 
-  if (obs::TraceRing::enabled() && rq.trace_id != 0) {
-    obs::TraceRing::Get().Emit(rq.trace_id, "worker", "worker.respond",
-                               "status=" + std::to_string(status), ctx.send_label());
+  if (obs::EventLog::enabled() && rq.trace_id != 0) {
+    obs::EventLog::Get().Span(rq.trace_id, "worker", "worker.respond",
+                              "status=" + std::to_string(status), ctx.send_label());
   }
   Message write;
   write.type = netd_proto::kWrite;

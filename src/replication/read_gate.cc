@@ -1,8 +1,8 @@
 #include "src/replication/read_gate.h"
 
 #include "src/kernel/label_checks.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/provenance.h"
 #include "src/sim/costs.h"
 #include "src/sim/cycles.h"
 
@@ -102,8 +102,8 @@ ReadResult ReadGate::Admit(const replwire::ReadCursorToken& token,
       RefusedStaleLease().Add();
       FollowerCounter(replica_->follower_id(), "reads_refused_stale_lease")
           .Add();
-      if (obs::ProvenanceLedger::enabled()) {
-        obs::ProvenanceLedger::Get().RecordRefusal(
+      if (obs::EventLog::enabled()) {
+        obs::EventLog::Get().Refusal(
             "read_gate.stale_lease", GateName(),
             "lease expired: staleness " + std::to_string(r.staleness_cycles) +
                 " cycles, retry at primary",
@@ -117,8 +117,8 @@ ReadResult ReadGate::Admit(const replwire::ReadCursorToken& token,
       RefusedCursorLag().Add();
       FollowerCounter(replica_->follower_id(), "reads_refused_cursor_lag")
           .Add();
-      if (obs::ProvenanceLedger::enabled()) {
-        obs::ProvenanceLedger::Get().RecordRefusal(
+      if (obs::EventLog::enabled()) {
+        obs::EventLog::Get().Refusal(
             "read_gate.cursor_lag", GateName(),
             "applied cursor gen " + std::to_string(r.applied.generation) +
                 " off " + std::to_string(r.applied.offset) +
@@ -171,10 +171,10 @@ ReadResult ReadGate::Serve(const std::string& key, const Label& clearance,
   }
   if (liveness_ && !liveness_(key, *rec)) {
     r.status = ReadStatus::kRefusedExpired;
-    if (obs::ProvenanceLedger::enabled()) {
+    if (obs::EventLog::enabled()) {
       // Gated by the record's secrecy: that the key EXISTS (expired or not)
       // is as secret as its contents.
-      obs::ProvenanceLedger::Get().RecordRefusal(
+      obs::EventLog::Get().Refusal(
           "read_gate.expired", GateName(),
           "record expired by the liveness filter", 0, Level::kStar,
           Level::kStar, rec->secrecy, clearance, trace_id);
@@ -200,11 +200,11 @@ ReadResult ReadGate::Serve(const std::string& key, const Label& clearance,
     if (replica_ != nullptr) {
       FollowerCounter(replica_->follower_id(), "reads_access_denied").Add();
     }
-    if (obs::ProvenanceLedger::enabled()) {
+    if (obs::EventLog::enabled()) {
       const DeliveryRefusal why =
           ExplainDeliveryRefusal(rec->secrecy, clearance, Label::Bottom(),
                                  Label::Top(), Label::Top());
-      obs::ProvenanceLedger::Get().RecordRefusal(
+      obs::EventLog::Get().Refusal(
           "read_gate.access_denied", GateName(),
           std::string("record secrecy ") + LevelName(why.es_level) +
               " exceeds reader clearance " + LevelName(why.bound_level),

@@ -97,7 +97,7 @@ class ReadGate {
   // Decides and (when admitted) serves one labeled read. Charges the label
   // check exactly as the kernel IPC path would, plus the base serve cost.
   // `trace_id` is the request's flow id, stamped onto refusal-forensics
-  // records (src/obs/provenance.h); 0 means untraced.
+  // records (src/obs/event_log.h); 0 means untraced.
   ReadResult Serve(const std::string& key, const Label& clearance,
                    const replwire::ReadCursorToken& token,
                    uint64_t trace_id = 0) const;
@@ -112,7 +112,7 @@ class ReadGate {
  private:
   ReadResult Admit(const replwire::ReadCursorToken& token,
                    uint64_t trace_id) const;
-  // "follower<id>" or "primary": the provenance subject and counter scope.
+  // "follower<id>" or "primary": the refusal subject and counter scope.
   std::string GateName() const;
 
   const ReplicaStore* replica_ = nullptr;  // follower mode

@@ -4,8 +4,8 @@
 
 #include "src/base/panic.h"
 #include "src/base/strings.h"
+#include "src/obs/event_log.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/sim/cycles.h"
 
 namespace asbestos {
@@ -172,8 +172,8 @@ Status ReplicaStore::HandleFrame(const WireMessage& msg, std::string* ack_out) {
       c.offset += msg.payload.size();
       stats_.batches_applied += 1;
       read_epoch_ += 1;  // invalidate outstanding read views
-      if (obs::TraceRing::enabled() && msg.trace_id != 0) {
-        obs::TraceRing::Get().Emit(
+      if (obs::EventLog::enabled() && msg.trace_id != 0) {
+        obs::EventLog::Get().Span(
             msg.trace_id, "replica", "repl.apply",
             "batch shard=" + std::to_string(msg.shard) + " off=" +
                 std::to_string(c.offset),
@@ -204,8 +204,8 @@ Status ReplicaStore::HandleFrame(const WireMessage& msg, std::string* ack_out) {
       c.offset = msg.offset;
       stats_.snapshots_installed += 1;
       read_epoch_ += 1;  // invalidate outstanding read views
-      if (obs::TraceRing::enabled() && msg.trace_id != 0) {
-        obs::TraceRing::Get().Emit(
+      if (obs::EventLog::enabled() && msg.trace_id != 0) {
+        obs::EventLog::Get().Span(
             msg.trace_id, "replica", "repl.apply",
             "snapshot shard=" + std::to_string(msg.shard) + " gen=" +
                 std::to_string(msg.generation),

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "src/base/panic.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/replication/read_gate.h"
 #include "src/sim/cycles.h"
 
@@ -55,13 +55,13 @@ std::string FollowerSession::SessionHello() {
   follower_id_ = 0;
   // The replication analogue of netd accept: a session's flow trace starts
   // at hello, and every frame it ever ships carries this id.
-  trace_id_ = obs::TraceRing::Get().MintTraceId();
-  if (obs::TraceRing::enabled()) {
+  trace_id_ = obs::EventLog::Get().MintTraceId();
+  if (obs::EventLog::enabled()) {
     // Control-plane span: the stream carries only WAL bytes the follower is
     // entitled to replay, so the session trace itself is public (⊥).
-    obs::TraceRing::Get().Emit(trace_id_, "repl", "repl.hello",
-                               "session=" + std::to_string(session_id_),
-                               Label::Bottom());
+    obs::EventLog::Get().Span(trace_id_, "repl", "repl.hello",
+                              "session=" + std::to_string(session_id_),
+                              Label::Bottom());
   }
   WireMessage hello;
   hello.type = replwire::kHello;
@@ -110,10 +110,10 @@ void FollowerSession::ShipSnapshot(uint32_t shard, uint64_t lease_until,
   stats_.bytes_shipped += m.payload.size();
   SnapshotCounter().Add();
   ShippedBytesCounter().Add(m.payload.size());
-  if (obs::TraceRing::enabled() && trace_id_ != 0) {
-    obs::TraceRing::Get().Emit(trace_id_, "repl", "repl.ship",
-                               "snapshot shard=" + std::to_string(shard),
-                               Label::Bottom());
+  if (obs::EventLog::enabled() && trace_id_ != 0) {
+    obs::EventLog::Get().Span(trace_id_, "repl", "repl.ship",
+                              "snapshot shard=" + std::to_string(shard),
+                              Label::Bottom());
   }
   replwire::AppendFrame(m, out);
   *frames += 1;
@@ -168,8 +168,8 @@ bool FollowerSession::ShipBatchSpan(uint32_t shard, uint64_t gen, uint64_t end_o
     stats_.bytes_shipped += take;
     BatchCounter().Add();
     ShippedBytesCounter().Add(take);
-    if (obs::TraceRing::enabled() && trace_id_ != 0) {
-      obs::TraceRing::Get().Emit(
+    if (obs::EventLog::enabled() && trace_id_ != 0) {
+      obs::EventLog::Get().Span(
           trace_id_, "repl", "repl.ship",
           "batch shard=" + std::to_string(shard) + " off=" + std::to_string(m.offset),
           Label::Bottom());
@@ -235,8 +235,8 @@ size_t FollowerSession::PollFrames(uint64_t max_batch_bytes, uint64_t max_total_
       replwire::AppendFrame(mark, out);
       ++frames;
       stats_.gen_marks_sent += 1;
-      if (obs::TraceRing::enabled() && trace_id_ != 0) {
-        obs::TraceRing::Get().Emit(
+      if (obs::EventLog::enabled() && trace_id_ != 0) {
+        obs::EventLog::Get().Span(
             trace_id_, "repl", "repl.ship",
             "genmark shard=" + std::to_string(shard) + " gen=" + std::to_string(rgen),
             Label::Bottom());
@@ -278,9 +278,11 @@ void FollowerSession::HandleAck(const WireMessage& ack) {
   if (ack.follower_id != 0) {
     follower_id_ = ack.follower_id;
   }
-  last_ack_cycles_ = GetCycleAccounting().now();
+  // The lag this ack closes: measured against the previous ack (or hello),
+  // so it must be read before the stamp moves to now.
   static obs::Gauge& lag_gauge = obs::Registry::Get().gauge("repl.apply_lag_cycles");
   lag_gauge.Set(static_cast<double>(ApplyLagCycles()));
+  last_ack_cycles_ = GetCycleAccounting().now();
   const DurableStore* store = hub_->store();
   Cursor& c = cursors_[ack.shard];
   const uint32_t shard = static_cast<uint32_t>(ack.shard);

@@ -104,7 +104,7 @@ class FollowerSession {
 
   uint64_t session_id() const { return session_id_; }
   // Flow-trace id of this session, minted at SessionHello and stamped on
-  // every frame the session ships (see src/obs/trace.h).
+  // every frame the session ships (see src/obs/event_log.h).
   uint64_t trace_id() const { return trace_id_; }
   // Virtual-clock stamp of the last authenticated ack from this follower
   // (0 before the first ack).

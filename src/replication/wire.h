@@ -144,7 +144,7 @@ struct WireMessage {
   ReadCursorToken cursor;    // kReadReq: the session token; kReadResp: applied
   Label label = Label::Bottom();  // kReadReq: clearance; kReadResp: value secrecy
   std::string key;           // kReadReq: the store key to read
-  // Flow-trace id of the session (src/obs/trace.h), minted at hello and
+  // Flow-trace id of the session (src/obs/event_log.h), minted at hello and
   // stamped on every subsequent frame so replication traffic can be
   // followed end to end like an OKWS request. Carried by every frame type;
   // 0 means untraced. Purely observational: no protocol decision reads it.

@@ -11,8 +11,8 @@
 
 #include "src/base/hash.h"
 #include "src/base/panic.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/provenance.h"
 #include "src/store/label_codec.h"
 
 namespace asbestos {
@@ -763,20 +763,20 @@ Status DurableStore::ApplyReplicatedRecord(uint32_t shard, std::string_view payl
   // Same apply path as crash recovery: unknown or corrupt payloads are
   // skipped, Put/Erase payloads reconstruct records and labels bit-exactly.
   ApplyLogRecord(s, payload);
-  if (obs::ProvenanceLedger::enabled() && !payload.empty() &&
+  if (obs::EventLog::enabled() && !payload.empty() &&
       payload[0] == kLogPut) {
     // Journal the label adoption: the replica's shard takes on the record's
-    // secrecy exactly as shipped. The re-parse only runs when the ledger is
-    // on, and the work stats are pinned so the forensics decode never skews
-    // the Figure-9 label-work counters.
+    // secrecy exactly as shipped. The re-parse only runs when the event log
+    // is on, and the work stats are pinned so the forensics decode never
+    // skews the Figure-9 label-work counters.
     const LabelWorkStats baseline = GetLabelWorkStats();
     size_t pos = 1;
     std::string key;
     StoreRecord record;
     if (IsOk(ReadRecordBody(payload, &pos, &key, &record)) &&
         pos == payload.size()) {
-      obs::ProvenanceLedger::Get().RecordEdge(
-          obs::EdgeKind::kAdopt, "store.shard" + std::to_string(shard),
+      obs::EventLog::Get().Edge(
+          obs::RecordKind::kAdopt, "store.shard" + std::to_string(shard),
           "primary", 0, record.secrecy.rep_id(), record.secrecy, trace_id);
     }
     GetLabelWorkStats() = baseline;

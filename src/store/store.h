@@ -205,9 +205,9 @@ class DurableStore {
   // exact code path crash recovery replays, so labels intern through the
   // canonical-rep table identically. The shard index must come from the
   // primary (both sides hash keys identically, so it already matches).
-  // `trace_id` is the replication session's flow id: when the provenance
-  // ledger is enabled, a Put record's secrecy adoption is journaled as a
-  // kAdopt taint edge under it (src/obs/provenance.h). 0 means untraced.
+  // `trace_id` is the replication session's flow id: when the event log is
+  // enabled, a Put record's secrecy adoption is journaled as an adopt edge
+  // under it (src/obs/event_log.h). 0 means untraced.
   Status ApplyReplicatedRecord(uint32_t shard, std::string_view payload,
                                uint64_t trace_id = 0);
 

@@ -10,8 +10,7 @@
 #include <set>
 
 #include "src/kernel/kernel.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "tests/test_util.h"
 
 namespace asbestos {
@@ -216,90 +215,125 @@ TEST_F(CovertChannelTest, EventProcessesReduceConcurrentStorageChannels) {
   // the scheduler — tests/event_process_test.cc covers the semantics.
 }
 
-TEST_F(CovertChannelTest, TraceRingIsNotACountingChannel) {
+TEST_F(CovertChannelTest, TraceSpansAreNotACountingChannel) {
   // The observability plane (src/obs) records system history, and history
   // is state: if a low-clearance reader could count trace events — even
   // without reading them — the *number of secret requests* would leak the
   // same way port-existence would. The reader therefore filters by each
-  // trace's CUMULATIVE label, so a secret trace's early untainted events
-  // (its netd accept, before any contamination) are invisible too.
-  obs::TraceRing::SetEnabled(true);
-  obs::TraceRing::Get().Clear();
+  // trace's gate (the lub of everything it recorded), so a secret trace's
+  // early untainted events (its netd accept, before any contamination) are
+  // invisible too.
+  obs::EventLog& log = obs::EventLog::Get();
+  obs::EventLog::SetEnabled(true);
+  log.Clear();
   const Label secret({{Handle::FromValue(99), Level::kL3}}, Level::kStar);
 
   // Ten "secret requests": each starts uncontaminated, then touches data
   // at {h 3}. One public request for contrast.
   for (int i = 0; i < 10; ++i) {
-    const uint64_t tid = obs::TraceRing::Get().MintTraceId();
-    obs::TraceRing::Get().Emit(tid, "netd", "netd.accept", "", Label::Bottom());
-    obs::TraceRing::Get().Emit(tid, "worker", "worker.request", "", secret);
+    const uint64_t tid = log.MintTraceId();
+    log.Span(tid, "netd", "netd.accept", "", Label::Bottom());
+    log.Span(tid, "worker", "worker.request", "", secret);
   }
-  const uint64_t pub = obs::TraceRing::Get().MintTraceId();
-  obs::TraceRing::Get().Emit(pub, "netd", "netd.accept", "", Label::Bottom());
+  const uint64_t pub = log.MintTraceId();
+  log.Span(pub, "netd", "netd.accept", "", Label::Bottom());
 
   // A reader at default clearance learns nothing that distinguishes "ten
   // secret requests happened" from "none did": same visible events, same
   // visible count.
-  obs::TraceReader low(Label::DefaultReceive());
-  EXPECT_EQ(low.VisibleCount(), 1u);
-  ASSERT_EQ(low.Visible().size(), 1u);
-  EXPECT_EQ(low.Visible()[0].trace_id, pub);
+  obs::Reader low(Label::DefaultReceive());
+  EXPECT_EQ(low.VisibleCount(obs::kSpans), 1u);
+  ASSERT_EQ(low.Visible(obs::kSpans).size(), 1u);
+  EXPECT_EQ(low.Visible(obs::kSpans)[0].trace_id, pub);
 
   // A reader cleared for {h 3} sees the full history.
-  obs::TraceReader high(Label::Top());
-  EXPECT_EQ(high.VisibleCount(), 21u);
+  obs::Reader high(Label::Top());
+  EXPECT_EQ(high.VisibleCount(obs::kSpans), 21u);
 
-  obs::TraceRing::Get().Clear();
-  obs::TraceRing::SetEnabled(false);
+  log.Clear();
+  obs::EventLog::SetEnabled(false);
 }
 
-TEST_F(CovertChannelTest, LedgerIsNotACountingChannel) {
-  // The provenance ledger is history about *labels themselves* — "who got
+TEST_F(CovertChannelTest, EdgesAndRefusalsAreNotACountingChannel) {
+  // Taint provenance is history about *labels themselves* — "who got
   // tainted with u" is at least as secret as u — so the same discipline
   // applies: a low-clearance reader must not be able to count edges or
   // refusals, and once a trace produced one secret-gated record, even its
   // later public records stay out of the low reader's count.
-  obs::ProvenanceLedger::SetEnabled(true);
-  obs::ProvenanceLedger::Get().Clear();
-  obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
+  obs::EventLog& log = obs::EventLog::Get();
+  obs::EventLog::SetEnabled(true);
+  log.Clear();
   const Label secret({{Handle::FromValue(99), Level::kL3}}, Level::kL1);
 
   // Ten "secret requests": each contaminates a worker at {h 3} and then
   // emits a public-gated adoption on the SAME trace. One public request.
   for (uint64_t i = 0; i < 10; ++i) {
     const uint64_t tid = 1000 + i;
-    ledger.RecordEdge(obs::EdgeKind::kContaminate, "worker", "dbproxy", 0, 0,
-                      secret, tid);
-    ledger.RecordEdge(obs::EdgeKind::kAdopt, "store.shard0", "primary", 0, 0,
-                      Label::Bottom(), tid);
-    ledger.RecordRefusal("kernel.delivery", "worker", "ES(99) = 3 exceeds bound 2",
-                         99, Level::kL3, Level::kL2, secret, Label::DefaultReceive(),
-                         tid);
+    log.Edge(obs::RecordKind::kContaminate, "worker", "dbproxy", 0, 0, secret, tid);
+    log.Edge(obs::RecordKind::kAdopt, "store.shard0", "primary", 0, 0, Label::Bottom(), tid);
+    log.Refusal("kernel.delivery", "worker", "ES(99) = 3 exceeds bound 2", 99, Level::kL3,
+                Level::kL2, secret, Label::DefaultReceive(), tid);
   }
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "echo", "netd", 0, 0,
-                    Label::Bottom(), 2000);
+  log.Edge(obs::RecordKind::kContaminate, "echo", "netd", 0, 0, Label::Bottom(), 2000);
 
   // A reader at default clearance learns nothing that distinguishes "ten
   // secret requests happened" from "none did": one visible edge, zero
   // refusals, and the counts agree with the visible sets exactly.
-  obs::ProvenanceReader low(Label::DefaultReceive());
-  EXPECT_EQ(low.VisibleEdgeCount(), 1u);
-  ASSERT_EQ(low.VisibleEdges().size(), 1u);
-  EXPECT_EQ(low.VisibleEdges()[0].trace_id, 2000u);
-  EXPECT_EQ(low.VisibleRefusalCount(), 0u);
-  EXPECT_TRUE(low.VisibleRefusals().empty());
+  obs::Reader low(Label::DefaultReceive());
+  EXPECT_EQ(low.VisibleCount(obs::kEdges), 1u);
+  ASSERT_EQ(low.Visible(obs::kEdges).size(), 1u);
+  EXPECT_EQ(low.Visible(obs::kEdges)[0].trace_id, 2000u);
+  EXPECT_EQ(low.VisibleCount(obs::kRefusals), 0u);
+  EXPECT_TRUE(low.Visible(obs::kRefusals).empty());
   // WhyTainted refuses partial answers: the chain exists but is above the
   // reader, so the answer is empty, not truncated.
   EXPECT_TRUE(low.WhyTainted("worker", 99).empty());
 
   // A reader cleared for {h 3} sees the full history.
-  obs::ProvenanceReader high(Label::Top());
-  EXPECT_EQ(high.VisibleEdgeCount(), 21u);
-  EXPECT_EQ(high.VisibleRefusalCount(), 10u);
+  obs::Reader high(Label::Top());
+  EXPECT_EQ(high.VisibleCount(obs::kEdges), 21u);
+  EXPECT_EQ(high.VisibleCount(obs::kRefusals), 10u);
   EXPECT_EQ(high.WhyTainted("worker", 99).size(), 1u);
 
-  obs::ProvenanceLedger::Get().Clear();
-  obs::ProvenanceLedger::SetEnabled(false);
+  log.Clear();
+  obs::EventLog::SetEnabled(false);
+}
+
+TEST_F(CovertChannelTest, RetiredSecretTraceIsNotCountable) {
+  // Bounding the log's memory must not reopen the counting channel. Once
+  // every record of a secret trace is evicted its gate is dropped too — so
+  // a late public record of that trace (the reply span of a long request)
+  // must be gated at ⊤, not read as a fresh public trace.
+  obs::EventLog& log = obs::EventLog::Get();
+  obs::EventLog::SetEnabled(true);
+  log.Clear();
+  log.SetCapacity(4);
+  const Label secret({{Handle::FromValue(99), Level::kL3}}, Level::kStar);
+  const uint64_t tid = log.MintTraceId();
+  log.Span(tid, "netd", "netd.accept", "", Label::Bottom());
+  log.Span(tid, "worker", "worker.request", "", secret);
+  // Public cover traffic evicts every record of the secret trace.
+  for (int i = 0; i < 4; ++i) {
+    log.Span(log.MintTraceId(), "netd", "netd.accept", "", Label::Bottom());
+  }
+  ASSERT_EQ(log.live_gates(), 4u) << "the secret trace's gate was retired";
+
+  log.Span(tid, "netd", "netd.reply", "", Label::Bottom());
+  // The late span evicted one public span: a low reader counts exactly the
+  // three public spans left, as if the secret request never replied.
+  obs::Reader low(Label::DefaultReceive());
+  EXPECT_FALSE(low.CanObserveTrace(tid));
+  EXPECT_EQ(low.VisibleCount(), 3u);
+  for (const obs::Record& r : low.Visible()) {
+    EXPECT_NE(r.trace_id, tid);
+  }
+  obs::Reader top(Label::Top());
+  EXPECT_EQ(top.VisibleCount(), 4u);
+  EXPECT_EQ(top.Visible().back().trace_id, tid);
+
+  log.SetCapacity(8192);
+  log.Clear();
+  obs::EventLog::SetEnabled(false);
 }
 
 }  // namespace

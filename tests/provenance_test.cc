@@ -1,12 +1,13 @@
-// The provenance plane: taint-flow audit ledger, refusal forensics, and the
-// syscall-level cycle profiler (src/obs/provenance.h, src/obs/profiler.h).
+// The provenance plane: taint-flow edges and refusal forensics in the event
+// log, and the syscall-level cycle profiler (src/obs/event_log.h,
+// src/obs/profiler.h).
 //
-// The ledger answers "why is this process tainted?" by recording every
+// The log answers "why is this process tainted?" by recording every
 // taint-propagating event as a DAG edge and walking it back to the taint's
 // origin; refusal records capture the exact failing label comparison at
 // every drop site. Both are covert-channel surfaces in their own right, so
-// reads go through a clearance-gated reader with the trace ring's
-// cumulative-label discipline (the counting-channel proof lives in
+// reads go through the clearance-gated Reader with its per-trace gate
+// discipline (the counting-channel proof lives in
 // tests/covert_channel_test.cc). The profiler turns the deterministic
 // virtual clock into nested-span flamegraphs without ever charging it.
 #include <gtest/gtest.h>
@@ -15,11 +16,10 @@
 #include <vector>
 
 #include "src/kernel/kernel.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/provenance.h"
 #include "src/obs/reset.h"
-#include "src/obs/trace.h"
 #include "src/sim/cycles.h"
 #include "tests/test_util.h"
 
@@ -31,86 +31,93 @@ using testing::ScriptedProcess;
 
 Handle H(uint64_t v) { return Handle::FromValue(v); }
 
-// --- Ledger unit behaviour ---------------------------------------------------
+// --- Edge and refusal records ---------------------------------------------------
 
-class ProvenanceLedgerTest : public ::testing::Test {
+class ProvenanceLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::ProvenanceLedger::SetEnabled(true);
-    obs::ProvenanceLedger::Get().Clear();
+    obs::EventLog::SetEnabled(true);
+    obs::EventLog::Get().Clear();
   }
   void TearDown() override {
-    obs::ProvenanceLedger::Get().SetCapacity(8192);
-    obs::ProvenanceLedger::Get().Clear();
-    obs::ProvenanceLedger::SetEnabled(false);
+    obs::EventLog::Get().SetCapacity(8192);
+    obs::EventLog::Get().Clear();
+    obs::EventLog::SetEnabled(false);
+  }
+
+  static std::vector<obs::Record> Refusals() {
+    std::vector<obs::Record> out;
+    for (const obs::Record& r : obs::EventLog::Get().records()) {
+      if (r.kind == obs::RecordKind::kRefusal) {
+        out.push_back(r);
+      }
+    }
+    return out;
   }
 };
 
-TEST_F(ProvenanceLedgerTest, DisabledLedgerRecordsNothing) {
-  obs::ProvenanceLedger::SetEnabled(false);
-  obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "a", "b", 0, 0, Label::Top(), 1);
-  ledger.RecordRefusal("site", "a", "detail", 9, Level::kL3, Level::kL2,
-                       Label::Top(), Label::Bottom(), 1);
-  EXPECT_TRUE(ledger.edges().empty());
-  EXPECT_TRUE(ledger.refusals().empty());
-  EXPECT_EQ(ledger.total_edges(), 0u);
-  EXPECT_EQ(ledger.total_refusals(), 0u);
+TEST_F(ProvenanceLogTest, DisabledLogRecordsNothing) {
+  obs::EventLog::SetEnabled(false);
+  obs::EventLog& log = obs::EventLog::Get();
+  log.Edge(obs::RecordKind::kContaminate, "a", "b", 0, 0, Label::Top(), 1);
+  log.Refusal("site", "a", "detail", 9, Level::kL3, Level::kL2, Label::Top(),
+              Label::Bottom(), 1);
+  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.total_appended(), 0u);
 }
 
-TEST_F(ProvenanceLedgerTest, GateFromPrivilegeHidesPrivilegeShapedCauses) {
+TEST_F(ProvenanceLogTest, PrivilegeEdgeGateHidesPrivilegeShapedCauses) {
   // A ⋆/0-shaped cause label would gate nothing if used directly — knowing
   // that u's declassifier acted is u-secret — so every explicit entry maps
   // to level 3 and the default to 1.
   const Label priv({{H(7), Level::kStar}, {H(8), Level::kL0}}, Level::kL1);
-  const Label gate = obs::GateFromPrivilege(priv);
+  obs::EventLog::Get().Edge(obs::RecordKind::kGrant, "a", "b", 0, 0, priv, 1);
+  const Label gate = obs::EventLog::Get().records().back().gate;
   EXPECT_EQ(gate.Get(H(7)), Level::kL3);
   EXPECT_EQ(gate.Get(H(8)), Level::kL3);
   EXPECT_EQ(gate.default_level(), Level::kL1);
 }
 
-TEST_F(ProvenanceLedgerTest, CumulativeGateOutlivesEviction) {
+TEST_F(ProvenanceLogTest, TraceGateOutlivesEviction) {
   // History is state: once a trace produced one secret-gated record, even
   // its LATER public-gated records must stay invisible to a low reader —
   // and that must survive the secret record being evicted from the ring,
   // or eviction would slowly declassify the count.
-  obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-  ledger.SetCapacity(2);
+  obs::EventLog& log = obs::EventLog::Get();
+  log.SetCapacity(2);
   const Label secret({{H(99), Level::kL3}}, Level::kL1);
   const uint64_t secret_trace = 42;
   const uint64_t public_trace = 43;
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "worker", "dbproxy", 0, 0,
-                    secret, secret_trace);
+  log.Edge(obs::RecordKind::kContaminate, "worker", "dbproxy", 0, 0, secret, secret_trace);
   // Push the secret edge out of the ring with public edges on the SAME trace.
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "worker", "dbproxy", 0, 0,
-                    Label::Bottom(), secret_trace);
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "worker", "dbproxy", 0, 0,
-                    Label::Bottom(), secret_trace);
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "other", "netd", 0, 0,
-                    Label::Bottom(), public_trace);
-  ASSERT_EQ(ledger.edges().size(), 2u);  // capacity enforced
-  EXPECT_EQ(ledger.total_edges(), 4u);   // emission count is not
-  EXPECT_EQ(ledger.CumulativeGate(secret_trace).Get(H(99)), Level::kL3);
+  log.Edge(obs::RecordKind::kContaminate, "worker", "dbproxy", 0, 0, Label::Bottom(),
+           secret_trace);
+  log.Edge(obs::RecordKind::kContaminate, "worker", "dbproxy", 0, 0, Label::Bottom(),
+           secret_trace);
+  log.Edge(obs::RecordKind::kContaminate, "other", "netd", 0, 0, Label::Bottom(),
+           public_trace);
+  ASSERT_EQ(log.records().size(), 2u);  // capacity enforced
+  EXPECT_EQ(log.total_appended(), 4u);  // emission count is not
+  EXPECT_EQ(log.TraceGate(secret_trace).Get(H(99)), Level::kL3);
 
-  obs::ProvenanceReader low(Label::DefaultReceive());
-  ASSERT_EQ(low.VisibleEdges().size(), 1u);
-  EXPECT_EQ(low.VisibleEdges()[0].trace_id, public_trace);
-  EXPECT_EQ(low.VisibleEdgeCount(), 1u);
-  obs::ProvenanceReader high(Label::Top());
-  EXPECT_EQ(high.VisibleEdgeCount(), 2u);
+  obs::Reader low(Label::DefaultReceive());
+  ASSERT_EQ(low.Visible(obs::kEdges).size(), 1u);
+  EXPECT_EQ(low.Visible(obs::kEdges)[0].trace_id, public_trace);
+  EXPECT_EQ(low.VisibleCount(obs::kEdges), 1u);
+  obs::Reader high(Label::Top());
+  EXPECT_EQ(high.VisibleCount(obs::kEdges), 2u);
 }
 
-TEST_F(ProvenanceLedgerTest, RecordingNeverPerturbsLabelWorkStats) {
-  // The ledger's own label algebra (gate Lubs, cumulative joins) must not
-  // leak into the Figure 6-9 work counters: outputs with the ledger enabled
-  // would otherwise differ from the seed's.
+TEST_F(ProvenanceLogTest, RecordingNeverPerturbsLabelWorkStats) {
+  // The log's own label algebra (gate Lubs, trace-gate joins) must not leak
+  // into the Figure 6-9 work counters: outputs with the log enabled would
+  // otherwise differ from the seed's.
   const Label cause({{H(5), Level::kL3}, {H(6), Level::kL2}}, Level::kL1);
   const LabelWorkStats before = GetLabelWorkStats();
-  obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-  ledger.RecordEdge(obs::EdgeKind::kContaminate, "a", "b", 0, 0, cause, 7);
-  ledger.RecordEdge(obs::EdgeKind::kGrant, "a", "b", 0, 0, cause, 7);
-  ledger.RecordRefusal("kernel.delivery", "a", "detail", 5, Level::kL3,
-                       Level::kL2, cause, cause, 7);
+  obs::EventLog& log = obs::EventLog::Get();
+  log.Edge(obs::RecordKind::kContaminate, "a", "b", 0, 0, cause, 7);
+  log.Edge(obs::RecordKind::kGrant, "a", "b", 0, 0, cause, 7);
+  log.Refusal("kernel.delivery", "a", "detail", 5, Level::kL3, Level::kL2, cause, cause, 7);
   const LabelWorkStats& after = GetLabelWorkStats();
   EXPECT_EQ(after.ops, before.ops);
   EXPECT_EQ(after.entries_visited, before.entries_visited);
@@ -119,7 +126,7 @@ TEST_F(ProvenanceLedgerTest, RecordingNeverPerturbsLabelWorkStats) {
 
 // --- Kernel-driven edges and refusals ----------------------------------------
 
-class ProvenanceKernelTest : public ProvenanceLedgerTest {
+class ProvenanceKernelTest : public ProvenanceLogTest {
  protected:
   Kernel kernel_{0x90BE11EFULL};
   std::vector<RecorderProcess::Received> received_;
@@ -149,7 +156,7 @@ class ProvenanceKernelTest : public ProvenanceLedgerTest {
 
 TEST_F(ProvenanceKernelTest, WhyTaintedWalksContaminationBackToItsOrigin) {
   // tx mints h, voluntarily raises itself to {h 3}, then contaminates rx.
-  // The ledger must answer WhyTainted(rx, h) with the full hop chain:
+  // The log must answer WhyTainted(rx, h) with the full hop chain:
   // rx ← tx [contaminate], then tx's self-taint origin.
   auto [rx, port] = MakeRecorder("rx", Label(Level::kL3));
   (void)rx;
@@ -163,26 +170,26 @@ TEST_F(ProvenanceKernelTest, WhyTaintedWalksContaminationBackToItsOrigin) {
   kernel_.RunUntilIdle();
   ASSERT_EQ(received_.size(), 1u) << "the permissive receiver accepts taint";
 
-  obs::ProvenanceReader high(Label::Top());
+  obs::Reader high(Label::Top());
   const std::vector<obs::TaintHop> chain = high.WhyTainted("rx", h.value());
   ASSERT_EQ(chain.size(), 2u);
-  EXPECT_EQ(chain[0].edge.kind, obs::EdgeKind::kContaminate);
+  EXPECT_EQ(chain[0].edge.kind, obs::RecordKind::kContaminate);
   EXPECT_EQ(chain[0].edge.subject, "rx");
   EXPECT_EQ(chain[0].edge.source, "tx");
-  EXPECT_EQ(chain[0].edge.cause.Get(h), Level::kL3);
+  EXPECT_EQ(chain[0].edge.label.Get(h), Level::kL3);
   EXPECT_NE(chain[0].edge.pre_rep, chain[0].edge.post_rep) << "a Lub ran";
   EXPECT_EQ(chain[0].via, "rx \xe2\x86\x90 tx [contaminate]");
-  EXPECT_EQ(chain[1].edge.kind, obs::EdgeKind::kOrigin);
+  EXPECT_EQ(chain[1].edge.kind, obs::RecordKind::kOrigin);
   EXPECT_EQ(chain[1].edge.subject, "tx");
   EXPECT_EQ(chain[1].edge.source, "");
 
   // Who got tainted with h is at least as secret as h: a reader without
   // clearance for {h 3} gets an EMPTY chain, not a truncated one, and
   // cannot count the edges either.
-  obs::ProvenanceReader low(Label::DefaultReceive());
+  obs::Reader low(Label::DefaultReceive());
   EXPECT_TRUE(low.WhyTainted("rx", h.value()).empty());
-  EXPECT_EQ(low.VisibleEdgeCount(), 0u);
-  EXPECT_GE(high.VisibleEdgeCount(), 3u);  // mint origin, raise origin, contaminate
+  EXPECT_EQ(low.VisibleCount(obs::kEdges), 0u);
+  EXPECT_GE(high.VisibleCount(obs::kEdges), 3u);  // mint origin, raise origin, contaminate
 }
 
 TEST_F(ProvenanceKernelTest, DeliveryRefusalRecordsTheFailingComparison) {
@@ -201,10 +208,9 @@ TEST_F(ProvenanceKernelTest, DeliveryRefusalRecordsTheFailingComparison) {
   kernel_.RunUntilIdle();
   EXPECT_TRUE(received_.empty());
 
-  obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-  ASSERT_EQ(ledger.refusals().size(), 1u);
-  const obs::RefusalRecord& r = ledger.refusals().back();
-  EXPECT_EQ(r.site, "kernel.delivery");
+  ASSERT_EQ(Refusals().size(), 1u);
+  const obs::Record r = Refusals().back();
+  EXPECT_EQ(r.name, "kernel.delivery");
   EXPECT_EQ(r.subject, "rx");
   EXPECT_EQ(r.handle, h.value());
   EXPECT_EQ(r.observed, Level::kL3);
@@ -212,15 +218,15 @@ TEST_F(ProvenanceKernelTest, DeliveryRefusalRecordsTheFailingComparison) {
   EXPECT_NE(r.detail.find("req 1"), std::string::npos) << r.detail;
 
   // The refusal reveals the taint that was presented: gated like the taint.
-  obs::ProvenanceReader low(Label::DefaultReceive());
-  EXPECT_EQ(low.VisibleRefusalCount(), 0u);
-  obs::ProvenanceReader high(Label::Top());
-  EXPECT_EQ(high.VisibleRefusalCount(), 1u);
+  obs::Reader low(Label::DefaultReceive());
+  EXPECT_EQ(low.VisibleCount(obs::kRefusals), 0u);
+  obs::Reader high(Label::Top());
+  EXPECT_EQ(high.VisibleCount(obs::kRefusals), 1u);
 }
 
 TEST_F(ProvenanceKernelTest, PrivilegeRefusalNamesTheMissingStar) {
   // Decontaminating without holding ⋆ is silently dropped (covert-channel
-  // discipline) — but the ledger, readable only above the gate, records
+  // discipline) — but the log, readable only above the gate, records
   // which handle's ⋆ was missing.
   auto [rx, port] = MakeRecorder("rx", Label::DefaultReceive());
   (void)rx;
@@ -233,10 +239,9 @@ TEST_F(ProvenanceKernelTest, PrivilegeRefusalNamesTheMissingStar) {
   kernel_.RunUntilIdle();
   EXPECT_TRUE(received_.empty());
 
-  obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-  ASSERT_EQ(ledger.refusals().size(), 1u);
-  const obs::RefusalRecord& r = ledger.refusals().back();
-  EXPECT_EQ(r.site, "kernel.send_privilege");
+  ASSERT_EQ(Refusals().size(), 1u);
+  const obs::Record r = Refusals().back();
+  EXPECT_EQ(r.name, "kernel.send_privilege");
   EXPECT_EQ(r.subject, "tx");
   EXPECT_EQ(r.handle, 0x777u);
   EXPECT_EQ(r.bound, Level::kStar);
@@ -263,29 +268,29 @@ TEST_F(ProvenanceKernelTest, GrantAndDeclassifyEdgesAreGatedHigh) {
   kernel_.RunUntilIdle();
   ASSERT_EQ(received_.size(), 2u);
 
-  const obs::TaintEdge* grant_edge = nullptr;
-  const obs::TaintEdge* declassify_edge = nullptr;
-  for (const obs::TaintEdge& e : obs::ProvenanceLedger::Get().edges()) {
-    if (e.kind == obs::EdgeKind::kGrant) {
+  const obs::Record* grant_edge = nullptr;
+  const obs::Record* declassify_edge = nullptr;
+  for (const obs::Record& e : obs::EventLog::Get().records()) {
+    if (e.kind == obs::RecordKind::kGrant) {
       grant_edge = &e;
-    } else if (e.kind == obs::EdgeKind::kDeclassify) {
+    } else if (e.kind == obs::RecordKind::kDeclassify) {
       declassify_edge = &e;
     }
   }
   ASSERT_NE(grant_edge, nullptr);
   EXPECT_EQ(grant_edge->subject, "rx");
   EXPECT_EQ(grant_edge->source, "tx");
-  EXPECT_EQ(grant_edge->cause.Get(h), Level::kL0);
+  EXPECT_EQ(grant_edge->label.Get(h), Level::kL0);
   EXPECT_EQ(grant_edge->gate.Get(h), Level::kL3);
   ASSERT_NE(declassify_edge, nullptr);
-  EXPECT_EQ(declassify_edge->cause.Get(H(0x5151)), Level::kL2);
+  EXPECT_EQ(declassify_edge->label.Get(H(0x5151)), Level::kL2);
   EXPECT_EQ(declassify_edge->gate.Get(H(0x5151)), Level::kL3);
 
-  obs::ProvenanceReader low(Label::DefaultReceive());
-  EXPECT_FALSE(low.CanObserveEdge(*grant_edge));
-  EXPECT_FALSE(low.CanObserveEdge(*declassify_edge));
-  obs::ProvenanceReader high(Label::Top());
-  EXPECT_TRUE(high.CanObserveEdge(*grant_edge));
+  obs::Reader low(Label::DefaultReceive());
+  EXPECT_FALSE(low.CanObserve(*grant_edge));
+  EXPECT_FALSE(low.CanObserve(*declassify_edge));
+  obs::Reader high(Label::Top());
+  EXPECT_TRUE(high.CanObserve(*grant_edge));
 }
 
 // --- Cycle profiler ----------------------------------------------------------
@@ -420,12 +425,11 @@ TEST_F(CycleProfilerTest, KernelDispatchFeedsAttributionAndDeliverySpans) {
 
 TEST(ObsResetTest, ResetAllDropsEveryObservabilitySurface) {
   obs::Registry::Get().counter("test.reset_all.probe").Add(7);
-  obs::TraceRing::SetEnabled(true);
-  const uint64_t tid = obs::TraceRing::Get().MintTraceId();
-  obs::TraceRing::Get().Emit(tid, "t", "t.e", "", Label::Bottom());
-  obs::ProvenanceLedger::SetEnabled(true);
-  obs::ProvenanceLedger::Get().RecordEdge(obs::EdgeKind::kContaminate, "a", "b",
-                                          0, 0, Label::Bottom(), tid);
+  obs::EventLog::SetEnabled(true);
+  const uint64_t tid = obs::EventLog::Get().MintTraceId();
+  obs::EventLog::Get().Span(tid, "t", "t.e", "", Label::Bottom());
+  obs::EventLog::Get().Edge(obs::RecordKind::kContaminate, "a", "b", 0, 0, Label::Bottom(),
+                            tid);
   obs::CycleProfiler::SetEnabled(true);
   obs::CycleProfiler::Get().Begin("x");
   GetCycleAccounting().Charge(Component::kOther, 9);
@@ -435,14 +439,13 @@ TEST(ObsResetTest, ResetAllDropsEveryObservabilitySurface) {
   obs::ResetAll();
 
   EXPECT_EQ(obs::Registry::Get().counter("test.reset_all.probe").value(), 0u);
-  EXPECT_EQ(obs::TraceReader(Label::Top()).VisibleCount(), 0u);
-  EXPECT_TRUE(obs::ProvenanceLedger::Get().edges().empty());
+  EXPECT_EQ(obs::Reader(Label::Top()).VisibleCount(), 0u);
+  EXPECT_TRUE(obs::EventLog::Get().records().empty());
   EXPECT_TRUE(obs::CycleProfiler::Get().stacks().empty());
   EXPECT_TRUE(obs::CycleProfiler::Get().syscalls().empty());
 
   obs::CycleProfiler::SetEnabled(false);
-  obs::ProvenanceLedger::SetEnabled(false);
-  obs::TraceRing::SetEnabled(false);
+  obs::EventLog::SetEnabled(false);
 }
 
 }  // namespace

@@ -7,15 +7,16 @@
 // recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/fs/file_server.h"
 #include "src/net/client.h"
-#include "src/okws/idd.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/provenance.h"
+#include "src/okws/idd.h"
 #include "src/okws/okws_world.h"
 #include "src/okws/services.h"
 #include "src/replication/follower.h"
@@ -1254,6 +1255,31 @@ TEST_F(ReplEndToEndTest, ReadYourWritesRefusesLaggingFollower) {
   EXPECT_TRUE(r.secrecy.Equals(priv->secrecy));
 }
 
+TEST_F(ReplEndToEndTest, ApplyLagGaugeReadsTheLagAnAckCloses) {
+  // Each ack sets repl.apply_lag_cycles to how long the follower was behind
+  // (virtual time since the previous ack). A paused wire holds an unacked
+  // write back, so the ack that finally covers it must report a lag > 0.
+  BootPrimary(dir_.path() + "/primary");
+  AddFollower(dir_.path() + "/follower", 0x0452, /*follower_id=*/1);
+  RunFsWorkload();
+  PumpUntilSynced();
+  const ReplicationHub* hub = fleet_->primary()->fs()->replication()->hub();
+  ASSERT_NE(hub, nullptr);
+
+  obs::Gauge& lag = obs::Registry::Get().gauge("repl.apply_lag_cycles");
+  fleet_->link(0)->set_paused(true);
+  FsWrite("pub0", "written while the follower is cut off");
+  fleet_->link(0)->set_paused(false);
+  lag.Set(0);
+  double max_lag = 0;
+  for (int i = 0; i < 5000 && !hub->AllFullySynced(); ++i) {
+    fleet_->Pump();
+    max_lag = std::max(max_lag, lag.value());
+  }
+  ASSERT_TRUE(hub->AllFullySynced());
+  EXPECT_GT(max_lag, 0.0);
+}
+
 TEST_F(ReplEndToEndTest, StaleLeaseFollowerRefusesAllReads) {
   // A short lease so the test expires it in a few hundred pumps.
   FileServerOptions opts;
@@ -1301,9 +1327,9 @@ TEST_F(ReplEndToEndTest, FleetMetricsArePerReplicaAndPerFollowerReadCounters) {
   // Two follower machines are two kernels publishing the same gauge names;
   // the fleet prefixes each by its index so one snapshot carries every
   // machine instead of whichever gauge group registered last. Adoption of
-  // replicated labels also lands in the provenance ledger as kAdopt edges.
-  obs::ProvenanceLedger::SetEnabled(true);
-  obs::ProvenanceLedger::Get().Clear();
+  // replicated labels also lands in the event log as adopt edges.
+  obs::EventLog::SetEnabled(true);
+  obs::EventLog::Get().Clear();
   BootPrimary(dir_.path() + "/primary");
   AddFollower(dir_.path() + "/f1", 0x0452, /*follower_id=*/1, /*read_tcp_port=*/7500);
   AddFollower(dir_.path() + "/f2", 0x0453, /*follower_id=*/2, /*read_tcp_port=*/7501);
@@ -1325,16 +1351,16 @@ TEST_F(ReplEndToEndTest, FleetMetricsArePerReplicaAndPerFollowerReadCounters) {
   // Applying replicated records journals label adoption: every shard apply
   // of a Put is an [adopt] edge, so a replica's labels are explainable too.
   bool saw_adopt = false;
-  for (const auto& e : obs::ProvenanceLedger::Get().edges()) {
-    if (e.kind == obs::EdgeKind::kAdopt) {
+  for (const auto& e : obs::EventLog::Get().records()) {
+    if (e.kind == obs::RecordKind::kAdopt) {
       EXPECT_EQ(e.subject.rfind("store.shard", 0), 0u) << e.subject;
       EXPECT_EQ(e.source, "primary");
       saw_adopt = true;
     }
   }
   EXPECT_TRUE(saw_adopt);
-  obs::ProvenanceLedger::Get().Clear();
-  obs::ProvenanceLedger::SetEnabled(false);
+  obs::EventLog::Get().Clear();
+  obs::EventLog::SetEnabled(false);
 
   // The read plane scores per follower. Counters are process-global and
   // cumulative, so assert deltas, then check the hub's DebugStatus joins

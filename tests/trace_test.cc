@@ -1,12 +1,14 @@
-// Observability plane (src/obs): the metrics registry, the flow-aware trace
-// ring, and the clearance gate on reading it back.
+// Observability plane (src/obs): the metrics registry, the event log's
+// flow-aware spans, and the clearance gate on reading them back.
 //
 // The end-to-end tests drive the real OKWS suite and the real replication
 // protocol and check the ISSUE acceptance criteria directly: one request
 // produces a complete span chain with monotone virtual-clock timestamps; a
 // reader below the request's secrecy level observes zero of its events (and
 // cannot even count them); replication frames carry the session's origin
-// trace id on every hop.
+// trace id on every hop. The log's own bounds are checked here too: its
+// memory stays within capacity across 10^6 traces, and observing it never
+// moves the label-work counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/provenance.h"
-#include "src/obs/trace.h"
 #include "src/okws/okws_world.h"
 #include "src/okws/services.h"
 #include "src/replication/replica.h"
@@ -103,65 +104,66 @@ TEST(MetricsRegistryTest, GaugeGroupsUnregisterCleanly) {
   EXPECT_EQ(reg.Snapshot().count("test.group.transient"), 0u);
 }
 
-// --- Trace ring --------------------------------------------------------------
+// --- Event log: spans -------------------------------------------------------
 
-class TraceRingTest : public ::testing::Test {
+class EventLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::TraceRing::SetEnabled(true);
-    obs::TraceRing::Get().Clear();
+    obs::EventLog::SetEnabled(true);
+    Log().Clear();
   }
   void TearDown() override {
-    obs::TraceRing::Get().Clear();
-    obs::TraceRing::SetEnabled(false);
+    Log().SetCapacity(8192);
+    Log().Clear();
+    obs::EventLog::SetEnabled(false);
   }
+  static obs::EventLog& Log() { return obs::EventLog::Get(); }
 };
 
-TEST_F(TraceRingTest, DisabledEmitIsANoOp) {
-  obs::TraceRing::SetEnabled(false);
-  const uint64_t tid = obs::TraceRing::Get().MintTraceId();
-  obs::TraceRing::Get().Emit(tid, "test", "test.span", "", Label::Bottom());
-  EXPECT_TRUE(obs::TraceRing::Get().events().empty());
+TEST_F(EventLogTest, DisabledEmitIsANoOp) {
+  obs::EventLog::SetEnabled(false);
+  const uint64_t tid = Log().MintTraceId();
+  Log().Span(tid, "test", "test.span", "", Label::Bottom());
+  EXPECT_TRUE(Log().records().empty());
 }
 
-TEST_F(TraceRingTest, CumulativeLabelIsLubAndSurvivesEviction) {
-  obs::TraceRing::Get().SetCapacity(2);
-  const uint64_t tid = obs::TraceRing::Get().MintTraceId();
+TEST_F(EventLogTest, TraceGateIsLubAndSurvivesEviction) {
+  Log().SetCapacity(2);
+  const uint64_t tid = Log().MintTraceId();
   const Label high({{H(7), Level::kL3}}, Level::kStar);
-  obs::TraceRing::Get().Emit(tid, "test", "a", "", high);
-  obs::TraceRing::Get().Emit(tid, "test", "b", "", Label::Bottom());
-  obs::TraceRing::Get().Emit(tid, "test", "c", "", Label::Bottom());
-  obs::TraceRing::Get().Emit(tid, "test", "d", "", Label::Bottom());
+  Log().Span(tid, "test", "a", "", high);
+  Log().Span(tid, "test", "b", "", Label::Bottom());
+  Log().Span(tid, "test", "c", "", Label::Bottom());
+  Log().Span(tid, "test", "d", "", Label::Bottom());
   // Ring holds only the last two events; the high "a" event is long gone.
-  ASSERT_EQ(obs::TraceRing::Get().events().size(), 2u);
-  EXPECT_EQ(obs::TraceRing::Get().events().front().name, "c");
-  // But the cumulative label remembers: the trace stays as secret as its
-  // most secret event ever, so eviction opens no declassification hole.
-  EXPECT_TRUE(high.Leq(obs::TraceRing::Get().CumulativeLabel(tid)));
-  obs::TraceRing::Get().SetCapacity(8192);
+  ASSERT_EQ(Log().records().size(), 2u);
+  EXPECT_EQ(Log().records().front().name, "c");
+  // But the trace gate remembers: the trace stays as secret as its most
+  // secret event ever, so eviction opens no declassification hole.
+  EXPECT_TRUE(high.Leq(Log().TraceGate(tid)));
 }
 
-TEST_F(TraceRingTest, LowReaderSeesNeitherEventsNorCounts) {
+TEST_F(EventLogTest, LowReaderSeesNeitherEventsNorCounts) {
   const Label high({{H(7), Level::kL3}}, Level::kStar);
-  const uint64_t secret = obs::TraceRing::Get().MintTraceId();
-  const uint64_t pub = obs::TraceRing::Get().MintTraceId();
+  const uint64_t secret = Log().MintTraceId();
+  const uint64_t pub = Log().MintTraceId();
   // The secret trace starts with an innocuous Bottom event (netd.accept
   // style) before it touches anything labeled — exactly the shape a
   // counting channel would exploit.
-  obs::TraceRing::Get().Emit(secret, "netd", "netd.accept", "", Label::Bottom());
-  obs::TraceRing::Get().Emit(secret, "worker", "worker.request", "", high);
-  obs::TraceRing::Get().Emit(pub, "netd", "netd.accept", "", Label::Bottom());
+  Log().Span(secret, "netd", "netd.accept", "", Label::Bottom());
+  Log().Span(secret, "worker", "worker.request", "", high);
+  Log().Span(pub, "netd", "netd.accept", "", Label::Bottom());
 
-  obs::TraceReader low(Label::DefaultReceive());  // clearance {2}
-  obs::TraceReader top(Label::Top());
+  obs::Reader low(Label::DefaultReceive());  // clearance {2}
+  obs::Reader top(Label::Top());
 
-  EXPECT_FALSE(low.CanObserve(secret));
-  EXPECT_TRUE(low.CanObserve(pub));
-  EXPECT_TRUE(top.CanObserve(secret));
+  EXPECT_FALSE(low.CanObserveTrace(secret));
+  EXPECT_TRUE(low.CanObserveTrace(pub));
+  EXPECT_TRUE(top.CanObserveTrace(secret));
 
   // The low reader must not see the secret trace's Bottom-labeled accept
-  // event either: filtering is by cumulative trace label, so the event
-  // count is not a side channel on how many secret requests arrived.
+  // event either: filtering is by the trace gate, so the event count is not
+  // a side channel on how many secret requests arrived.
   EXPECT_EQ(low.VisibleCount(), 1u);
   ASSERT_EQ(low.Visible().size(), 1u);
   EXPECT_EQ(low.Visible()[0].trace_id, pub);
@@ -170,46 +172,75 @@ TEST_F(TraceRingTest, LowReaderSeesNeitherEventsNorCounts) {
   EXPECT_EQ(low.VisibleJson().find("worker.request"), std::string::npos);
 }
 
-TEST_F(TraceRingTest, WraparoundNeverLeaksSecretHistoryIntoLowCounts) {
+TEST_F(EventLogTest, WraparoundNeverLeaksSecretHistoryIntoLowCounts) {
   // Force eviction with a tiny ring and interleave secret and public
   // traffic. At every point — before, during, and after wraparound — the
   // low reader's count must equal the number of PUBLIC events still
   // retained, never reflecting how many secret events passed through.
-  obs::TraceRing::Get().SetCapacity(4);
+  Log().SetCapacity(4);
   const Label high({{H(7), Level::kL3}}, Level::kStar);
-  obs::TraceReader low(Label::DefaultReceive());
+  obs::Reader low(Label::DefaultReceive());
 
-  const uint64_t secret = obs::TraceRing::Get().MintTraceId();
-  obs::TraceRing::Get().Emit(secret, "netd", "netd.accept", "", Label::Bottom());
-  obs::TraceRing::Get().Emit(secret, "worker", "worker.request", "", high);
+  const uint64_t secret = Log().MintTraceId();
+  Log().Span(secret, "netd", "netd.accept", "", Label::Bottom());
+  Log().Span(secret, "worker", "worker.request", "", high);
   EXPECT_EQ(low.VisibleCount(), 0u);
 
   // Burn through several ring generations of secret events under public
-  // cover traffic; the secret trace's early events evict, but its
-  // cumulative label keeps every retained event of it invisible.
+  // cover traffic; the secret trace's early events evict, but its trace
+  // gate keeps every retained event of it invisible.
   std::vector<uint64_t> pub_tids;
   for (int round = 0; round < 3; ++round) {
-    const uint64_t pub = obs::TraceRing::Get().MintTraceId();
+    const uint64_t pub = Log().MintTraceId();
     pub_tids.push_back(pub);
-    obs::TraceRing::Get().Emit(pub, "netd", "netd.accept", "", Label::Bottom());
-    obs::TraceRing::Get().Emit(secret, "worker", "worker.respond", "", Label::Bottom());
-    ASSERT_EQ(obs::TraceRing::Get().events().size(),
-              std::min<size_t>(4, 2 * (round + 2)));
+    Log().Span(pub, "netd", "netd.accept", "", Label::Bottom());
+    Log().Span(secret, "worker", "worker.respond", "", Label::Bottom());
+    ASSERT_EQ(Log().records().size(), std::min<size_t>(4, 2 * (round + 2)));
     // Exactly the public events still in the ring are visible (capacity 4,
     // alternating emission: at most the 2 newest public events survive).
     const size_t retained_pub = std::min<size_t>(pub_tids.size(), 2);
     EXPECT_EQ(low.VisibleCount(), retained_pub) << "round " << round;
-    for (const obs::SpanEvent& ev : low.Visible()) {
+    for (const obs::Record& ev : low.Visible()) {
       EXPECT_EQ(ev.label.Get(H(7)), Level::kStar) << "no secret event leaks";
     }
   }
   // The secret trace stays as secret as its most secret event ever, even
   // though that event was evicted rounds ago.
-  EXPECT_TRUE(high.Leq(obs::TraceRing::Get().CumulativeLabel(secret)));
-  EXPECT_FALSE(low.CanObserve(secret));
-  obs::TraceReader top(Label::Top());
+  EXPECT_TRUE(high.Leq(Log().TraceGate(secret)));
+  EXPECT_FALSE(low.CanObserveTrace(secret));
+  obs::Reader top(Label::Top());
   EXPECT_EQ(top.VisibleCount(), 4u);
-  obs::TraceRing::Get().SetCapacity(8192);
+}
+
+TEST_F(EventLogTest, ObservingNeverPerturbsLabelWorkStats) {
+  // Appending runs label algebra (the trace gate's lub) and reading runs
+  // the clearance check; neither may reach the Figure-9 work counters, or
+  // turning the log on would move the figures it is meant to explain.
+  const uint64_t tid = Log().MintTraceId();
+  const Label request({{H(5), Level::kL3}}, Level::kL1);
+  const Label reply({{H(6), Level::kL2}}, Level::kStar);
+  const obs::Reader low(Label::DefaultReceive());
+  const LabelWorkStats before = GetLabelWorkStats();
+  Log().Span(tid, "worker", "worker.request", "", request);
+  Log().Span(tid, "worker", "worker.respond", "", reply);
+  EXPECT_EQ(low.VisibleCount(), 0u);
+  const LabelWorkStats& after = GetLabelWorkStats();
+  EXPECT_EQ(after.ops, before.ops);
+  EXPECT_EQ(after.entries_visited, before.entries_visited);
+  EXPECT_EQ(after.fast_path_hits, before.fast_path_hits);
+}
+
+TEST_F(EventLogTest, MemoryStaysBoundedAcrossAMillionTraces) {
+  // Per-trace gates are dropped with their trace's last live record, so a
+  // long-running server holds at most `capacity` records and `capacity`
+  // gates, however many requests it has served.
+  Log().SetCapacity(1024);
+  for (int i = 0; i < 1000000; ++i) {
+    Log().Span(Log().MintTraceId(), "netd", "netd.accept", "", Label::Bottom());
+  }
+  EXPECT_EQ(Log().total_appended(), 1000000u);
+  EXPECT_LE(Log().records().size(), 1024u);
+  EXPECT_LE(Log().live_gates(), 1024u);
 }
 
 // --- End-to-end: OKWS span chain --------------------------------------------
@@ -226,13 +257,13 @@ class OkwsTraceTest : public ::testing::Test {
     config.extra_tables = {NotesService::kTableSql};
     world_ = std::make_unique<OkwsWorld>(std::move(config));
     world_->PumpUntilReady();
-    obs::TraceRing::SetEnabled(true);
-    obs::TraceRing::Get().Clear();
+    obs::EventLog::SetEnabled(true);
+    obs::EventLog::Get().Clear();
   }
 
   void TearDown() override {
-    obs::TraceRing::Get().Clear();
-    obs::TraceRing::SetEnabled(false);
+    obs::EventLog::Get().Clear();
+    obs::EventLog::SetEnabled(false);
   }
 
   HttpLoadClient::Result Fetch(const std::string& target, const std::string& user,
@@ -244,10 +275,21 @@ class OkwsTraceTest : public ::testing::Test {
     return client.results().empty() ? HttpLoadClient::Result{} : client.results()[0];
   }
 
-  // Events of the given trace with the given span name, in emission order.
-  static std::vector<obs::SpanEvent> Named(uint64_t trace_id, const std::string& name) {
-    std::vector<obs::SpanEvent> out;
-    for (const obs::SpanEvent& ev : obs::TraceRing::Get().events()) {
+  // Spans in the log, in emission order.
+  static std::vector<obs::Record> Spans() {
+    std::vector<obs::Record> out;
+    for (const obs::Record& r : obs::EventLog::Get().records()) {
+      if (r.kind == obs::RecordKind::kSpan) {
+        out.push_back(r);
+      }
+    }
+    return out;
+  }
+
+  // Spans of the given trace with the given name, in emission order.
+  static std::vector<obs::Record> Named(uint64_t trace_id, const std::string& name) {
+    std::vector<obs::Record> out;
+    for (const obs::Record& ev : Spans()) {
       if (ev.trace_id == trace_id && ev.name == name) {
         out.push_back(ev);
       }
@@ -266,7 +308,7 @@ TEST_F(OkwsTraceTest, OneRequestProducesACompleteSpanChain) {
   // hop stamped it: accept -> demux -> worker -> dbproxy -> respond ->
   // reply. Kernel deliveries along the way carry the same id.
   std::vector<uint64_t> ids;
-  for (const obs::SpanEvent& ev : obs::TraceRing::Get().events()) {
+  for (const obs::Record& ev : Spans()) {
     ASSERT_NE(ev.trace_id, 0u) << ev.name;
     ids.push_back(ev.trace_id);
   }
@@ -282,7 +324,7 @@ TEST_F(OkwsTraceTest, OneRequestProducesACompleteSpanChain) {
                          "dbproxy.stmt",   "worker.respond", "netd.reply"};
   size_t chain_idx = 0;
   uint64_t prev_cycles = 0;
-  for (const obs::SpanEvent& ev : obs::TraceRing::Get().events()) {
+  for (const obs::Record& ev : Spans()) {
     if (chain_idx < std::size(chain) && ev.trace_id == tid &&
         ev.name == chain[chain_idx]) {
       // Virtual-clock timestamps are monotone along the chain.
@@ -300,7 +342,7 @@ TEST_F(OkwsTraceTest, OneRequestProducesACompleteSpanChain) {
             std::string::npos);
   EXPECT_NE(Named(tid, "worker.request")[0].detail.find("user=alice"),
             std::string::npos);
-  for (const obs::SpanEvent& stmt : Named(tid, "dbproxy.stmt")) {
+  for (const obs::Record& stmt : Named(tid, "dbproxy.stmt")) {
     EXPECT_EQ(stmt.detail.find("buy"), std::string::npos)
         << "statement text leaked: " << stmt.detail;
   }
@@ -308,45 +350,43 @@ TEST_F(OkwsTraceTest, OneRequestProducesACompleteSpanChain) {
 
 TEST_F(OkwsTraceTest, LowClearanceReaderObservesNothingOfATaintedRequest) {
   ASSERT_EQ(Fetch("/notes?op=add&text=secret", "alice", "pw-a").status, 200);
-  ASSERT_FALSE(obs::TraceRing::Get().events().empty());
-  const uint64_t tid = obs::TraceRing::Get().events().front().trace_id;
+  ASSERT_FALSE(Spans().empty());
+  const uint64_t tid = Spans().front().trace_id;
 
-  // The request touched alice's row taint, so the trace's cumulative label
-  // sits above an unprivileged clearance: zero events AND zero count.
-  obs::TraceReader low(Label::DefaultReceive());
-  EXPECT_FALSE(low.CanObserve(tid));
-  EXPECT_EQ(low.VisibleCount(), 0u);
-  EXPECT_TRUE(low.Visible().empty());
+  // The request touched alice's row taint, so the trace's gate sits above
+  // an unprivileged clearance: zero events AND zero count.
+  obs::Reader low(Label::DefaultReceive());
+  EXPECT_FALSE(low.CanObserveTrace(tid));
+  EXPECT_EQ(low.VisibleCount(obs::kSpans), 0u);
+  EXPECT_TRUE(low.Visible(obs::kSpans).empty());
 
-  obs::TraceReader top(Label::Top());
-  EXPECT_TRUE(top.CanObserve(tid));
-  EXPECT_EQ(top.VisibleCount(), obs::TraceRing::Get().events().size());
+  obs::Reader top(Label::Top());
+  EXPECT_TRUE(top.CanObserveTrace(tid));
+  EXPECT_EQ(top.VisibleCount(obs::kSpans), Spans().size());
 }
 
 TEST_F(OkwsTraceTest, WhyTaintedExplainsARequestAcrossTheProcessSuite) {
   // The ISSUE acceptance path: run real requests through the OKWS suite,
-  // then ask the ledger why a contaminated process carries a user's taint.
+  // then ask the log why a contaminated process carries a user's taint.
   // The answer must be a multi-hop chain across distinct processes ending
   // at the taint's origin, while a below-clearance reader can neither read
   // the chain nor count its edges.
-  obs::ProvenanceLedger::SetEnabled(true);
-  obs::ProvenanceLedger::Get().Clear();
   ASSERT_EQ(Fetch("/notes?op=add&text=buy+tarts", "alice", "pw-a").status, 200);
   ASSERT_EQ(Fetch("/notes?op=list", "alice", "pw-a").status, 200);
 
   // The newest contamination edge is the freshest "this process is now
   // tainted" fact the run produced; its cause carries the user taint (some
   // handle at level >= 2) that WhyTainted will chase.
-  const obs::ProvenanceLedger& ledger = obs::ProvenanceLedger::Get();
-  const obs::TaintEdge* newest = nullptr;
-  for (const obs::TaintEdge& e : ledger.edges()) {
-    if (e.kind == obs::EdgeKind::kContaminate) {
+  const obs::EventLog& log = obs::EventLog::Get();
+  const obs::Record* newest = nullptr;
+  for (const obs::Record& e : log.records()) {
+    if (e.kind == obs::RecordKind::kContaminate) {
       newest = &e;
     }
   }
   ASSERT_NE(newest, nullptr) << "a tainted notes request contaminates someone";
   uint64_t taint = 0;
-  for (const auto& [h, level] : newest->cause.Entries()) {
+  for (const auto& [h, level] : newest->label.Entries()) {
     if (LevelLeq(Level::kL2, level)) {
       taint = h.value();
       break;
@@ -354,12 +394,12 @@ TEST_F(OkwsTraceTest, WhyTaintedExplainsARequestAcrossTheProcessSuite) {
   }
   ASSERT_NE(taint, 0u);
 
-  obs::ProvenanceReader top(Label::Top());
+  obs::Reader top(Label::Top());
   const std::vector<obs::TaintHop> chain = top.WhyTainted(newest->subject, taint);
   ASSERT_GE(chain.size(), 2u) << "the taint crossed at least one process";
   EXPECT_EQ(chain.front().edge.subject, newest->subject);
   // The walk terminates at the taint's origin, not at an arbitrary edge.
-  EXPECT_EQ(chain.back().edge.kind, obs::EdgeKind::kOrigin);
+  EXPECT_EQ(chain.back().edge.kind, obs::RecordKind::kOrigin);
   EXPECT_TRUE(chain.back().edge.source.empty());
   // Hops link subject <- source: each hop's source is the next hop's
   // subject, so the chain really is a connected path through the suite.
@@ -376,31 +416,23 @@ TEST_F(OkwsTraceTest, WhyTaintedExplainsARequestAcrossTheProcessSuite) {
   // gets an empty chain (never a truncated one), cannot observe ANY edge
   // or refusal that mentions the taint, and its counts agree with its
   // visible sets — counting is not a side channel around reading.
-  obs::ProvenanceReader low(Label::DefaultReceive());
+  obs::Reader low(Label::DefaultReceive());
   EXPECT_TRUE(low.WhyTainted(newest->subject, taint).empty());
   const Handle th = Handle::FromValue(taint);
-  for (const obs::TaintEdge& e : ledger.edges()) {
-    if (LevelLeq(Level::kL2, e.gate.Get(th))) {
-      EXPECT_FALSE(low.CanObserveEdge(e)) << e.subject;
+  for (const obs::Record& r : log.records()) {
+    if (r.kind != obs::RecordKind::kSpan && LevelLeq(Level::kL2, r.gate.Get(th))) {
+      EXPECT_FALSE(low.CanObserve(r)) << r.subject << " " << r.name;
     }
   }
-  for (const obs::RefusalRecord& r : ledger.refusals()) {
-    if (LevelLeq(Level::kL2, r.gate.Get(th))) {
-      EXPECT_FALSE(low.CanObserveRefusal(r)) << r.site;
-    }
-  }
-  EXPECT_EQ(low.VisibleEdgeCount(), low.VisibleEdges().size());
-  EXPECT_EQ(low.VisibleRefusalCount(), low.VisibleRefusals().size());
-  EXPECT_LT(low.VisibleEdgeCount(), top.VisibleEdgeCount());
-
-  obs::ProvenanceLedger::Get().Clear();
-  obs::ProvenanceLedger::SetEnabled(false);
+  EXPECT_EQ(low.VisibleCount(obs::kEdges), low.Visible(obs::kEdges).size());
+  EXPECT_EQ(low.VisibleCount(obs::kRefusals), low.Visible(obs::kRefusals).size());
+  EXPECT_LT(low.VisibleCount(obs::kEdges), top.VisibleCount(obs::kEdges));
 }
 
-TEST_F(OkwsTraceTest, TracingDisabledLeavesNoResidue) {
-  obs::TraceRing::SetEnabled(false);
+TEST_F(OkwsTraceTest, DisabledLogLeavesNoResidue) {
+  obs::EventLog::SetEnabled(false);
   ASSERT_EQ(Fetch("/echo", "alice", "pw-a").status, 200);
-  EXPECT_TRUE(obs::TraceRing::Get().events().empty());
+  EXPECT_TRUE(obs::EventLog::Get().records().empty());
 }
 
 TEST_F(OkwsTraceTest, MetricsSnapshotCarriesKernelAndOkwsFamilies) {
@@ -424,8 +456,8 @@ TEST_F(OkwsTraceTest, MetricsSnapshotCarriesKernelAndOkwsFamilies) {
 class ReplTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::TraceRing::SetEnabled(true);
-    obs::TraceRing::Get().Clear();
+    obs::EventLog::SetEnabled(true);
+    obs::EventLog::Get().Clear();
 
     StoreOptions popts;
     popts.dir = dir_.path() + "/primary";
@@ -445,8 +477,8 @@ class ReplTraceTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    obs::TraceRing::Get().Clear();
-    obs::TraceRing::SetEnabled(false);
+    obs::EventLog::Get().Clear();
+    obs::EventLog::SetEnabled(false);
   }
 
   static std::vector<replwire::WireMessage> Parse(std::string stream) {
@@ -521,7 +553,7 @@ TEST_F(ReplTraceTest, EveryFrameCarriesTheSessionTraceId) {
   // side, one trace end to end.
   std::string names;
   bool saw_hello = false, saw_ship = false, saw_apply = false;
-  for (const obs::SpanEvent& ev : obs::TraceRing::Get().events()) {
+  for (const obs::Record& ev : obs::Reader(Label::Top()).Visible(obs::kSpans)) {
     EXPECT_EQ(ev.trace_id, tid);
     names += ev.name + " ";
     saw_hello |= ev.name == "repl.hello";
