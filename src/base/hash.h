@@ -1,15 +1,14 @@
-// FNV-1a, 64-bit: the repo's one non-cryptographic hash.
-//
-// Two very different stability requirements share this function, which is
-// exactly why it lives in one place:
-//   * src/store routes keys to shards with it — there it is ON-DISK-FORMAT
-//     CRITICAL: a record must be found in the shard whose log holds it, so
-//     the constants and byte order below may never change (std::hash
+// The repo's non-cryptographic hashes, kept in one place because their
+// stability requirements differ:
+//   * FNV-1a (64-bit) is ON-DISK-FORMAT CRITICAL: src/store routes keys to
+//     shards with it, and a record must be found in the shard whose log
+//     holds it, so its constants and byte order may never change (std::hash
 //     guarantees neither across runs/toolchains, which is why it is not
 //     used);
-//   * src/labels/intern.h buckets canonical label reps with it — in-memory
-//     only, but kept on the same implementation so nobody "cleans up" one
-//     copy assuming it is independent of the other.
+//   * HashMix64 is in-memory only and may change freely: the label intern
+//     table's structural hash (src/labels/intern.h) and the check cache's
+//     set selection use it. Its one link to FNV-1a is borrowing the offset
+//     basis as a seed constant.
 #ifndef SRC_BASE_HASH_H_
 #define SRC_BASE_HASH_H_
 

@@ -25,6 +25,25 @@ bool CompareMatches(int cmp, SqlCompare op) {
   return false;
 }
 
+// A WHERE predicate with its column name resolved to a position.
+struct ResolvedPredicate {
+  int column;  // -1 when unknown: the predicate matches no row
+  SqlCompare op;
+  const SqlValue* literal;
+};
+
+bool RowMatches(const std::vector<SqlValue>& row, const std::vector<ResolvedPredicate>& where) {
+  for (const ResolvedPredicate& p : where) {
+    if (p.column < 0) {
+      return false;
+    }
+    if (!CompareMatches(row[static_cast<size_t>(p.column)].Compare(*p.literal), p.op)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 uint64_t RowBytes(const std::vector<SqlValue>& row) {
   uint64_t bytes = 24;  // per-row bookkeeping
   for (const SqlValue& v : row) {
@@ -94,39 +113,30 @@ Status SqlTable::InsertRow(std::vector<SqlValue> row) {
   return Status::kOk;
 }
 
-bool SqlTable::RowMatches(const std::vector<SqlValue>& row,
-                          const std::vector<SqlPredicate>& where) const {
-  for (const SqlPredicate& p : where) {
-    const int ci = ColumnIndex(p.column);
-    if (ci < 0) {
-      return false;
-    }
-    if (!CompareMatches(row[static_cast<size_t>(ci)].Compare(p.literal), p.op)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& where,
                                             QueryResult* stats) const {
-  // Pick an indexed equality predicate if one exists; otherwise full scan.
+  // Column names resolve once per statement, not once per row visited.
+  std::vector<ResolvedPredicate> resolved;
+  resolved.reserve(where.size());
   for (const SqlPredicate& p : where) {
+    resolved.push_back({ColumnIndex(p.column), p.op, &p.literal});
+  }
+  // Pick an indexed equality predicate if one exists; otherwise full scan.
+  for (const ResolvedPredicate& p : resolved) {
     if (p.op != SqlCompare::kEq) {
       continue;
     }
-    const int ci = ColumnIndex(p.column);
-    auto idx = indexes_.find(ci);
-    if (ci < 0 || idx == indexes_.end()) {
+    auto idx = indexes_.find(p.column);
+    if (idx == indexes_.end()) {
       continue;
     }
     stats->index_probes += 1;
     std::vector<RowId> out;
-    auto [lo, hi] = idx->second.equal_range(p.literal.AsText());
+    auto [lo, hi] = idx->second.equal_range(p.literal->AsText());
     for (auto it = lo; it != hi; ++it) {
       stats->rows_visited += 1;
       const auto& row = rows_.at(it->second);
-      if (RowMatches(row, where)) {
+      if (RowMatches(row, resolved)) {
         out.push_back(it->second);
       }
     }
@@ -135,7 +145,7 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
   std::vector<RowId> out;
   for (const auto& [rid, row] : rows_) {
     stats->rows_visited += 1;
-    if (RowMatches(row, where)) {
+    if (RowMatches(row, resolved)) {
       out.push_back(rid);
     }
   }

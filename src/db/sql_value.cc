@@ -1,6 +1,6 @@
 #include "src/db/sql_value.h"
 
-#include "src/base/strings.h"
+#include <charconv>
 
 namespace asbestos {
 
@@ -12,13 +12,19 @@ int64_t SqlValue::AsInt() const {
 }
 
 std::string SqlValue::AsText() const {
+  IntText buf;
+  return std::string(TextView(buf));
+}
+
+std::string_view SqlValue::TextView(IntText& buf) const {
   if (const auto* s = std::get_if<std::string>(&v_)) {
     return *s;
   }
   if (const auto* i = std::get_if<int64_t>(&v_)) {
-    return StrFormat("%lld", static_cast<long long>(*i));
+    const std::to_chars_result r = std::to_chars(buf.data(), buf.data() + buf.size(), *i);
+    return std::string_view(buf.data(), static_cast<size_t>(r.ptr - buf.data()));
   }
-  return "";
+  return {};
 }
 
 int SqlValue::Compare(const SqlValue& other) const {
@@ -33,9 +39,12 @@ int SqlValue::Compare(const SqlValue& other) const {
     const int64_t b = other.AsInt();
     return a < b ? -1 : (a > b ? 1 : 0);
   }
-  const std::string a = AsText();
-  const std::string b = other.AsText();
-  return a < b ? -1 : (a > b ? 1 : 0);
+  // Text forms compared in place: the executor runs this once per row of a
+  // full scan, so it must not copy either side.
+  IntText abuf;
+  IntText bbuf;
+  const int cmp = TextView(abuf).compare(other.TextView(bbuf));
+  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
 }
 
 std::string SqlValue::ToLiteral() const {

@@ -2,8 +2,10 @@
 #ifndef SRC_DB_SQL_VALUE_H_
 #define SRC_DB_SQL_VALUE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace asbestos {
@@ -33,6 +35,12 @@ class SqlValue {
   std::string ToLiteral() const;
 
  private:
+  // Room for any int64 in decimal ("-9223372036854775808" is 20 chars).
+  using IntText = std::array<char, 24>;
+  // AsText() without the copy: a view of the string, or of an int's decimal
+  // form written into `buf`; empty for null.
+  std::string_view TextView(IntText& buf) const;
+
   std::variant<std::monostate, int64_t, std::string> v_;
 };
 

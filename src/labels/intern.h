@@ -42,6 +42,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/base/hash.h"
+
 namespace asbestos {
 
 // Cumulative interning counters. `hits` are constructions that reused a live
@@ -66,8 +68,24 @@ struct LabelRep;  // defined in label.cc
 // Monotonic rep-id source (never reuses a value; 0 is never issued).
 uint64_t InternNextRepId();
 
-// FNV-1a over the default level and the packed entry array — the structural
-// hash the intern table buckets on.
+// The structural hash the intern table buckets on is order-independent:
+//
+//   hash = seed(default level) + Σ mix(packed entry)   (mod 2^64)
+//
+// so every rep keeps its hash current in O(1) per entry change (Label::Set
+// subtracts the old entry's mix and adds the new one), builders accumulate
+// it as they append, and canonicalizing a label never rehashes it. Both
+// terms are one HashMix64 round (src/base/hash.h): in-memory only, free to
+// change.
+inline uint64_t InternHashSeed(uint8_t default_ordinal) {
+  return HashMix64(kFnv1aOffsetBasis, default_ordinal);
+}
+inline uint64_t InternHashEntry(uint64_t packed_entry) {
+  return HashMix64(kFnv1aOffsetBasis, packed_entry);
+}
+
+// The same hash recomputed from scratch over a flat entry array: the
+// reference Label::CheckRep holds every rep's incremental hash to.
 uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, size_t count);
 
 // Probes the table bucket for `hash`, calling `match` on each candidate

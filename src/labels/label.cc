@@ -93,7 +93,10 @@ struct LabelRep {
   // re-assigned on every in-place mutation, so a given id value names one
   // extensional content forever.
   uint64_t id = 0;
-  uint64_t struct_hash = 0;  // valid only when in_table
+  // Order-independent structural hash of the current content (intern.h),
+  // kept current by every construction and every in-place Set, whether or
+  // not the rep is in the intern table.
+  uint64_t struct_hash = 0;
   // Canonical reps are immutable: MutableRep clones them even at refcount 1.
   bool interned = false;
   bool in_table = false;  // registered in the intern table (unlike the
@@ -108,6 +111,11 @@ struct LabelRep {
   }
 };
 
+// The label heap accounting below (kRepBytes, ChunkBytes) feeds the modelled
+// memory figures (Figure 6, bytes per user): a field added here moves them.
+static_assert(sizeof(LabelRep) == 96, "LabelRep size is part of the memory model");
+static_assert(sizeof(Chunk) == 24, "Chunk size is part of the memory model");
+
 namespace {
 
 constexpr uint64_t kRepBytes = sizeof(LabelRep);
@@ -117,6 +125,7 @@ LabelRep* NewRep(Level default_level) {
   rep->default_level = default_level;
   rep->min_level = default_level;
   rep->max_level = default_level;
+  rep->struct_hash = InternHashSeed(LevelOrdinal(default_level));
   rep->id = InternNextRepId();
   g_mem.live_bytes += static_cast<int64_t>(kRepBytes);
   g_mem.live_reps += 1;
@@ -156,6 +165,7 @@ LabelRep* CloneRep(const LabelRep* rep) {
   LabelRep* copy = NewRep(rep->default_level);
   copy->min_level = rep->min_level;
   copy->max_level = rep->max_level;
+  copy->struct_hash = rep->struct_hash;
   for (int i = 0; i < 5; ++i) {
     copy->level_counts[i] = rep->level_counts[i];
   }
@@ -221,8 +231,9 @@ LabelRepRef SharedDefaultRep(Level default_level) {
 // Packs sorted entries into a fresh rep: chunked memcpy, one extrema pass.
 // Shared by the merge builders below and LabelBuilder's bulk path.
 LabelRepRef PackSortedEntries(Level default_level, const uint64_t* entries, size_t count,
-                              const uint64_t level_counts[5]) {
+                              const uint64_t level_counts[5], uint64_t struct_hash) {
   LabelRep* rep = NewRep(default_level);
+  rep->struct_hash = struct_hash;
   size_t i = 0;
   while (i < count) {
     const size_t n = std::min<size_t>(kChunkMaxEntries, count - i);
@@ -270,50 +281,101 @@ bool MatchRepAgainstFlat(const LabelRep* rep, const void* vctx) {
   return c.done();
 }
 
+// Extensional equality of two reps (Equals, and the intern probe of
+// Canonicalize). The default level and the level histogram reject in O(1);
+// the entry walk then skips whole chunks the two share: a COW clone that
+// diverged in one chunk still shares the others, and pointer-identical
+// chunks at a chunk boundary are equal without touching their entries.
+bool SameContent(const LabelRep* a, const LabelRep* b) {
+  if (a->default_level != b->default_level) {
+    return false;
+  }
+  for (int i = 0; i < 5; ++i) {
+    if (a->level_counts[i] != b->level_counts[i]) {
+      return false;
+    }
+  }
+  size_t ai = 0;
+  size_t bi = 0;
+  uint16_t aj = 0;
+  uint16_t bj = 0;
+  const auto& achunks = a->chunks;
+  const auto& bchunks = b->chunks;
+  for (;;) {
+    while (ai < achunks.size() && aj >= achunks[ai]->size) {
+      ++ai;
+      aj = 0;
+    }
+    while (bi < bchunks.size() && bj >= bchunks[bi]->size) {
+      ++bi;
+      bj = 0;
+    }
+    const bool a_done = ai >= achunks.size();
+    const bool b_done = bi >= bchunks.size();
+    if (a_done || b_done) {
+      return a_done && b_done;
+    }
+    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
+      ++ai;
+      ++bi;
+      continue;
+    }
+    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
+      return false;
+    }
+    ++aj;
+    ++bj;
+  }
+}
+
 // The hash-consing funnel (see intern.h): every completed construction from
-// sorted entries lands here. A live canonical rep with the same content is
-// shared; otherwise the freshly packed rep is registered as canonical.
+// sorted entries lands here, with the structural hash its builder
+// accumulated. A live canonical rep with the same content is shared;
+// otherwise the freshly packed rep is registered as canonical.
 // Deliberately invisible to LabelWorkStats — interning changes wall-clock
 // and memory, never the charged label-algebra cost.
 LabelRepRef InternSortedEntries(Level default_level, const uint64_t* entries, size_t count,
-                                const uint64_t level_counts[5]) {
+                                const uint64_t level_counts[5], uint64_t struct_hash) {
   if (count == 0) {
     return SharedDefaultRep(default_level);  // per-level canonical singleton
   }
-  const uint64_t hash = InternHashEntries(LevelOrdinal(default_level), entries, count);
   const FlatMatchCtx ctx{default_level, entries, count, level_counts};
-  if (LabelRep* canonical = InternLookup(hash, MatchRepAgainstFlat, &ctx)) {
+  if (LabelRep* canonical = InternLookup(struct_hash, MatchRepAgainstFlat, &ctx)) {
     InternNoteDedup(RepHeapBytes(canonical));  // same layout a fresh pack would use
     ++canonical->refcount;
     return LabelRepRef(canonical);
   }
-  LabelRepRef rep = PackSortedEntries(default_level, entries, count, level_counts);
-  rep.get()->struct_hash = hash;
+  LabelRepRef rep = PackSortedEntries(default_level, entries, count, level_counts, struct_hash);
   rep.get()->interned = true;
   rep.get()->in_table = true;
-  InternInsert(hash, rep.get());
+  InternInsert(struct_hash, rep.get());
   return rep;
 }
 
 // Accumulates sorted packed entries and packs them into chunks.
 class RepBuilder {
  public:
-  explicit RepBuilder(Level default_level) : default_level_(default_level) {}
+  explicit RepBuilder(Level default_level)
+      : default_level_(default_level), struct_hash_(InternHashSeed(LevelOrdinal(default_level))) {}
 
   void Append(Handle h, Level l) {
     if (l == default_level_) {
       return;  // entries never duplicate the default
     }
+    const uint64_t packed = PackEntry(h, l);
     level_counts_[LevelOrdinal(l)] += 1;
-    entries_.push_back(PackEntry(h, l));
+    struct_hash_ += InternHashEntry(packed);
+    entries_.push_back(packed);
   }
 
   LabelRepRef Finish() {
-    return InternSortedEntries(default_level_, entries_.data(), entries_.size(), level_counts_);
+    return InternSortedEntries(default_level_, entries_.data(), entries_.size(), level_counts_,
+                               struct_hash_);
   }
 
  private:
   Level default_level_;
+  uint64_t struct_hash_;
   uint64_t level_counts_[5] = {};
   std::vector<uint64_t> entries_;
 };
@@ -383,11 +445,9 @@ Label::Label(std::initializer_list<std::pair<Handle, Level>> entries, Level defa
 
 Level Label::default_level() const { return rep_->default_level; }
 size_t Label::entry_count() const {
-  size_t n = 0;
-  for (const Chunk* c : rep_->chunks) {
-    n += c->size;
-  }
-  return n;
+  // Entries never hold the default level, so the histogram sums to the count.
+  const uint64_t* counts = rep_->level_counts;
+  return static_cast<size_t>(counts[0] + counts[1] + counts[2] + counts[3] + counts[4]);
 }
 Level Label::min_level() const { return rep_->min_level; }
 Level Label::max_level() const { return rep_->max_level; }
@@ -541,6 +601,7 @@ void Label::Set(Handle h, Level l) {
     Chunk* c = slot;
     g_work.entries_visited += c->size;
     rep->level_counts[LevelOrdinal(EntryLevel(c->entries[pos]))] -= 1;
+    rep->struct_hash -= internal::InternHashEntry(c->entries[pos]);
     if (l == rep->default_level) {
       std::memmove(&c->entries[pos], &c->entries[pos + 1],
                    (c->size - pos - 1) * sizeof(uint64_t));
@@ -554,6 +615,7 @@ void Label::Set(Handle h, Level l) {
     } else {
       rep->level_counts[LevelOrdinal(l)] += 1;
       c->entries[pos] = PackEntry(h, l);
+      rep->struct_hash += internal::InternHashEntry(c->entries[pos]);
       internal::RecomputeChunkExtrema(c);
     }
     internal::RecomputeRepExtrema(rep);
@@ -562,6 +624,7 @@ void Label::Set(Handle h, Level l) {
 
   // Insertion path.
   rep->level_counts[LevelOrdinal(l)] += 1;
+  rep->struct_hash += internal::InternHashEntry(PackEntry(h, l));
   if (rep->chunks.empty()) {
     Chunk* c = internal::NewChunk(internal::kChunkMinCapacity);
     c->entries[0] = PackEntry(h, l);
@@ -851,49 +914,7 @@ bool Label::Equals(const Label& other) const {
   if (a->interned && b->interned) {
     return false;
   }
-  if (a->default_level != b->default_level || a->min_level != b->min_level ||
-      a->max_level != b->max_level) {
-    return false;
-  }
-  for (int i = 0; i < 5; ++i) {
-    if (a->level_counts[i] != b->level_counts[i]) {
-      return false;
-    }
-  }
-  // Entry walk with whole-chunk skipping: a COW clone that diverged in one
-  // chunk still shares the others, and pointer-identical chunks at a chunk
-  // boundary are equal without touching their entries.
-  size_t ai = 0;
-  size_t bi = 0;
-  uint16_t aj = 0;
-  uint16_t bj = 0;
-  const auto& achunks = a->chunks;
-  const auto& bchunks = b->chunks;
-  for (;;) {
-    while (ai < achunks.size() && aj >= achunks[ai]->size) {
-      ++ai;
-      aj = 0;
-    }
-    while (bi < bchunks.size() && bj >= bchunks[bi]->size) {
-      ++bi;
-      bj = 0;
-    }
-    const bool a_done = ai >= achunks.size();
-    const bool b_done = bi >= bchunks.size();
-    if (a_done || b_done) {
-      return a_done && b_done;
-    }
-    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
-      ++ai;
-      ++bi;
-      continue;
-    }
-    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
-      return false;
-    }
-    ++aj;
-    ++bj;
-  }
+  return internal::SameContent(a, b);
 }
 
 void Label::JoinInPlace(const Label& other) {
@@ -932,23 +953,18 @@ void Label::Canonicalize() {
   if (rep->interned) {
     return;  // already canonical (or a shared default singleton)
   }
-  std::vector<uint64_t> entries;
-  entries.reserve(entry_count());
-  internal::Cursor c(rep);
-  while (!c.done()) {
-    entries.push_back(c.entry());
-    c.Advance();
-  }
-  if (entries.empty()) {
+  if (rep->chunks.empty()) {
     rep_ = internal::SharedDefaultRep(rep->default_level);
     return;
   }
-  const uint64_t hash = internal::InternHashEntries(
-      LevelOrdinal(rep->default_level), entries.data(), entries.size());
-  const internal::FlatMatchCtx ctx{rep->default_level, entries.data(), entries.size(),
-                                   rep->level_counts};
+  // The rep's hash is already current, so the probe costs O(1) plus a
+  // rep-against-rep match that skips the chunks a twin shares with it.
+  const internal::InternMatchFn same_content = [](const internal::LabelRep* candidate,
+                                                  const void* self) {
+    return internal::SameContent(candidate, static_cast<const internal::LabelRep*>(self));
+  };
   if (internal::LabelRep* canonical =
-          internal::InternLookup(hash, internal::MatchRepAgainstFlat, &ctx)) {
+          internal::InternLookup(rep->struct_hash, same_content, rep)) {
     internal::InternNoteDedup(internal::RepHeapBytes(canonical));
     ++canonical->refcount;
     rep_ = internal::LabelRepRef(canonical);  // drops the private rep
@@ -956,10 +972,9 @@ void Label::Canonicalize() {
   }
   // No live twin: this very rep becomes the canonical one — no copy, just
   // the immutability promise (future mutations clone, per MutableRep).
-  rep->struct_hash = hash;
   rep->interned = true;
   rep->in_table = true;
-  internal::InternInsert(hash, rep);
+  internal::InternInsert(rep->struct_hash, rep);
 }
 
 Label::EntryIter::EntryIter(const internal::LabelRep* rep) : rep_(rep) { SkipToValid(); }
@@ -1114,14 +1129,17 @@ void LabelBuilder::Append(Handle h, Level l) {
              "builder entries must arrive in strictly increasing handle order");
   last_packed_ = packed;
   level_counts_[LevelOrdinal(l)] += 1;
+  entries_hash_ += internal::InternHashEntry(packed);
   entries_.push_back(packed);
 }
 
 Label LabelBuilder::Build() {
-  Label result(internal::InternSortedEntries(default_level_, entries_.data(), entries_.size(),
-                                             level_counts_));
+  Label result(internal::InternSortedEntries(
+      default_level_, entries_.data(), entries_.size(), level_counts_,
+      internal::InternHashSeed(LevelOrdinal(default_level_)) + entries_hash_));
   entries_.clear();
   last_packed_ = 0;
+  entries_hash_ = 0;
   for (int l = 0; l < 5; ++l) {
     level_counts_[l] = 0;
   }
@@ -1159,14 +1177,19 @@ void Label::CheckRep() const {
   ASB_ASSERT(rep->min_level == lo);
   ASB_ASSERT(rep->max_level == hi);
   uint64_t counts[5] = {};
+  std::vector<uint64_t> entries;
   for (const Chunk* c : rep->chunks) {
     for (uint16_t i = 0; i < c->size; ++i) {
       counts[LevelOrdinal(EntryLevel(c->entries[i]))] += 1;
+      entries.push_back(c->entries[i]);
     }
   }
   for (int i = 0; i < 5; ++i) {
     ASB_ASSERT(rep->level_counts[i] == counts[i]);
   }
+  ASB_ASSERT(rep->struct_hash == internal::InternHashEntries(LevelOrdinal(rep->default_level),
+                                                             entries.data(), entries.size()) &&
+             "incremental structural hash must match a from-scratch recomputation");
 }
 
 }  // namespace asbestos

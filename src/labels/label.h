@@ -161,7 +161,10 @@ class Label {
   // a live extensionally-equal canonical rep is shared, otherwise this
   // label's own rep is registered as canonical. Afterwards rep_id() is the
   // stable content id every other canonical construction of this content
-  // yields. O(entry count); invisible to LabelWorkStats like all interning.
+  // yields. Every rep keeps its structural hash current (O(1) per Set), so
+  // the probe never rehashes: a miss costs O(1), a hit one rep-against-rep
+  // match that skips the chunks the twin shares. Invisible to
+  // LabelWorkStats like all interning.
   void Canonicalize();
 
   friend bool operator==(const Label& a, const Label& b) { return a.Equals(b); }
@@ -279,6 +282,7 @@ class LabelBuilder {
  private:
   Level default_level_;
   uint64_t last_packed_ = 0;  // previous packed entry; handles compare shifted
+  uint64_t entries_hash_ = 0;  // Σ of the entries' intern-hash terms (intern.h)
   uint64_t level_counts_[5] = {};
   std::vector<uint64_t> entries_;  // packed (handle << 3) | level
 };

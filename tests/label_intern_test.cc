@@ -175,6 +175,117 @@ TEST_P(LabelInternPropertyTest, EqualsFastPathsAgreeWithEntryWalk) {
   }
 }
 
+// Every rep carries an incremental structural hash (intern.h) that Set,
+// clones, builders and merges keep current without rehashing. A random walk
+// of 2,000 operations per seed (10^4 over the five seeds) checks after each
+// one that the hash equals a from-scratch recomputation (CheckRep), and
+// that the result's content, rebuilt by the builder and by Set and then
+// canonicalized, lands on one rep id.
+TEST_P(LabelInternPropertyTest, IncrementalHashHoldsAcrossRandomOperations) {
+  // Small labels draw handles from 1..64; big ⋆-rich ones span 1..1600, so
+  // merges hit both the asymmetric (small with big) and the general paths.
+  const auto small_label = [&] {
+    Label l(RandomLevel());
+    const uint64_t n = rng_->NextBelow(12);
+    for (uint64_t i = 0; i < n; ++i) {
+      l.Set(Handle::FromValue(rng_->NextInRange(1, 64)), RandomLevel());
+    }
+    return l;
+  };
+  const auto big_label = [&] {
+    LabelBuilder builder(RandomLevel() == Level::kL3 ? Level::kL3 : Level::kL1);
+    for (uint64_t h = 4; h <= 1600; h += 4) {
+      builder.Append(Handle::FromValue(h), rng_->NextBelow(8) == 0 ? Level::kL2 : Level::kStar);
+    }
+    return builder.Build();
+  };
+  std::vector<Label> pool;
+  for (int i = 0; i < 12; ++i) {
+    pool.push_back(i % 4 == 0 ? big_label() : small_label());
+  }
+  const auto pick = [&]() -> Label& { return pool[rng_->NextBelow(pool.size())]; };
+
+  for (int step = 0; step < 2000; ++step) {
+    Label result;
+    switch (rng_->NextBelow(11)) {
+      case 0: {  // Set, to a random level
+        result = pick();
+        result.Set(Handle::FromValue(rng_->NextInRange(1, 64)), RandomLevel());
+        break;
+      }
+      case 1: {  // Set an existing entry back to the default: a removal
+        result = pick();
+        const auto entries = result.Entries();
+        if (!entries.empty()) {
+          const Handle h = entries[rng_->NextBelow(entries.size())].first;
+          result.Set(h, result.default_level());
+          EXPECT_FALSE(result.HasExplicit(h));
+        }
+        break;
+      }
+      case 2:
+        result = Label::Lub(pick(), pick());
+        break;
+      case 3:
+        result = Label::Glb(pick(), pick());
+        break;
+      case 4:
+        result = pick().StarsOnly();
+        break;
+      case 5:
+        result = pick();
+        result.JoinInPlace(pick());
+        break;
+      case 6:
+        result = pick();
+        result.MeetInPlace(pick());
+        break;
+      case 7:
+        ASSERT_TRUE(Label::Parse(pick().ToString(), &result));
+        break;
+      case 8:
+        ASSERT_EQ(codec::UnpickleLabel(codec::PickleLabel(pick()), &result), Status::kOk);
+        break;
+      case 9:
+        result = small_label();
+        break;
+      default:
+        result = big_label();
+        break;
+    }
+    result.CheckRep();
+
+    // The same content by two more paths: the builder (canonical on
+    // arrival) and Set on a fresh label (private until canonicalized).
+    const auto entries = result.Entries();
+    LabelBuilder builder(result.default_level());
+    Label by_set(result.default_level());
+    for (const auto& [h, l] : entries) {
+      builder.Append(h, l);
+      by_set.Set(h, l);
+    }
+    by_set.CheckRep();
+    // Alternate which path registers first, so Canonicalize both adopts a
+    // private rep and finds a live twin.
+    Label canon = result;
+    Label built;
+    if (step % 2 == 0) {
+      built = builder.Build();
+      canon.Canonicalize();
+    } else {
+      canon.Canonicalize();
+      built = builder.Build();
+    }
+    by_set.Canonicalize();
+    ASSERT_EQ(canon.rep_id(), built.rep_id()) << result.ToString();
+    ASSERT_EQ(by_set.rep_id(), built.rep_id()) << result.ToString();
+    EXPECT_TRUE(canon.Equals(result));
+    canon.CheckRep();
+
+    pool[rng_->NextBelow(pool.size())] = result;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LabelInternPropertyTest,
                          ::testing::Values(2ULL, 11ULL, 77ULL, 4096ULL, 123456789ULL));
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/db/sql_engine.h"
 #include "src/db/sql_parser.h"
 #include "src/db/sql_tokenizer.h"
@@ -159,6 +161,68 @@ TEST_F(SqlEngineTest, IndexNarrowsScan) {
   EXPECT_EQ(r->index_probes, 1u);
 }
 
+// rows_visited is the executor work the OKDB cost model charges, so its
+// value for each scan shape is pinned here, not just the rows returned.
+TEST_F(SqlEngineTest, FullScanCountsEveryRowWhateverThePredicates) {
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows_visited, 4u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'nobody'")->rows_visited, 4u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE score > 10 AND name = 'bob'")->rows_visited,
+            4u);
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
+  auto r = db_.Execute("SELECT * FROM t WHERE name > 'b'");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows.size(), 3u);
+  EXPECT_EQ(r->rows_visited, 4u) << "only equality predicates use an index";
+  EXPECT_EQ(r->index_probes, 0u);
+}
+
+TEST_F(SqlEngineTest, IndexedEqualityCountsOnlyTheMatches) {
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
+  auto r = db_.Execute("SELECT * FROM t WHERE score > 10 AND name = 'bob'");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->rows_visited, 2u);
+  EXPECT_EQ(r->index_probes, 1u);
+  auto none = db_.Execute("SELECT * FROM t WHERE name = 'nobody'");
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->rows_visited, 0u);
+  EXPECT_EQ(none->index_probes, 1u);
+}
+
+TEST_F(SqlEngineTest, MixedTypeEqualityMatchesByTextWithOrWithoutAnIndex) {
+  auto scan = db_.Execute("SELECT name FROM t WHERE score = '20'");
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->rows.size(), 1u);
+  EXPECT_EQ(scan->rows[0][0].AsText(), "bob");
+  EXPECT_EQ(scan->rows_visited, 4u);
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byscore ON t (score)").ok());
+  auto probe = db_.Execute("SELECT name FROM t WHERE score = '20'");
+  ASSERT_TRUE(probe.ok());
+  ASSERT_EQ(probe->rows.size(), 1u);
+  EXPECT_EQ(probe->rows_visited, 1u);
+}
+
+TEST_F(SqlEngineTest, UnknownWhereColumnVisitsEveryRowAndAffectsNone) {
+  // SELECT refuses an unknown WHERE column up front; UPDATE and DELETE scan
+  // and match nothing, and the scan is still charged.
+  auto upd = db_.Execute("UPDATE t SET score = 1 WHERE bogus = 1");
+  ASSERT_TRUE(upd.ok());
+  EXPECT_EQ(upd->rows_affected, 0u);
+  EXPECT_EQ(upd->rows_visited, 4u);
+  auto del = db_.Execute("DELETE FROM t WHERE bogus != 1");
+  ASSERT_TRUE(del.ok());
+  EXPECT_EQ(del->rows_affected, 0u);
+  EXPECT_EQ(del->rows_visited, 4u);
+  // With an index on a known equality column, only its matches are visited,
+  // and the unknown column still matches none of them.
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
+  auto both = db_.Execute("DELETE FROM t WHERE name = 'bob' AND bogus = 1");
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->rows_affected, 0u);
+  EXPECT_EQ(both->rows_visited, 2u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows.size(), 4u);
+}
+
 TEST_F(SqlEngineTest, IndexMaintainedAcrossMutations) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
   ASSERT_TRUE(db_.Execute("UPDATE t SET name = 'bobby' WHERE score = 20").ok());
@@ -196,6 +260,38 @@ TEST(SqlValueTest, CompareSemantics) {
   EXPECT_EQ(SqlValue(std::string("a")).Compare(SqlValue(std::string("a"))), 0);
   EXPECT_LT(SqlValue().Compare(SqlValue(int64_t{0})), 0) << "NULL orders first";
   EXPECT_EQ(SqlValue().Compare(SqlValue()), 0);
+}
+
+TEST(SqlValueTest, CompareOrdersNullFirstIntsNumericallyAndTextLexicographically) {
+  const SqlValue null;
+  const SqlValue i10(int64_t{10});
+  const SqlValue i9(int64_t{9});
+  const SqlValue t10(std::string("10"));
+  const SqlValue t9(std::string("9"));
+  EXPECT_LT(null.Compare(t9), 0);
+  EXPECT_GT(t9.Compare(null), 0);
+  EXPECT_GT(i9.Compare(null), 0);
+  // int/int: numeric, so 9 < 10.
+  EXPECT_LT(i9.Compare(i10), 0);
+  EXPECT_GT(i10.Compare(i9), 0);
+  EXPECT_LT(SqlValue(int64_t{-20}).Compare(SqlValue(int64_t{-3})), 0);
+  // text/text: lexicographic, so '10' < '9'; a prefix orders first; bytes
+  // compare unsigned.
+  EXPECT_LT(t10.Compare(t9), 0);
+  EXPECT_LT(SqlValue(std::string("ab")).Compare(SqlValue(std::string("abc"))), 0);
+  EXPECT_GT(SqlValue(std::string("b")).Compare(SqlValue(std::string("abc"))), 0);
+  EXPECT_GT(SqlValue(std::string("\xe9")).Compare(SqlValue(std::string("z"))), 0);
+  EXPECT_EQ(SqlValue(std::string()).Compare(SqlValue(std::string())), 0);
+  // Mixed int/text: by the int's decimal text, so 10 < '9' and 9 > '10'.
+  EXPECT_LT(i10.Compare(t9), 0);
+  EXPECT_GT(t9.Compare(i10), 0);
+  EXPECT_GT(i9.Compare(t10), 0);
+  EXPECT_EQ(i10.Compare(t10), 0);
+  EXPECT_EQ(SqlValue(int64_t{-5}).Compare(SqlValue(std::string("-5"))), 0);
+  EXPECT_EQ(SqlValue(std::string("-9223372036854775808"))
+                .Compare(SqlValue(std::numeric_limits<int64_t>::min())),
+            0);
+  EXPECT_LT(SqlValue(int64_t{1}).Compare(SqlValue(std::string("1 "))), 0);
 }
 
 TEST(SqlValueTest, Literals) {
