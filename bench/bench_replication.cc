@@ -351,7 +351,7 @@ void BM_EndToEndSimnet(benchmark::State& state) {
   const uint64_t per_round = 64;
   const std::string dir = MakeTempDir();
   FileServerOptions fs_opts;
-  fs_opts.data_dir = dir + "/primary";
+  fs_opts.store_dir = dir + "/primary";
   fs_opts.shards = 4;
   fs_opts.replication.listen_tcp_port = 7000;
   fs_opts.replication.max_followers = static_cast<uint32_t>(followers);

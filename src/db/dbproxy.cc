@@ -108,105 +108,11 @@ bool DecodeDbRow(std::string_view data, std::vector<SqlValue>* out) {
   return true;
 }
 
-DbproxyProcess::DbproxyProcess(DbproxyOptions options) {
-  if (options.store_dir.empty()) {
-    ASB_ASSERT(!options.replication.enabled() && "dbproxy replication needs a store");
-    return;
-  }
-  StoreOptions sopts;
-  sopts.dir = options.store_dir;
-  sopts.shards = options.shards;
-  auto store = DurableStore::Open(std::move(sopts));
-  ASB_ASSERT(store.ok() && "dbproxy store failed to open");
-  store_ = store.take();
-  RecoverState();
-  if (options.replication.enabled()) {
-    repl_ = std::make_unique<ReplicationEndpoint>(store_.get(), options.replication);
-  }
-}
-
-void DbproxyProcess::OnIdle(ProcessContext& ctx) {
-  if (store_ != nullptr) {
-    // Pipelined group commit, like the file server and idd: this pump's
-    // table/binding appends flush while the next pump runs.
-    ASB_ASSERT(store_->SyncPipelined() == Status::kOk);
-  }
-  if (repl_ != nullptr) {
-    repl_->PumpShip(ctx);  // the flushed batch is also the shipped batch
-  }
-}
-
-void DbproxyProcess::PersistSchema(const std::string& sql) {
-  if (store_ == nullptr || recovering_) {
-    return;
-  }
-  ASB_ASSERT(store_->Put(StrFormat("%s%06llu", kSchemaPrefix,
-                                   static_cast<unsigned long long>(schema_seq_++)),
-                         sql, Label::Bottom(), Label::Top()) == Status::kOk);
-}
-
-void DbproxyProcess::PersistTable(const std::string& table) {
-  if (store_ == nullptr || recovering_) {
-    return;
-  }
-  SqlTable* t = db_.FindTable(table);
-  if (t == nullptr) {
-    return;
-  }
-  // Full-width engine-level read (no worker rewrite): the hidden USER_ID
-  // column is exactly what must survive the reboot.
-  SelectStmt sel;
-  sel.table = table;
-  sel.star = true;
-  auto result = db_.ExecuteStmt(SqlStatement(sel));
-  ASB_ASSERT(result.ok());
-  ASB_ASSERT(store_->Put(std::string(kTablePrefix) + table, EncodeTableRows(result.value()),
-                         Label::Bottom(), Label::Top()) == Status::kOk);
-}
-
-void DbproxyProcess::PersistBinding(const std::string& username, const Binding& b) {
-  if (store_ == nullptr || recovering_) {
-    return;
-  }
-  std::string value;
-  codec::AppendVarint(b.taint.value(), &value);
-  codec::AppendVarint(b.grant.value(), &value);
-  codec::AppendVarint(static_cast<uint64_t>(b.user_id), &value);
-  // The binding record carries the user's own labels: secrecy names uT (the
-  // binding exists to taint u's rows), integrity names uG (only u's grant
-  // compartment vouches for it) — the same shape idd persists.
-  const Label secrecy({{b.taint, Level::kL3}}, Level::kStar);
-  const Label integrity({{b.grant, Level::kL0}}, Level::kL3);
-  ASB_ASSERT(store_->Put(std::string(kBindPrefix) + username, value, secrecy, integrity) ==
-             Status::kOk);
-}
-
-void DbproxyProcess::PersistAfterExecute(const SqlStatement& stmt,
-                                         const std::string& original_sql) {
-  if (store_ == nullptr || recovering_) {
-    return;
-  }
-  if (std::holds_alternative<CreateTableStmt>(stmt) ||
-      std::holds_alternative<CreateIndexStmt>(stmt)) {
-    // Persist the ORIGINAL text: recovery re-applies the same hidden-column
-    // rewrite the live path did, so the replayed schema is identical.
-    PersistSchema(original_sql);
-    return;
-  }
-  if (const auto* ins = std::get_if<InsertStmt>(&stmt)) {
-    PersistTable(ins->table);
-  } else if (const auto* upd = std::get_if<UpdateStmt>(&stmt)) {
-    PersistTable(upd->table);
-  } else if (const auto* del = std::get_if<DeleteStmt>(&stmt)) {
-    PersistTable(del->table);
-  }
-}
-
-void DbproxyProcess::RecoverState() {
-  recovering_ = true;
+DbproxyProcess::DbproxyProcess(const DurableOptions& options) {
   std::vector<std::pair<std::string, std::string>> schema;  // key → sql
   std::vector<std::pair<std::string, std::string>> tables;  // name → rows
-  store_->ForEach([&](const std::string& key, const StoreRecord& record) {
+  backing_ = DurableBacking("dbproxy", options, [&](const std::string& key,
+                                                    const StoreRecord& record) {
     if (key.rfind(kSchemaPrefix, 0) == 0) {
       schema.emplace_back(key, record.value);
     } else if (key.rfind(kTablePrefix, 0) == 0) {
@@ -273,7 +179,64 @@ void DbproxyProcess::RecoverState() {
       (void)db_.ExecuteStmt(SqlStatement(std::move(ins)));
     }
   }
-  recovering_ = false;
+}
+
+void DbproxyProcess::PersistSchema(const std::string& sql) {
+  const auto seq = static_cast<unsigned long long>(schema_seq_++);
+  backing_.Put(StrFormat("%s%06llu", kSchemaPrefix, seq), sql, Label::Bottom(), Label::Top());
+}
+
+void DbproxyProcess::PersistTable(const std::string& table) {
+  SqlTable* t = db_.FindTable(table);
+  if (t == nullptr) {
+    return;
+  }
+  // Full-width engine-level read (no worker rewrite): the hidden USER_ID
+  // column is exactly what must survive the reboot.
+  SelectStmt sel;
+  sel.table = table;
+  sel.star = true;
+  auto result = db_.ExecuteStmt(SqlStatement(sel));
+  ASB_ASSERT(result.ok());
+  backing_.Put(std::string(kTablePrefix) + table, EncodeTableRows(result.value()), Label::Bottom(),
+               Label::Top());
+}
+
+void DbproxyProcess::PersistBinding(const std::string& username, const Binding& b) {
+  if (!backing_.durable()) {
+    return;
+  }
+  std::string value;
+  codec::AppendVarint(b.taint.value(), &value);
+  codec::AppendVarint(b.grant.value(), &value);
+  codec::AppendVarint(static_cast<uint64_t>(b.user_id), &value);
+  // The binding record carries the user's own labels: secrecy names uT (the
+  // binding exists to taint u's rows), integrity names uG (only u's grant
+  // compartment vouches for it) — the same shape idd persists.
+  const Label secrecy({{b.taint, Level::kL3}}, Level::kStar);
+  const Label integrity({{b.grant, Level::kL0}}, Level::kL3);
+  backing_.Put(std::string(kBindPrefix) + username, value, secrecy, integrity);
+}
+
+void DbproxyProcess::PersistAfterExecute(const SqlStatement& stmt,
+                                         const std::string& original_sql) {
+  if (!backing_.durable()) {
+    return;
+  }
+  if (std::holds_alternative<CreateTableStmt>(stmt) ||
+      std::holds_alternative<CreateIndexStmt>(stmt)) {
+    // Persist the ORIGINAL text: recovery re-applies the same hidden-column
+    // rewrite the live path did, so the replayed schema is identical.
+    PersistSchema(original_sql);
+    return;
+  }
+  if (const auto* ins = std::get_if<InsertStmt>(&stmt)) {
+    PersistTable(ins->table);
+  } else if (const auto* upd = std::get_if<UpdateStmt>(&stmt)) {
+    PersistTable(upd->table);
+  } else if (const auto* del = std::get_if<DeleteStmt>(&stmt)) {
+    PersistTable(del->table);
+  }
 }
 
 void DbproxyProcess::Start(ProcessContext& ctx) {
@@ -608,16 +571,15 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
 }
 
 void DbproxyProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
-  if (repl_ != nullptr && repl_->HandleMessage(ctx, msg)) {
-    return;  // replication-plane traffic (listener replies, follower acks)
+  if (backing_.HandleMessage(ctx, msg)) {
+    return;  // replication-plane traffic
   }
   if (msg.port == wire_port_) {
-    if (msg.type == boot_proto::kWire && msg.data == "netd" && !msg.words.empty() &&
-        repl_ != nullptr) {
+    if (msg.type == boot_proto::kWire && msg.data == "netd" && !msg.words.empty()) {
       // The launcher's late wire: netd is up, attach the replication
       // listener (the proxy spawns before the boot loader creates netd, so
       // this capability cannot ride the spawn env the way demux's does).
-      repl_->Start(ctx, Handle::FromValue(msg.words[0]), ctx.GetEnv("self_verify"));
+      backing_.StartReplication(ctx, Handle::FromValue(msg.words[0]), ctx.GetEnv("self_verify"));
     }
     return;
   }

@@ -26,14 +26,12 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/db/binding_table.h"
 #include "src/db/sql_engine.h"
 #include "src/kernel/kernel.h"
-#include "src/replication/endpoint.h"
-#include "src/store/store.h"
+#include "src/replication/backing.h"
 
 namespace asbestos {
 
@@ -63,39 +61,28 @@ bool DecodeDbRow(std::string_view data, std::vector<SqlValue>* out);
 // entire database state — schema statements in creation order, every
 // table's rows INCLUDING the hidden USER_ID column, and the per-user label
 // bindings (username → uT/uG/user_id, stored under each user's own taint
-// label) — is backed by a DurableStore and recovered on restart. Mutations
-// append without fsyncing; the end-of-pump OnIdle hook group-commits them
-// (pipelined), like the file server and idd. Binding records recover the
-// proxy's per-row taint stamping directly from its own trusted store, the
+// label) — is kept in a DurableBacking and recovered on restart, like the
+// file server's, idd's and demux's state. Replication needs the launcher's
+// late kWire "netd", as idd's does. Binding records recover the proxy's
+// per-row taint stamping directly from its own trusted store, the
 // same pattern as idd trusting its recovered identity cache; a recovered
 // binding's uT ⋆ privilege itself still travels the live kBind path when
 // idd replays bindings at boot.
-struct DbproxyOptions {
-  std::string store_dir;  // empty = volatile, as in the seed
-  uint32_t shards = 4;
-  // WAL shipping of the table store to followers (src/replication).
-  // Requires store_dir. The launcher wires netd's control port to the proxy
-  // (kWire "netd" on its wire port) once both are up — the same late wire
-  // idd uses — and the world must authorize the proxy's listener with netd
-  // via one of the "repl_verify*" envs.
-  ReplicationOptions replication;
-};
-
 class DbproxyProcess : public ProcessCode {
  public:
-  explicit DbproxyProcess(DbproxyOptions options = {});
+  explicit DbproxyProcess(const DurableOptions& options = {});
 
   void Start(ProcessContext& ctx) override;
   void HandleMessage(ProcessContext& ctx, const Message& msg) override;
-  // Group commit of the table store (pipelined; see DurableStore).
-  void OnIdle(ProcessContext& ctx) override;
+  // Group commit and ship (DurableBacking::OnIdle).
+  void OnIdle(ProcessContext& ctx) override { backing_.OnIdle(ctx); }
   bool HasOnIdle() const override { return true; }
 
   Handle query_port() const { return query_port_; }
   Handle priv_port() const { return priv_port_; }
   const SqlDatabase& database() const { return db_; }
-  const DurableStore* store() const { return store_.get(); }
-  const ReplicationEndpoint* replication() const { return repl_.get(); }
+  const DurableStore* store() const { return backing_.store(); }
+  const ReplicationEndpoint* replication() const { return backing_.replication(); }
   size_t recovered_bindings() const { return bindings_.size(); }
 
  private:
@@ -119,10 +106,9 @@ class DbproxyProcess : public ProcessCode {
   void PersistSchema(const std::string& sql);
   void PersistTable(const std::string& table);
   void PersistBinding(const std::string& username, const Binding& b);
-  // Statement executed + persisted (post-rewrite): the one funnel both the
-  // live path and recovery share.
+  // Statement executed + persisted (post-rewrite): the one funnel the
+  // privileged and worker query paths share.
   void PersistAfterExecute(const SqlStatement& stmt, const std::string& original_sql);
-  void RecoverState();
 
   SqlDatabase db_;
   Handle query_port_;
@@ -130,10 +116,8 @@ class DbproxyProcess : public ProcessCode {
   Handle wire_port_;  // launcher kWire target (late netd capability)
   BindingTable bindings_;
   int64_t modeled_db_bytes_ = 0;
-  std::unique_ptr<DurableStore> store_;
-  std::unique_ptr<ReplicationEndpoint> repl_;
+  DurableBacking backing_;
   uint64_t schema_seq_ = 0;  // next schema record ordinal
-  bool recovering_ = false;  // recovery replays must not re-persist
 };
 
 }  // namespace asbestos

@@ -8,45 +8,8 @@ namespace asbestos {
 using fs_proto::MessageType;
 
 FileServerProcess::FileServerProcess(const FileServerOptions& options) {
-  if (options.data_dir.empty()) {
-    return;
-  }
-  StoreOptions sopts;
-  sopts.dir = options.data_dir;
-  sopts.shards = options.shards;
-  auto store = DurableStore::Open(std::move(sopts));
-  ASB_ASSERT(store.ok() && "file server store failed to open");
-  store_ = store.take();
-  RecoverFiles();
-  if (options.replication.enabled()) {
-    repl_ = std::make_unique<ReplicationEndpoint>(store_.get(), options.replication);
-  }
-}
-
-Label FileServerProcess::SecrecyLabelOf(const File& f) {
-  if (!f.secrecy.valid()) {
-    return Label::Bottom();
-  }
-  return Label({{f.secrecy, f.secrecy_level}}, Level::kStar);
-}
-
-Label FileServerProcess::IntegrityLabelOf(const File& f) {
-  if (!f.integrity.valid()) {
-    return Label::Top();
-  }
-  return Label({{f.integrity, f.integrity_level}}, Level::kL3);
-}
-
-void FileServerProcess::PersistFile(const std::string& path, const File& f) {
-  if (store_ == nullptr) {
-    return;
-  }
-  ASB_ASSERT(store_->Put(path, f.contents, SecrecyLabelOf(f), IntegrityLabelOf(f)) ==
-             Status::kOk);
-}
-
-void FileServerProcess::RecoverFiles() {
-  store_->ForEach([this](const std::string& path, const StoreRecord& record) {
+  backing_ = DurableBacking("fs", options, [this](const std::string& path,
+                                                  const StoreRecord& record) {
     File f;
     f.contents = record.value;
     // The stored labels carry the compartments as their sole explicit entry.
@@ -68,16 +31,23 @@ void FileServerProcess::RecoverFiles() {
   });
 }
 
-void FileServerProcess::OnIdle(ProcessContext& ctx) {
-  if (store_ != nullptr) {
-    // The batch's appends are already ordered in each shard's log; the
-    // pipelined commit flushes them while the next pump iteration runs
-    // (ack deferred one pump; the destructor and Sync() drain).
-    ASB_ASSERT(store_->SyncPipelined() == Status::kOk);
+Label FileServerProcess::SecrecyLabelOf(const File& f) {
+  if (!f.secrecy.valid()) {
+    return Label::Bottom();
   }
-  if (repl_ != nullptr) {
-    // The batch just handed to the flusher is the batch handed to the wire.
-    repl_->PumpShip(ctx);
+  return Label({{f.secrecy, f.secrecy_level}}, Level::kStar);
+}
+
+Label FileServerProcess::IntegrityLabelOf(const File& f) {
+  if (!f.integrity.valid()) {
+    return Label::Top();
+  }
+  return Label({{f.integrity, f.integrity_level}}, Level::kL3);
+}
+
+void FileServerProcess::PersistFile(const std::string& path, const File& f) {
+  if (backing_.durable()) {
+    backing_.Put(path, f.contents, SecrecyLabelOf(f), IntegrityLabelOf(f));
   }
 }
 
@@ -106,11 +76,8 @@ SpawnArgs FileServerProcess::RecoverySpawnArgs(std::string name) const {
 void FileServerProcess::Start(ProcessContext& ctx) {
   port_ = ctx.NewPort(Label::Top());
   ASB_ASSERT(ctx.SetPortLabel(port_, Label::Top()) == Status::kOk);
-  if (repl_ != nullptr) {
-    const Handle netd_ctl = Handle::FromValue(ctx.GetEnv("netd_ctl"));
-    ASB_ASSERT(netd_ctl.valid() && "replication requires the netd control port in env");
-    repl_->Start(ctx, netd_ctl, ctx.GetEnv("self_verify"));
-  }
+  backing_.StartReplication(ctx, Handle::FromValue(ctx.GetEnv("netd_ctl")),
+                            ctx.GetEnv("self_verify"));
 }
 
 void FileServerProcess::Reply(ProcessContext& ctx, const Message& msg, uint64_t type,
@@ -137,8 +104,8 @@ bool FileServerProcess::WriteAllowed(const File& f, const Message& msg) const {
 }
 
 void FileServerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
-  if (repl_ != nullptr && repl_->HandleMessage(ctx, msg)) {
-    return;  // replication-plane traffic (listener replies, follower acks)
+  if (backing_.HandleMessage(ctx, msg)) {
+    return;  // replication-plane traffic
   }
   ctx.ChargeCycles(costs::kNetdRequestCycles);  // generic service handling cost
   const uint64_t cookie = msg.words.empty() ? 0 : msg.words[0];
@@ -222,9 +189,7 @@ void FileServerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         Reply(ctx, msg, MessageType::kUnlinkR, cookie, Status::kAccessDenied);
         return;
       }
-      if (store_ != nullptr) {
-        ASB_ASSERT(store_->Erase(msg.data) == Status::kOk);
-      }
+      backing_.Erase(msg.data);
       files_.erase(it);
       Reply(ctx, msg, MessageType::kUnlinkR, cookie, Status::kOk);
       return;

@@ -15,12 +15,12 @@
 //   kWrite:  data: path '\n' contents; words: [cookie]; V checked
 //   kUnlink: data: path; words: [cookie]; V checked like a write
 //
-// Persistence (src/store): constructed with a data directory, the server
-// logs every create/write/unlink through a DurableStore — value = contents,
+// Persistence (src/store): constructed with a store directory, the server
+// logs every create/write/unlink through its DurableBacking — value = contents,
 // secrecy label = the exact contamination label applied to read replies,
 // integrity label = the exact bound checked against writers' V — and
 // recovers its whole file table, labels included, on restart. The store is
-// sharded (FileServerOptions::shards) so the file table spreads across
+// sharded (DurableOptions::shards) so the file table spreads across
 // independent logs, and durability is group-committed: mutations append
 // without fsyncing, and the kernel's end-of-pump OnIdle hook flushes every
 // dirty shard once per pump iteration. Privilege does not recover by
@@ -33,12 +33,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/kernel/kernel.h"
-#include "src/replication/endpoint.h"
-#include "src/store/store.h"
+#include "src/replication/backing.h"
 
 namespace asbestos {
 
@@ -55,32 +53,19 @@ enum MessageType : uint64_t {
 };
 }  // namespace fs_proto
 
-struct FileServerOptions {
-  std::string data_dir;  // empty = volatile, in-memory only
-  // Shard count for a store created at data_dir; existing stores keep the
-  // count stamped at creation (see StoreOptions::shards).
-  uint32_t shards = 4;
-  // WAL shipping to up to max_followers followers (src/replication): when
-  // enabled, the server attaches a netd listener on this port and ships
-  // every flushed batch from its OnIdle hook. Requires env "netd_ctl" at
-  // Start.
-  ReplicationOptions replication;
-};
+using FileServerOptions = DurableOptions;
 
 class FileServerProcess : public ProcessCode {
  public:
-  FileServerProcess() = default;
-  // Opens (or creates) the durable store under options.data_dir and recovers
-  // the file table from it. Panics if the store cannot be opened — a file
-  // server booted against corrupt state must not limp on empty.
-  explicit FileServerProcess(const FileServerOptions& options);
+  // Opens (or creates) the durable store under options.store_dir and
+  // recovers the file table from it (DurableBacking's fail-stop policy: a
+  // file server booted against corrupt state must not limp on empty).
+  explicit FileServerProcess(const FileServerOptions& options = {});
 
   void Start(ProcessContext& ctx) override;
   void HandleMessage(ProcessContext& ctx, const Message& msg) override;
-  // Group commit, pipelined: hands every shard dirtied during this pump
-  // iteration to the background flusher (ack deferred one pump; see
-  // DurableStore::SyncPipelined for the two-batch crash window).
-  void OnIdle(ProcessContext& ctx) override;
+  // Group commit and ship (DurableBacking::OnIdle).
+  void OnIdle(ProcessContext& ctx) override { backing_.OnIdle(ctx); }
   bool HasOnIdle() const override { return true; }
 
   // Boot-loader helper: spawn labels for a recovered server — ⋆ for every
@@ -97,9 +82,9 @@ class FileServerProcess : public ProcessCode {
 
   Handle service_port() const { return port_; }
   size_t file_count() const { return files_.size(); }
-  bool persistent() const { return store_ != nullptr; }
-  const DurableStore* store() const { return store_.get(); }
-  const ReplicationEndpoint* replication() const { return repl_.get(); }
+  bool persistent() const { return backing_.durable(); }
+  const DurableStore* store() const { return backing_.store(); }
+  const ReplicationEndpoint* replication() const { return backing_.replication(); }
 
  private:
   struct File {
@@ -118,12 +103,10 @@ class FileServerProcess : public ProcessCode {
   // The verification bound writes must satisfy: {integrity_h level, 3}.
   static Label IntegrityLabelOf(const File& f);
   void PersistFile(const std::string& path, const File& f);
-  void RecoverFiles();
 
   Handle port_;
   std::map<std::string, File> files_;
-  std::unique_ptr<DurableStore> store_;
-  std::unique_ptr<ReplicationEndpoint> repl_;
+  DurableBacking backing_;
 };
 
 }  // namespace asbestos

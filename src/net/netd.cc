@@ -15,13 +15,10 @@ void NetdProcess::Start(ProcessContext& ctx) {
   // The control port is a public service endpoint.
   ASB_ASSERT(ctx.SetPortLabel(control_port_, Label::Top()) == Status::kOk);
   expected_listener_verify_ = ctx.GetEnv("demux_verify");
-  // Optional additional authorized listeners (the boot loader names one per
-  // replication endpoint other than demux's — idd, ok-dbproxy, ...): the
-  // first rides the legacy "repl_verify" key, the rest "repl_verify<k>".
-  if (ctx.HasEnv("repl_verify")) {
-    repl_listener_verifies_.push_back(ctx.GetEnv("repl_verify"));
-  }
-  for (int k = 2; ctx.HasEnv("repl_verify" + std::to_string(k)); ++k) {
+  // Optional additional authorized listeners, "repl_verify1",
+  // "repl_verify2", ...: the boot loader names one per replication endpoint
+  // other than demux's (idd, ok-dbproxy, ...).
+  for (int k = 1; ctx.HasEnv("repl_verify" + std::to_string(k)); ++k) {
     repl_listener_verifies_.push_back(ctx.GetEnv("repl_verify" + std::to_string(k)));
   }
 }

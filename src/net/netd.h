@@ -118,7 +118,7 @@ class NetdProcess : public ProcessCode {
   Handle control_port_;
   uint64_t expected_listener_verify_ = 0;  // env "demux_verify"; 0 disables the check
   // Additional authorized listeners named by the boot loader: env keys
-  // "repl_verify", "repl_verify2", "repl_verify3", ... — one per replication
+  // "repl_verify1", "repl_verify2", ... — one per replication
   // endpoint besides demux's own (idd, ok-dbproxy, a standalone file server).
   std::vector<uint64_t> repl_listener_verifies_;
   std::map<uint16_t, Listener> listeners_;

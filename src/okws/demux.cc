@@ -51,27 +51,12 @@ std::string ServiceName(const std::string& path) {
 
 }  // namespace
 
-DemuxProcess::DemuxProcess(DemuxOptions options) : options_(std::move(options)) {
-  if (options_.store_dir.empty()) {
-    return;
-  }
-  StoreOptions sopts;
-  sopts.dir = options_.store_dir;
-  sopts.shards = options_.shards;
-  auto store = DurableStore::Open(std::move(sopts));
-  ASB_ASSERT(store.ok() && "demux session store failed to open");
-  store_ = store.take();
-  RecoverSessions();
-  if (options_.replication.enabled()) {
-    repl_ = std::make_unique<ReplicationEndpoint>(store_.get(), options_.replication);
-  }
-}
-
-void DemuxProcess::RecoverSessions() {
+DemuxProcess::DemuxProcess(const DemuxOptions& options)
+    : session_ttl_cycles_(options.session_ttl_cycles) {
   const uint64_t now = GetCycleAccounting().now();
-  const uint64_t ttl = options_.session_ttl_cycles;
+  const uint64_t ttl = session_ttl_cycles_;
   std::vector<std::string> expired;
-  store_->ForEach([this, now, ttl, &expired](const std::string& key, const StoreRecord& record) {
+  const auto recover = [&](const std::string& key, const StoreRecord& record) {
     Session s;
     if (!okws_session::DecodeValue(record.value, &s.taint, &s.grant, &s.expires_at_cycles,
                                    &s.password)) {
@@ -93,18 +78,10 @@ void DemuxProcess::RecoverSessions() {
     // event process at the service port and re-registers it.
     s.uw = Handle::Invalid();
     sessions_.emplace(key, std::move(s));
-  });
+  };
+  backing_ = DurableBacking("demux", options, recover);
   for (const std::string& key : expired) {
-    (void)store_->Erase(key);
-  }
-}
-
-void DemuxProcess::OnIdle(ProcessContext& ctx) {
-  if (store_ != nullptr) {
-    ASB_ASSERT(store_->SyncPipelined() == Status::kOk);
-  }
-  if (repl_ != nullptr) {
-    repl_->PumpShip(ctx);  // the flushed batch is also the shipped batch
+    backing_.Erase(key);
   }
 }
 
@@ -126,7 +103,7 @@ DemuxProcess::Session* DemuxProcess::FindLiveSession(const std::string& key) {
   // okws_session::LivenessFilter() — see session_codec.h for why the two
   // sides must share it verbatim.
   if (okws_session::ExpiredAt(it->second.expires_at_cycles, GetCycleAccounting().now())) {
-    EraseDurableSession(key);
+    backing_.Erase(key);
     sessions_.erase(it);
     return nullptr;
   }
@@ -134,15 +111,13 @@ DemuxProcess::Session* DemuxProcess::FindLiveSession(const std::string& key) {
 }
 
 void DemuxProcess::PersistSession(const std::string& key, const Session& s) {
-  if (store_ == nullptr) {
+  if (!backing_.durable()) {
     return;
   }
   const Label secrecy({{s.taint, Level::kL3}}, Level::kStar);
   const Label integrity({{s.grant, Level::kL0}}, Level::kL3);
-  ASB_ASSERT(store_->Put(key,
-                         okws_session::EncodeValue(s.taint, s.grant, s.expires_at_cycles,
-                                                   s.password),
-                         secrecy, integrity) == Status::kOk);
+  backing_.Put(key, okws_session::EncodeValue(s.taint, s.grant, s.expires_at_cycles, s.password),
+               secrecy, integrity);
 }
 
 replwire::ReadCursorToken DemuxProcess::session_cursor(const std::string& user,
@@ -153,17 +128,11 @@ replwire::ReadCursorToken DemuxProcess::session_cursor(const std::string& user,
 
 FollowerSession* DemuxProcess::RouteSessionRead(const std::string& user,
                                                 const std::string& service) const {
-  if (repl_ == nullptr || repl_->hub() == nullptr) {
+  const ReplicationEndpoint* repl = backing_.replication();
+  if (repl == nullptr || repl->hub() == nullptr) {
     return nullptr;
   }
-  return repl_->hub()->RouteRead(SessionKey(user, service),
-                                 session_cursor(user, service));
-}
-
-void DemuxProcess::EraseDurableSession(const std::string& key) {
-  if (store_ != nullptr) {
-    (void)store_->Erase(key);  // kNotFound is fine: never persisted
-  }
+  return repl->hub()->RouteRead(SessionKey(user, service), session_cursor(user, service));
 }
 
 void DemuxProcess::Start(ProcessContext& ctx) {
@@ -214,11 +183,9 @@ void DemuxProcess::Start(ProcessContext& ctx) {
     ctx.Send(launcher_port_, std::move(reg), args);
   }
 
-  if (repl_ != nullptr) {
-    // Session-table replication: a second listener on the replication port,
-    // proven with the same verification handle as the web listener.
-    repl_->Start(ctx, netd_ctl_, self_verify_);
-  }
+  // Session-table replication: a second listener on the replication port,
+  // proven with the same verification handle as the web listener.
+  backing_.StartReplication(ctx, netd_ctl_, self_verify_);
 }
 
 void DemuxProcess::SendPeekRead(ProcessContext& ctx, uint64_t cookie, ConnState& conn) {
@@ -379,8 +346,8 @@ void DemuxProcess::CheckAllWorkersRegistered(ProcessContext& ctx) {
 }
 
 void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
-  if (repl_ != nullptr && repl_->HandleMessage(ctx, msg)) {
-    return;  // replication-plane traffic (listener replies, follower acks)
+  if (backing_.HandleMessage(ctx, msg)) {
+    return;  // replication-plane traffic
   }
   if (msg.port == wire_port_) {
     if (msg.type == MessageType::kExpectWorker && msg.words.size() >= 2) {
@@ -488,7 +455,7 @@ void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         const std::string prefix = msg.data.str() + "\x1f";
         for (auto it = sessions_.lower_bound(prefix);
              it != sessions_.end() && it->first.compare(0, prefix.size(), prefix) == 0;) {
-          EraseDurableSession(it->first);
+          backing_.Erase(it->first);
           it = sessions_.erase(it);
         }
         return;
@@ -546,8 +513,8 @@ void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         s.taint = conn.taint;
         s.grant = conn.grant;
         s.password = conn.password;
-        if (options_.session_ttl_cycles != 0) {
-          s.expires_at_cycles = GetCycleAccounting().now() + options_.session_ttl_cycles;
+        if (session_ttl_cycles_ != 0) {
+          s.expires_at_cycles = GetCycleAccounting().now() + session_ttl_cycles_;
         }
         const std::string key = SessionKey(conn.username, conn.service);
         PersistSession(key, s);
@@ -556,12 +523,14 @@ void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         // before it may answer reads for this session. In-memory only: the
         // durable value format (and thus fig-level byte identity) is
         // untouched, and a reboot re-stamps at the next write.
-        if (repl_ != nullptr && repl_->hub() != nullptr && store_ != nullptr) {
-          const uint32_t shard = store_->ShardIndexOf(key);
-          s.cursor.source_id = repl_->hub()->source_id();
+        const ReplicationEndpoint* repl = backing_.replication();
+        if (repl != nullptr && repl->hub() != nullptr) {
+          const DurableStore* store = backing_.store();
+          const uint32_t shard = store->ShardIndexOf(key);
+          s.cursor.source_id = repl->hub()->source_id();
           s.cursor.shard = shard;
-          s.cursor.generation = store_->shard_wal_generation(shard);
-          s.cursor.offset = store_->shard_wal_offset(shard);
+          s.cursor.generation = store->shard_wal_generation(shard);
+          s.cursor.offset = store->shard_wal_offset(shard);
         }
         // §7.3: the session table holds one user-worker pair per entry;
         // paper Figure 9 attributes part of the label growth to these. A

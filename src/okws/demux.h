@@ -29,23 +29,19 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/http/http.h"
 #include "src/kernel/kernel.h"
 #include "src/okws/protocol.h"
-#include "src/replication/endpoint.h"
-#include "src/store/store.h"
+#include "src/replication/backing.h"
 
 namespace asbestos {
 
-struct DemuxOptions {
-  std::string store_dir;  // empty = volatile session table, as in the seed
-  // Shard count for a store created at store_dir (existing stores keep the
-  // stamped count). Session registrations append without fsyncing and are
-  // group-committed by the end-of-pump OnIdle hook, pipelined.
-  uint32_t shards = 4;
+// The session store (store_dir empty = volatile session table, as in the
+// seed) plus the session lifetime. Replication attaches its listener with
+// demux's own verification label, which netd already accepts.
+struct DemuxOptions : DurableOptions {
   // Sessions expire this many virtual cycles after registration; 0 = never.
   // Expiry is evaluated lazily (at resume and at recovery) against the
   // simulator's global cycle clock. The clock is process-local and not
@@ -56,20 +52,16 @@ struct DemuxOptions {
   // resurrect, even at the price of re-login after a real reboot. TTL 0
   // (the default) has no timestamps to misread and survives both kinds.
   uint64_t session_ttl_cycles = 0;
-  // WAL shipping of the session table to followers (src/replication).
-  // Requires store_dir; the listener attaches with demux's own verification
-  // label, which netd already accepts.
-  ReplicationOptions replication;
 };
 
 class DemuxProcess : public ProcessCode {
  public:
-  explicit DemuxProcess(DemuxOptions options = {});
+  explicit DemuxProcess(const DemuxOptions& options = {});
 
   void Start(ProcessContext& ctx) override;
   void HandleMessage(ProcessContext& ctx, const Message& msg) override;
-  // Group commit of the session store (pipelined; see DurableStore).
-  void OnIdle(ProcessContext& ctx) override;
+  // Group commit and ship (DurableBacking::OnIdle).
+  void OnIdle(ProcessContext& ctx) override { backing_.OnIdle(ctx); }
   bool HasOnIdle() const override { return true; }
 
   // {uT ⋆, uG ⋆} over every recovered session, default 3: the ⋆ set the
@@ -81,8 +73,8 @@ class DemuxProcess : public ProcessCode {
   Handle session_port() const { return session_port_; }
   size_t session_count() const { return sessions_.size(); }
   uint64_t rejected_connections() const { return rejected_; }
-  const DurableStore* store() const { return store_.get(); }
-  const ReplicationEndpoint* replication() const { return repl_.get(); }
+  const DurableStore* store() const { return backing_.store(); }
+  const ReplicationEndpoint* replication() const { return backing_.replication(); }
 
   // The session's read-your-writes token (empty when the session never
   // wrote, is unknown, or replication is off). Read routing attaches this
@@ -142,8 +134,6 @@ class DemuxProcess : public ProcessCode {
   // has expired. nullptr when absent or expired.
   Session* FindLiveSession(const std::string& key);
   void PersistSession(const std::string& key, const Session& s);
-  void EraseDurableSession(const std::string& key);
-  void RecoverSessions();
 
   Handle register_port_;  // public: worker registration
   Handle notify_port_;    // capability-held by netd: conn notifications + read replies
@@ -154,12 +144,11 @@ class DemuxProcess : public ProcessCode {
   Handle idd_login_;
   uint64_t self_verify_ = 0;
 
-  DemuxOptions options_;
+  uint64_t session_ttl_cycles_ = 0;
   std::map<std::string, WorkerInfo> workers_;          // by service name
   std::map<uint64_t, ConnState> conns_;                // by cookie
   std::map<std::string, Session> sessions_;            // by user + "\x1f" + service
-  std::unique_ptr<DurableStore> store_;
-  std::unique_ptr<ReplicationEndpoint> repl_;
+  DurableBacking backing_;
   uint64_t next_cookie_ = 1;
   uint64_t rejected_ = 0;
   bool expectations_complete_ = false;

@@ -63,25 +63,10 @@ std::string SqlQuote(const std::string& s) {
 }  // namespace
 
 IddProcess::IddProcess(std::vector<UserCred> users, std::vector<std::string> extra_tables,
-                       IddOptions options)
+                       const DurableOptions& options)
     : users_(std::move(users)), extra_tables_(std::move(extra_tables)) {
-  if (options.store_dir.empty()) {
-    return;
-  }
-  StoreOptions sopts;
-  sopts.dir = options.store_dir;
-  sopts.shards = options.shards;
-  auto store = DurableStore::Open(std::move(sopts));
-  ASB_ASSERT(store.ok() && "idd store failed to open");
-  store_ = store.take();
-  RecoverCache();
-  if (options.replication.enabled()) {
-    repl_ = std::make_unique<ReplicationEndpoint>(store_.get(), options.replication);
-  }
-}
-
-void IddProcess::RecoverCache() {
-  store_->ForEach([this](const std::string& username, const StoreRecord& record) {
+  backing_ = DurableBacking("idd", options, [this](const std::string& username,
+                                                   const StoreRecord& record) {
     CachedId id;
     std::string password;
     if (!DecodeIdentityValue(record.value, &id.taint, &id.grant, &id.user_id, &password)) {
@@ -91,26 +76,15 @@ void IddProcess::RecoverCache() {
   });
 }
 
-void IddProcess::OnIdle(ProcessContext& ctx) {
-  if (store_ != nullptr) {
-    // Pipelined group commit: this pump's appends flush while the NEXT pump
-    // runs; the returned status acknowledges the previous round's flush.
-    ASB_ASSERT(store_->SyncPipelined() == Status::kOk);
-  }
-  if (repl_ != nullptr) {
-    repl_->PumpShip(ctx);  // the flushed batch is also the shipped batch
-  }
-}
-
 void IddProcess::PersistIdentity(const std::string& username, const CachedId& id,
                                  const std::string& password) {
-  if (store_ == nullptr) {
+  if (!backing_.durable()) {
     return;
   }
   const Label secrecy({{id.taint, Level::kL3}}, Level::kStar);
   const Label integrity({{id.grant, Level::kL0}}, Level::kL3);
-  ASB_ASSERT(store_->Put(username, EncodeIdentityValue(id.taint, id.grant, id.user_id, password),
-                         secrecy, integrity) == Status::kOk);
+  backing_.Put(username, EncodeIdentityValue(id.taint, id.grant, id.user_id, password), secrecy,
+               integrity);
 }
 
 Label IddProcess::recovered_stars() const {
@@ -122,17 +96,12 @@ Label IddProcess::recovered_stars() const {
   return stars;
 }
 
-Label IddProcess::RecoveredStars(const IddOptions& options) {
+Label IddProcess::RecoveredStars(const DurableOptions& options) {
   Label stars = Label::Top();
-  StoreOptions sopts;
-  sopts.dir = options.store_dir;
-  sopts.shards = options.shards;
-  auto store = DurableStore::Open(std::move(sopts));
-  if (!store.ok()) {
-    return stars;
-  }
-  store.value()->ForEach([&stars](const std::string& username, const StoreRecord& record) {
-    (void)username;
+  DurableOptions store_only;  // a transient open: nothing to ship
+  store_only.store_dir = options.store_dir;
+  store_only.shards = options.shards;
+  DurableBacking("idd", store_only, [&stars](const std::string&, const StoreRecord& record) {
     Handle taint;
     Handle grant;
     int64_t user_id = 0;
@@ -388,8 +357,8 @@ void IddProcess::HandleChangePw(ProcessContext& ctx, const Message& msg) {
 }
 
 void IddProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
-  if (repl_ != nullptr && repl_->HandleMessage(ctx, msg)) {
-    return;  // replication-plane traffic (listener replies, follower acks)
+  if (backing_.HandleMessage(ctx, msg)) {
+    return;  // replication-plane traffic
   }
   if (msg.port == wire_port_) {
     if (msg.type == boot_proto::kWire && msg.data == "dbpriv" && !msg.words.empty()) {
@@ -401,12 +370,11 @@ void IddProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
                                   std::string_view) {
         SendBind(ctx, id, std::string(username));
       });
-    } else if (msg.type == boot_proto::kWire && msg.data == "netd" && !msg.words.empty() &&
-               repl_ != nullptr) {
+    } else if (msg.type == boot_proto::kWire && msg.data == "netd" && !msg.words.empty()) {
       // The launcher's late wire: netd is up, attach the replication
       // listener (idd spawns before the boot loader creates netd, so this
       // capability cannot ride the spawn env the way demux's does).
-      repl_->Start(ctx, Handle::FromValue(msg.words[0]), ctx.GetEnv("self_verify"));
+      backing_.StartReplication(ctx, Handle::FromValue(msg.words[0]), ctx.GetEnv("self_verify"));
     }
     return;
   }

@@ -24,44 +24,27 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/db/binding_table.h"
 #include "src/kernel/kernel.h"
 #include "src/okws/protocol.h"
-#include "src/replication/endpoint.h"
-#include "src/store/store.h"
+#include "src/replication/backing.h"
 
 namespace asbestos {
-
-struct IddOptions {
-  std::string store_dir;  // empty = volatile cache, as in the seed
-  // Shard count for a store created at store_dir; existing stores keep the
-  // count stamped at creation (see StoreOptions::shards). Bindings append
-  // without fsyncing and are group-committed by the end-of-pump OnIdle hook.
-  uint32_t shards = 4;
-  // WAL shipping of the identity cache to followers (src/replication).
-  // Requires store_dir. The launcher wires netd's control port to idd (kWire
-  // "netd") once both are up, and the world must authorize idd's listener
-  // with netd via one of the "repl_verify*" envs.
-  ReplicationOptions replication;
-};
 
 class IddProcess : public ProcessCode {
  public:
   // `extra_tables` are privileged CREATE TABLE statements run at seeding
   // time (worker tables gain their hidden USER_ID column in ok-dbproxy).
   explicit IddProcess(std::vector<UserCred> users, std::vector<std::string> extra_tables = {},
-                      IddOptions options = {});
+                      const DurableOptions& options = {});
 
   void Start(ProcessContext& ctx) override;
   void HandleMessage(ProcessContext& ctx, const Message& msg) override;
-  // Group commit, pipelined: hands every shard dirtied during this pump
-  // iteration to the background flusher (ack deferred one pump; see
-  // DurableStore::SyncPipelined for the two-batch crash window).
-  void OnIdle(ProcessContext& ctx) override;
+  // Group commit and ship (DurableBacking::OnIdle).
+  void OnIdle(ProcessContext& ctx) override { backing_.OnIdle(ctx); }
   bool HasOnIdle() const override { return true; }
 
   // The ⋆ entries a recovered cache needs: {uT ⋆, uG ⋆, …} over every stored
@@ -70,7 +53,7 @@ class IddProcess : public ProcessCode {
   // full options (not just the dir) because this transient open is the FIRST
   // open of a fresh boot: it must request the same shard count idd will, or
   // it would stamp the store with the wrong layout.
-  static Label RecoveredStars(const IddOptions& options);
+  static Label RecoveredStars(const DurableOptions& options);
   // Same, computed from this instance's already-recovered cache.
   Label recovered_stars() const;
 
@@ -79,8 +62,8 @@ class IddProcess : public ProcessCode {
   // Test/observability accessor for a cached binding's handle values.
   bool LookupCachedIdentity(const std::string& username, Handle* taint, Handle* grant,
                             int64_t* user_id) const;
-  const DurableStore* store() const { return store_.get(); }
-  const ReplicationEndpoint* replication() const { return repl_.get(); }
+  const DurableStore* store() const { return backing_.store(); }
+  const ReplicationEndpoint* replication() const { return backing_.replication(); }
 
  private:
   // (uT, uG, user_id); the verified password rides the table's aux slot.
@@ -114,7 +97,6 @@ class IddProcess : public ProcessCode {
   void SendPrivQuery(ProcessContext& ctx, uint64_t qid, const std::string& sql);
   void PersistIdentity(const std::string& username, const CachedId& id,
                        const std::string& password);
-  void RecoverCache();
   void SendBind(ProcessContext& ctx, const CachedId& id, const std::string& username);
 
   std::vector<UserCred> users_;
@@ -129,8 +111,7 @@ class IddProcess : public ProcessCode {
   // (user_ids_ was write-only and is simply gone).
   BindingTable cache_;
   std::map<uint64_t, PendingLogin> pending_;   // by private query cookie
-  std::unique_ptr<DurableStore> store_;
-  std::unique_ptr<ReplicationEndpoint> repl_;
+  DurableBacking backing_;
   uint64_t next_qid_ = 1;
   uint64_t seed_outstanding_ = 0;
   uint64_t seed_create_qid_ = 0;  // the password-table CREATE's query id

@@ -145,41 +145,25 @@ void LauncherProcess::OnDemuxRegistered(ProcessContext& ctx) {
 
 void LauncherProcess::ProvideNetd(ProcessContext& ctx, uint64_t netd_ctl_value) {
   netd_ctl_ = Handle::FromValue(netd_ctl_value);
-  MaybeWireIddNetd(ctx);
-  MaybeWireDbproxyNetd(ctx);
+  MaybeWireNetd(ctx, idd_wire_, config_.idd_options, &idd_netd_wired_);
+  MaybeWireNetd(ctx, dbproxy_wire_, config_.dbproxy_options, &dbproxy_netd_wired_);
   MaybeSpawnDemux(ctx);
 }
 
-void LauncherProcess::MaybeWireIddNetd(ProcessContext& ctx) {
-  // idd spawns before the boot loader creates netd, so its replication
-  // endpoint cannot learn the control port from its spawn env the way demux
-  // does; wire it as soon as both ends exist. Handle values confer no
-  // authority — netd's listener check is what gates the LISTEN itself.
-  if (idd_netd_wired_ || !netd_ctl_.valid() || !idd_wire_.valid() ||
-      !config_.idd_options.replication.enabled()) {
+void LauncherProcess::MaybeWireNetd(ProcessContext& ctx, Handle child_wire,
+                                    const DurableOptions& options, bool* wired) {
+  // The child's replication endpoint cannot learn the control port from its
+  // spawn env the way demux's does. Handle values confer no authority —
+  // netd's listener check is what gates the LISTEN itself.
+  if (*wired || !netd_ctl_.valid() || !child_wire.valid() || !options.replication.enabled()) {
     return;
   }
-  idd_netd_wired_ = true;
+  *wired = true;
   Message wire;
   wire.type = boot_proto::kWire;
   wire.data = "netd";
   wire.words = {netd_ctl_.value()};
-  ctx.Send(idd_wire_, std::move(wire));
-}
-
-void LauncherProcess::MaybeWireDbproxyNetd(ProcessContext& ctx) {
-  // Same late wire for ok-dbproxy: its durable tables replicate like idd's
-  // identity cache, and it too spawns before netd exists.
-  if (dbproxy_netd_wired_ || !netd_ctl_.valid() || !dbproxy_wire_.valid() ||
-      !config_.dbproxy_options.replication.enabled()) {
-    return;
-  }
-  dbproxy_netd_wired_ = true;
-  Message wire;
-  wire.type = boot_proto::kWire;
-  wire.data = "netd";
-  wire.words = {netd_ctl_.value()};
-  ctx.Send(dbproxy_wire_, std::move(wire));
+  ctx.Send(child_wire, std::move(wire));
 }
 
 void LauncherProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
@@ -194,12 +178,12 @@ void LauncherProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         dbproxy_wire_ = Handle::FromValue(msg.words[2]);
       }
       MaybeWireIdd(ctx);
-      MaybeWireDbproxyNetd(ctx);
+      MaybeWireNetd(ctx, dbproxy_wire_, config_.dbproxy_options, &dbproxy_netd_wired_);
     } else if (msg.data == "idd" && CheckRegistration(msg, "idd") && msg.words.size() >= 2) {
       idd_login_ = Handle::FromValue(msg.words[0]);
       idd_wire_ = Handle::FromValue(msg.words[1]);
       MaybeWireIdd(ctx);
-      MaybeWireIddNetd(ctx);
+      MaybeWireNetd(ctx, idd_wire_, config_.idd_options, &idd_netd_wired_);
     } else if (msg.data == "demux" && CheckRegistration(msg, "demux") &&
                msg.words.size() >= 3) {
       demux_register_ = Handle::FromValue(msg.words[0]);

@@ -44,14 +44,14 @@ struct OkwsLauncherConfig {
   // Durable identity cache (src/store). When set, the boot loader must have
   // folded IddProcess::RecoveredStars(idd_options) into this launcher's send
   // label, so it is entitled to re-grant the recovered uT/uG ⋆ set to idd.
-  IddOptions idd_options;
+  DurableOptions idd_options;
   // Durable session table for ok-demux. Requires idd_options.store_dir on
   // the same boot: the ⋆ set demux needs for its recovered sessions comes
   // out of idd's recovered identity bindings via the launcher.
   DemuxOptions demux_options;
   // Durable SQL tables (hidden USER_ID column and per-user label bindings
   // included) for ok-dbproxy.
-  DbproxyOptions dbproxy_options;
+  DurableOptions dbproxy_options;
 };
 
 class LauncherProcess : public ProcessCode {
@@ -75,8 +75,11 @@ class LauncherProcess : public ProcessCode {
 
  private:
   void MaybeWireIdd(ProcessContext& ctx);
-  void MaybeWireIddNetd(ProcessContext& ctx);
-  void MaybeWireDbproxyNetd(ProcessContext& ctx);
+  // The late kWire "netd" to a replicating child spawned before netd existed
+  // (idd, ok-dbproxy): sent once, as soon as both the child's wire port and
+  // netd's control port are known.
+  void MaybeWireNetd(ProcessContext& ctx, Handle child_wire, const DurableOptions& options,
+                     bool* wired);
   void MaybeSpawnDemux(ProcessContext& ctx);
   void OnDemuxRegistered(ProcessContext& ctx);
   bool CheckRegistration(const Message& msg, const std::string& name) const;

@@ -58,16 +58,17 @@ OkwsWorld::OkwsWorld(OkwsWorldConfig config) : kernel_(config.boot_key) {
   nargs.name = "netd";
   nargs.component = Component::kNetwork;
   nargs.env = {{"demux_verify", launcher_->demux_verify_value()}};
-  if (config.idd_options.replication.enabled()) {
-    // idd's replication endpoint attaches its own listener; netd must
-    // recognize idd's verification handle alongside demux's.
-    nargs.env["repl_verify"] = launcher_->verify_value("idd");
-  }
-  if (config.dbproxy_options.replication.enabled()) {
-    // Likewise for ok-dbproxy's table-store endpoint (second slot — netd
-    // collects every "repl_verify*" key).
-    nargs.env["repl_verify2"] = launcher_->verify_value("dbproxy");
-  }
+  // idd's and ok-dbproxy's replication endpoints attach their own
+  // listeners; netd must recognize their verification handles alongside
+  // demux's, one "repl_verify<k>" key each, numbered from 1.
+  int repl_listeners = 0;
+  const auto authorize_listener = [&](const DurableOptions& options, const char* name) {
+    if (options.replication.enabled()) {
+      nargs.env["repl_verify" + std::to_string(++repl_listeners)] = launcher_->verify_value(name);
+    }
+  };
+  authorize_listener(config.idd_options, "idd");
+  authorize_listener(config.dbproxy_options, "dbproxy");
   netd_pid_ = kernel_.CreateProcess(std::move(netd_code), std::move(nargs));
 
   // Tell the launcher where netd's control port is.

@@ -24,13 +24,13 @@ struct OkwsWorldConfig {
   std::vector<std::string> extra_tables;
   // Durable identity cache: rebooting a world with the same boot key and the
   // same store directory recovers every uT/uG binding idd had handed out.
-  IddOptions idd_options;
+  DurableOptions idd_options;
   // Durable demux session table: with both stores configured, a reboot is
   // invisible to logged-in browsers (sessions resume without touching idd).
   DemuxOptions demux_options;
   // Durable ok-dbproxy tables: worker data (hidden USER_ID column included)
   // and per-user label bindings survive reboots.
-  DbproxyOptions dbproxy_options;
+  DurableOptions dbproxy_options;
 };
 
 class OkwsWorld {

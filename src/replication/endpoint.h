@@ -1,5 +1,6 @@
-// ReplicationEndpoint: the primary-side shipping plane, embedded in any
-// store-owning process (file server, idd, ok-demux, ok-dbproxy).
+// ReplicationEndpoint: the primary-side shipping plane, owned by the
+// DurableBacking of any durable service (file server, idd, ok-demux,
+// ok-dbproxy).
 //
 // The endpoint attaches a netd listener on its own TCP port — replication
 // rides the same user-level network server as every other byte leaving the
@@ -8,10 +9,10 @@
 // arrive as kNotifyConn with uC ⋆, batches leave as kWrite messages, and
 // follower acks come back through kRead replies.
 //
-// Shipping piggybacks on the group-commit pipeline: the owner calls
-// PumpShip from its OnIdle hook right after SyncPipelined, so the batch
-// whose flush was just handed to the device is the same batch handed to
-// the wire — one pump iteration, one flush, one ship. OnIdle sends are
+// Shipping piggybacks on the group-commit pipeline: DurableBacking::OnIdle
+// calls PumpShip right after SyncPipelined, so the batch whose flush was
+// just handed to the device is the same batch handed to the wire — one
+// pump iteration, one flush, one ship. OnIdle sends are
 // self-limiting: a pump with no new appends polls zero frames and sends
 // nothing, so the kernel's idle loop quiesces. (With leases enabled, an
 // idle session still gets a kHeartbeat once per heartbeat interval — but

@@ -166,8 +166,11 @@ Status SyncDir(const std::string& path) {
 // count into <dir>/shards; every later open re-adopts the stamp, so
 // opts.shards is only a request for *new* stores.
 //
-// Legacy stores (PR 1's flat <dir>/wal + <dir>/snapshot, no stamp) adopt
-// count 1 and keep their flat layout.
+// A single-shard store (shards = 1, StoreOptions' default) is written flat
+// (<dir>/wal + <dir>/snapshot) and never stamped. An unstamped directory
+// that already holds a flat log or snapshot therefore resolves to 1:
+// re-sharding it on reopen would hash its keys into shard directories and
+// strand every record.
 Result<uint32_t> ResolveShardCount(const std::string& dir, uint32_t requested) {
   const std::string meta_path = dir + "/" + kShardMetaName;
   std::string contents;
@@ -192,7 +195,7 @@ Result<uint32_t> ResolveShardCount(const std::string& dir, uint32_t requested) {
     return read;  // stamp exists but is unreadable: refuse to guess
   }
   if (FileExists(dir + "/wal") || FileExists(dir + "/snapshot")) {
-    return 1u;  // pre-sharding store: flat layout, no stamp
+    return 1u;  // flat single-shard store: no stamp
   }
   if (requested == 0 || requested > kStoreMaxShards) {
     return Status::kInvalidArgs;

@@ -320,7 +320,7 @@ class ProxyBoot {
   ProxyBoot(const std::string& store_dir, uint64_t boot_key,
             const std::vector<uint64_t>& recovered_stars = {})
       : kernel_(boot_key) {
-    DbproxyOptions opts;
+    DurableOptions opts;
     opts.store_dir = store_dir;
     auto code = std::make_unique<DbproxyProcess>(opts);
     proxy_ = code.get();

@@ -288,7 +288,7 @@ TEST_F(FsTest, CreateInUncontrolledCompartmentRejected) {
 TEST(FsPersistenceTest, RestartRecoversFilesAndLabels) {
   testing::TempDir dir;
   FileServerOptions fopts;
-  fopts.data_dir = dir.path() + "/fs";
+  fopts.store_dir = dir.path() + "/fs";
 
   uint64_t taint_value = 0;
   uint64_t grant_value = 0;

@@ -875,7 +875,7 @@ class ReplEndToEndTest : public ::testing::Test {
   void BootPrimary(const std::string& dir, uint64_t boot_key = 0x0451,
                    uint32_t max_followers = 4) {
     FileServerOptions opts;
-    opts.data_dir = dir;
+    opts.store_dir = dir;
     opts.shards = 4;
     opts.replication.listen_tcp_port = kReplPort;
     opts.replication.auth_token = kAuthToken;
@@ -1013,7 +1013,7 @@ TEST_F(ReplEndToEndTest, PrimaryKillPromoteMatchesCrashRecovery) {
   // original contamination.
   fleet_.reset();
   FileServerOptions fs_opts;
-  fs_opts.data_dir = follower_dir;
+  fs_opts.store_dir = follower_dir;
   fs_opts.shards = 4;
   auto fs_code = std::make_unique<FileServerProcess>(fs_opts);
   FileServerProcess* fs = fs_code.get();
@@ -1283,7 +1283,7 @@ TEST_F(ReplEndToEndTest, ApplyLagGaugeReadsTheLagAnAckCloses) {
 TEST_F(ReplEndToEndTest, StaleLeaseFollowerRefusesAllReads) {
   // A short lease so the test expires it in a few hundred pumps.
   FileServerOptions opts;
-  opts.data_dir = dir_.path() + "/primary";
+  opts.store_dir = dir_.path() + "/primary";
   opts.shards = 4;
   opts.replication.listen_tcp_port = kReplPort;
   opts.replication.auth_token = kAuthToken;

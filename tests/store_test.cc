@@ -320,9 +320,9 @@ TEST(ShardedStoreTest, SpreadsRecordsAndRoundTrips) {
   EXPECT_EQ(visited, keys.size() + 1);
 }
 
-TEST(ShardedStoreTest, LegacyFlatStoreAdoptsSingleShard) {
+TEST(ShardedStoreTest, FlatSingleShardStoreIsNotReshardedOnReopen) {
   TempDir dir;
-  {  // A PR-1-era store: flat layout, no shard stamp.
+  {  // A single-shard store (the StoreOptions default): flat, no stamp.
     auto store = DurableStore::Open(Opts(dir));
     ASSERT_TRUE(store.ok());
     ASSERT_EQ(store.value()->Put("old", "data", Label::Bottom(), Label::Top()), Status::kOk);
