@@ -80,15 +80,15 @@ void RunDeliveryCheck(benchmark::State& state, bool cached) {
     pool.push_back(MakeTuple(i + 1, entries));
   }
   ResetLabelCheckCache();
-  SetLabelCheckCacheEnabled(cached);
   ResetLabelWorkStats();
+  const auto check = cached ? CheckDeliveryAllowed : CheckDeliveryAllowedUncached;
   uint64_t work = 0;
   uint64_t verdicts = 0;
   size_t i = 0;
   for (auto _ : state) {
     const DeliveryTuple& t = pool[i];
     i = i + 1 == pool.size() ? 0 : i + 1;
-    verdicts += CheckDeliveryAllowed(t.es, t.qr, t.dr, t.v, t.pr, &work) ? 1 : 0;
+    verdicts += check(t.es, t.qr, t.dr, t.v, t.pr, &work) ? 1 : 0;
   }
   benchmark::DoNotOptimize(verdicts);
   const LabelWorkStats& stats = GetLabelWorkStats();
@@ -106,7 +106,6 @@ void RunDeliveryCheck(benchmark::State& state, bool cached) {
     state.counters["cache_hit_rate"] =
         static_cast<double>(cache.hits) / static_cast<double>(cache.hits + cache.misses);
   }
-  SetLabelCheckCacheEnabled(true);
 }
 
 void BM_DeliveryCheckCold(benchmark::State& state) { RunDeliveryCheck(state, false); }
@@ -129,20 +128,19 @@ void RunContaminationCheck(benchmark::State& state, bool cached) {
     pool.push_back(MakeTuple(i + 1, 256));
   }
   ResetLabelCheckCache();
-  SetLabelCheckCacheEnabled(cached);
+  const auto check = cached ? NeedsContamination : NeedsContaminationUncached;
   uint64_t work = 0;
   uint64_t verdicts = 0;
   size_t i = 0;
   for (auto _ : state) {
     const DeliveryTuple& t = pool[i];
     i = i + 1 == pool.size() ? 0 : i + 1;
-    verdicts += NeedsContamination(t.es, t.qr, &work) ? 1 : 0;
+    verdicts += check(t.es, t.qr, &work) ? 1 : 0;
   }
   benchmark::DoNotOptimize(verdicts);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["charged_work_per_check"] =
       static_cast<double>(work) / static_cast<double>(state.iterations());
-  SetLabelCheckCacheEnabled(true);
 }
 
 void BM_ContaminationCheckCold(benchmark::State& state) { RunContaminationCheck(state, false); }

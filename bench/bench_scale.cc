@@ -4,9 +4,9 @@
 // compact record, not an event process).
 //
 // BM_ScaleUsers boots the full OKWS world at 10^3 / 10^4 / 10^5 users
-// (10^6 with --full) with session parking and scale accounting ON, drives
-// two passes over every user (login + resume-from-park), and reports the
-// kernel's total bytes over distinct users. After the runs, main() asserts
+// (10^6 with --full) with session parking ON, drives two passes over every
+// user (login + resume-from-park), and reports the kernel's total bytes
+// over distinct users. After the runs, main() asserts
 // the flatness contract: bytes_per_user may grow at most 1.25× from 10^4 to
 // 10^5 users. `--smoke` keeps CI to the 10^3/10^4 decades.
 //
@@ -50,7 +50,6 @@ void BM_ScaleUsers(benchmark::State& state) {
     config.min_connections = 0;
     config.service = "echo";
     config.park_idle_sessions = true;
-    config.scale_accounting = true;
     result = bench::RunOkwsWorkload(config);
   }
   if (result.failures != 0 || result.connections_completed != 2 * users) {
@@ -73,7 +72,7 @@ void BM_ScaleUsers(benchmark::State& state) {
   state.counters["throughput_conn_per_sec"] = result.throughput_conn_per_sec;
 }
 
-// The same world WITHOUT parking/scale accounting, at the smallest decade:
+// The same world WITHOUT parking, at the smallest decade:
 // the before/after anchor for the README table (an idle user keeps a full
 // event process: state page + overlay slots + uW + EP record).
 void BM_ScaleUsersUnparked(benchmark::State& state) {

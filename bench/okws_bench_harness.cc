@@ -126,7 +126,6 @@ double OkwsRunResult::BytesPerUser() const {
 OkwsRunResult RunOkwsWorkload(const OkwsRunConfig& config) {
   const GlobalBytes globals_before = SnapshotGlobalBytes();
   const SessionParkStats park_before = GetSessionParkStats();
-  SetScaleAccountingEnabled(config.scale_accounting);
   OkwsRunResult result;
   {
     OkwsWorldConfig world_config;
@@ -216,7 +215,6 @@ OkwsRunResult RunOkwsWorkload(const OkwsRunConfig& config) {
           static_cast<double>(latencies[latencies.size() * 9 / 10]) * us_per_cycle);
     }
   }
-  SetScaleAccountingEnabled(false);
   CheckTeardownDrift(globals_before);
   return result;
 }

@@ -21,11 +21,9 @@ struct OkwsRunConfig {
   std::string service = "echo";     // "echo" (Fig. 7-9) or "store" (Fig. 6)
   bool active_memory_mode = false;  // workers skip ep_clean (Fig. 6 "active")
   // Million-compartment scale (bench_scale): park idle event processes down
-  // to compact records, and account per-user state at its dense size
-  // (handle-table entries, interned binding table). Both default off — the
-  // figure benches must stay byte-identical to the paper calibration.
+  // to compact records. Off for the figure benches, whose idle sessions stay
+  // full event processes as in the paper.
   bool park_idle_sessions = false;
-  bool scale_accounting = false;
 };
 
 struct OkwsRunResult {
@@ -63,8 +61,8 @@ struct OkwsRunResult {
   double PagesPerSession() const;
   double PeakPagesPerSession() const;
 
-  // Scale accounting (bench_scale): the compacted per-user planes out of
-  // KernelMemReport, plus the park/resume traffic this run generated.
+  // The compacted per-user planes out of KernelMemReport (bench_scale),
+  // plus the park/resume traffic this run generated.
   uint64_t session_bytes = 0;       // compact park records
   uint64_t binding_bytes = 0;       // interned idd + dbproxy binding tables
   uint64_t handle_table_bytes = 0;  // dense plain-handle entries

@@ -294,11 +294,6 @@ void DbproxyProcess::HandleBind(ProcessContext& ctx, const Message& msg) {
   if (ctx.send_label().Get(b.taint) != Level::kStar) {
     return;
   }
-  if (!ScaleAccountingEnabled()) {
-    // Paper-calibrated mode models the old map entry; scale mode charges
-    // the flat table's real bytes as KernelMemReport::binding_bytes instead.
-    ctx.ModelHeapBytes(64);
-  }
   bindings_.Put(msg.data.str(), b);
   PersistBinding(msg.data, b);
   if (msg.reply_port.valid()) {

@@ -1360,19 +1360,12 @@ size_t Kernel::QueuedMessageCount(Handle port) const {
 
 KernelMemReport Kernel::MemReport() const {
   KernelMemReport r;
-  if (ScaleAccountingEnabled()) {
-    // Scale mode: plain handles are charged as what they are now — dense
-    // 16-byte table slots — instead of the paper's 64-byte vnode figure;
-    // per-user bindings are the flat tables' real bytes instead of the
-    // modeled std::map heap (the tables skip ModelHeapBytes in this mode).
-    r.vnode_bytes = (mem_.vnodes - mem_.plain_handles) * kVnodeBytes;
-    r.handle_table_bytes = mem_.plain_handles * kHandleTableEntryBytes;
-    r.binding_bytes = static_cast<uint64_t>(GetBindingMemStats().live_bytes);
-  } else {
-    r.vnode_bytes = mem_.vnodes * kVnodeBytes;
-  }
-  // Parked-session records exist only when parking is on; counting them
-  // unconditionally keeps total_bytes() honest in either accounting mode.
+  // Plain handles are charged as what they are — dense 16-byte table
+  // slots — and only ports as the paper's 64-byte vnode; per-user bindings
+  // are the flat tables' real bytes.
+  r.vnode_bytes = (mem_.vnodes - mem_.plain_handles) * kVnodeBytes;
+  r.handle_table_bytes = mem_.plain_handles * kHandleTableEntryBytes;
+  r.binding_bytes = static_cast<uint64_t>(GetBindingMemStats().live_bytes);
   r.session_bytes = static_cast<uint64_t>(GetSessionParkStats().live_bytes);
   r.process_bytes = mem_.processes * kProcessKernelBytes;
   r.ep_bytes = mem_.event_processes * kEpKernelBytes;

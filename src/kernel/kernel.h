@@ -74,7 +74,7 @@ struct KernelStats {
 
 // Point-in-time memory breakdown for Figure-6 style reporting.
 struct KernelMemReport {
-  uint64_t vnode_bytes = 0;
+  uint64_t vnode_bytes = 0;         // ports, at the paper's 64-byte vnode
   uint64_t process_bytes = 0;
   uint64_t ep_bytes = 0;
   uint64_t label_bytes = 0;        // real live label heap (src/labels)
@@ -103,12 +103,10 @@ struct KernelMemReport {
   // Compact parked-session records held by workers in place of full event
   // processes (src/okws/worker.h). Zero unless session parking is on.
   uint64_t session_bytes = 0;
-  // With scale accounting on (SetScaleAccountingEnabled): the interned flat
-  // per-user binding tables of idd/dbproxy (src/db/binding_table.h), real
-  // bytes; and plain non-port handles charged as dense handle-table slots
-  // (kHandleTableEntryBytes each) carved OUT of vnode_bytes. Both zero in
-  // the default paper-calibrated mode, where plain handles stay charged at
-  // the paper's 64-byte vnode figure and bindings ride modeled_heap_bytes.
+  // The interned flat per-user binding tables of idd/dbproxy
+  // (src/db/binding_table.h), real bytes; and plain non-port handles
+  // charged as dense handle-table slots (kHandleTableEntryBytes each), not
+  // as vnodes.
   uint64_t binding_bytes = 0;
   uint64_t handle_table_bytes = 0;
 
@@ -245,11 +243,13 @@ class Kernel {
   // pump keeps draining the same port — up to B messages per pass — but
   // only when the unbatched scheduler's next action would provably be that
   // same port, charging the same per-delivery scheduler tick it would have.
-  // So the knob changes locality (and wall-clock speed), never the modeled
+  // So B changes locality (and wall-clock speed), never the modeled
   // figures: delivery order, charged cycles, and OnIdle cadence are
-  // bit-identical for every value of B. B = 1 disables batching outright.
-  void SetPumpBatchLimit(uint32_t limit) { pump_batch_limit_ = limit == 0 ? 1 : limit; }
-  uint32_t pump_batch_limit() const { return pump_batch_limit_; }
+  // bit-identical for every value of B.
+  static constexpr uint32_t kPumpBatchLimit = 16;
+  // Test hook: the equivalence test replays one trace at B = 1 (no
+  // batching) against kPumpBatchLimit.
+  void SetPumpBatchLimitForTest(uint32_t limit) { pump_batch_limit_ = limit == 0 ? 1 : limit; }
 
   // Runs fn with a context bound to the given process's *base* identity, in
   // its component scope. Used by external drivers (e.g. the simulated NIC
@@ -431,7 +431,7 @@ class Kernel {
   // buffer id → (queued references, buffer bytes). queue_bytes charges a
   // buffer's bytes while the count is nonzero — shared fan-out counts once.
   std::unordered_map<const void*, std::pair<uint64_t, uint64_t>> queued_buf_refs_;
-  uint32_t pump_batch_limit_ = 16;
+  uint32_t pump_batch_limit_ = kPumpBatchLimit;
   uint64_t peak_total_bytes_ = 0;
   uint64_t scale_user_count_ = 0;  // see SetScaleUserCount
   // Trace id of the delivery being handled right now (see

@@ -149,7 +149,6 @@ struct CheckCache {
 };
 
 LabelCheckCacheStats g_cache_stats;
-bool g_cache_enabled = true;
 CheckCache<5, kDeliveryCacheSlots> g_delivery_cache;
 CheckCache<2, kContaminationCacheSlots> g_contamination_cache;
 
@@ -188,10 +187,6 @@ bool ReplayHit(const Entry& entry, uint64_t* work) {
   return entry.verdict;
 }
 
-bool CheckDeliveryAllowedUncached(const Label& es, const Label& qr, const Label& dr,
-                                  const Label& v, const Label& pr, uint64_t* work);
-bool NeedsContaminationUncached(const Label& es, const Label& qs, uint64_t* work);
-
 }  // namespace
 
 const LabelCheckCacheStats& GetLabelCheckCacheStats() { return g_cache_stats; }
@@ -213,9 +208,6 @@ void ResetLabelCheckCache() {
   g_contamination_cache.Clear();
   g_cache_stats = LabelCheckCacheStats();
 }
-
-void SetLabelCheckCacheEnabled(bool enabled) { g_cache_enabled = enabled; }
-bool LabelCheckCacheEnabled() { return g_cache_enabled; }
 
 namespace {
 
@@ -254,9 +246,6 @@ bool CachedCheck(Cache& cache, const std::array<uint64_t, KeyArity>& key, uint64
 
 bool CheckDeliveryAllowed(const Label& es, const Label& qr, const Label& dr, const Label& v,
                           const Label& pr, uint64_t* work) {
-  if (!g_cache_enabled) {
-    return CheckDeliveryAllowedUncached(es, qr, dr, v, pr, work);
-  }
   const std::array<uint64_t, 5> key = {es.rep_id(), qr.rep_id(), dr.rep_id(), v.rep_id(),
                                        pr.rep_id()};
   return CachedCheck(g_delivery_cache, key, work, [&](uint64_t* w) {
@@ -265,16 +254,11 @@ bool CheckDeliveryAllowed(const Label& es, const Label& qr, const Label& dr, con
 }
 
 bool NeedsContamination(const Label& es, const Label& qs, uint64_t* work) {
-  if (!g_cache_enabled) {
-    return NeedsContaminationUncached(es, qs, work);
-  }
   const std::array<uint64_t, 2> key = {es.rep_id(), qs.rep_id()};
   return CachedCheck(g_contamination_cache, key, work, [&](uint64_t* w) {
     return NeedsContaminationUncached(es, qs, w);
   });
 }
-
-namespace {
 
 bool CheckDeliveryAllowedUncached(const Label& es, const Label& qr, const Label& dr,
                                   const Label& v, const Label& pr, uint64_t* work) {
@@ -357,14 +341,10 @@ bool CheckDeliveryAllowedUncached(const Label& es, const Label& qr, const Label&
   return CheckDeliveryFullMerge(es, qr, dr, v, pr, work);
 }
 
-}  // namespace
-
 bool CheckDeliveryAllowedNaive(const Label& es, const Label& qr, const Label& dr,
                                const Label& v, const Label& pr) {
   return es.Leq(Label::Glb(Label::Glb(Label::Lub(qr, dr), v), pr));
 }
-
-namespace {
 
 bool NeedsContaminationUncached(const Label& es, const Label& qs, uint64_t* work) {
   if (LevelLeq(es.max_level(), qs.min_level())) {
@@ -407,8 +387,6 @@ bool NeedsContaminationUncached(const Label& es, const Label& qs, uint64_t* work
   }
   return NeedsContaminationFullMerge(es, qs, work);
 }
-
-}  // namespace
 
 bool NeedsContaminationNaive(const Label& es, const Label& qs) {
   Label after = qs;

@@ -20,7 +20,10 @@
 // Charged-cycles fidelity: a cache hit replays exactly the `work` and
 // LabelWorkStats deltas the uncached evaluation produced at insertion time
 // (which are deterministic per id tuple), so Figure-9 cost curves are
-// bit-identical with and without the cache; only wall-clock changes.
+// bit-identical to the uncached evaluation; only wall-clock changes. The
+// cache is always on. The *Uncached variants are the evaluation it
+// memoizes, exported as the reference the fidelity test and the cold
+// benchmark rows compare against.
 //
 // The *Naive variants materialize the label algebra literally and exist as
 // the reference semantics for property tests.
@@ -36,12 +39,15 @@ namespace asbestos {
 // True iff ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR.
 bool CheckDeliveryAllowed(const Label& es, const Label& qr, const Label& dr, const Label& v,
                           const Label& pr, uint64_t* work);
+bool CheckDeliveryAllowedUncached(const Label& es, const Label& qr, const Label& dr,
+                                  const Label& v, const Label& pr, uint64_t* work);
 bool CheckDeliveryAllowedNaive(const Label& es, const Label& qr, const Label& dr,
                                const Label& v, const Label& pr);
 
 // True iff QS ⊔ (ES ⊓ QS⋆) differs from QS: some handle has QS(h) ≠ ⋆ and
 // ES(h) > QS(h).
 bool NeedsContamination(const Label& es, const Label& qs, uint64_t* work);
+bool NeedsContaminationUncached(const Label& es, const Label& qs, uint64_t* work);
 bool NeedsContaminationNaive(const Label& es, const Label& qs);
 
 // Forensics for a FAILED delivery check: the first (lowest-handle) violating
@@ -72,10 +78,6 @@ struct LabelCheckCacheStats {
 const LabelCheckCacheStats& GetLabelCheckCacheStats();
 // Drops every cached verdict and zeroes the stats.
 void ResetLabelCheckCache();
-// Benchmarks and fidelity tests flip this to measure the uncached baseline;
-// the cache is enabled by default. Disabling does not drop entries.
-void SetLabelCheckCacheEnabled(bool enabled);
-bool LabelCheckCacheEnabled();
 
 // Fixed capacities (entries), exposed for the eviction tests.
 inline constexpr size_t kDeliveryCacheSlots = 4096;

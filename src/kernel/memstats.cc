@@ -3,13 +3,9 @@
 namespace asbestos {
 
 namespace {
-bool g_scale_accounting = false;
 SessionParkStats g_park_stats;
 BindingMemStats g_binding_stats;
 }  // namespace
-
-void SetScaleAccountingEnabled(bool enabled) { g_scale_accounting = enabled; }
-bool ScaleAccountingEnabled() { return g_scale_accounting; }
 
 SessionParkStats& MutableSessionParkStats() { return g_park_stats; }
 const SessionParkStats& GetSessionParkStats() { return g_park_stats; }

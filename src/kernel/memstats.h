@@ -3,10 +3,12 @@
 // The paper reports exact kernel object sizes — a vnode is 64 bytes, an
 // event process 44 bytes, a minimal process 320 bytes — and evaluates the
 // whole system's memory as ~1.5 pages per cached web session. We account
-// with the paper's object sizes for fixed kernel structures, real bytes for
-// labels (src/labels tracks live label heap), real 4 KB pages for simulated
-// user memory, and declared bytes for user-space heaps the simulator does
-// not model at byte granularity (e.g. ok-demux's session table).
+// with the paper's object sizes for fixed kernel structures (a port is a
+// 64-byte vnode), dense 16-byte slots for plain handles, real bytes for
+// labels (src/labels tracks live label heap) and for the per-user binding
+// tables, real 4 KB pages for simulated user memory, and declared bytes for
+// user-space heaps the simulator does not model at byte granularity (e.g.
+// ok-demux's session table).
 #ifndef SRC_KERNEL_MEMSTATS_H_
 #define SRC_KERNEL_MEMSTATS_H_
 
@@ -34,17 +36,6 @@ constexpr uint64_t kHandleTableEntryBytes = 16;
 // node, the stashed uW value, and the two length fields. Username and
 // session-blob bytes are charged on top at their real sizes.
 constexpr uint64_t kParkedSessionOverheadBytes = 48;
-
-// Scale-accounting mode: when enabled, KernelMemReport switches from the
-// paper's fixed per-object figures to the compacted representations this
-// repo actually uses at scale — plain handles are charged as dense
-// handle-table slots instead of full vnodes (handle_table_bytes), and
-// idd/dbproxy per-user bindings are charged as the interned flat table's
-// real bytes (binding_bytes) instead of the modeled std::map heap. Off by
-// default so the Figure 6-9 reproductions keep their historical,
-// paper-calibrated byte accounting bit-for-bit.
-void SetScaleAccountingEnabled(bool enabled);
-bool ScaleAccountingEnabled();
 
 // Parked-session accounting (src/okws/worker.cc). Process-global, like the
 // label/page/store stats: exact for one-kernel worlds.

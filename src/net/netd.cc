@@ -292,6 +292,21 @@ void NetdProcess::SatisfyReads(ProcessContext& ctx, Conn& conn) {
   }
 }
 
+bool NetdProcess::ReplyCapStillNeeded(const Conn& conn) const {
+  const uint64_t cap = conn.reply_cap.value();
+  for (const auto& [tcp_port, listener] : listeners_) {
+    if (listener.notify_port.value() == cap) {
+      return true;
+    }
+  }
+  for (const auto& [value, other] : conns_) {
+    if (value != conn.port.value() && other.reply_cap.value() == cap) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void NetdProcess::CloseConn(ProcessContext& ctx, Conn& conn) {
   ctx.ChargeCycles(costs::kNetdConnTeardownCycles);
   net_->ServerClose(conn.net_conn);
@@ -300,21 +315,16 @@ void NetdProcess::CloseConn(ProcessContext& ctx, Conn& conn) {
   // capability when the connection is ... closed"); without this, netd's
   // send label would grow with every connection ever made.
   ASB_ASSERT(ctx.SetSendLevel(conn.port, kDefaultSendLevel) == Status::kOk);
-  if (release_reply_caps_ && conn.reply_cap.valid()) {
-    // Same §9.3 discipline for the worker's uW: under session parking every
-    // resume mints a fresh uW, so the ⋆ granted per kRead must not outlive
-    // the connection — unless another live connection of the same session
-    // still replies through it.
-    bool shared = false;
-    for (const auto& [value, other] : conns_) {
-      if (value != conn.port.value() && other.reply_cap.value() == conn.reply_cap.value()) {
-        shared = true;
-        break;
-      }
-    }
-    if (!shared) {
-      (void)ctx.SetSendLevel(conn.reply_cap, kDefaultSendLevel);
-    }
+  // Same §9.3 discipline for the last reader's reply port (a worker's uW):
+  // every park/resume generation mints a fresh uW, so the ⋆ granted with a
+  // kRead must not outlive the connection, or netd's send label (and every
+  // send's label work) would grow with every session ever served. Two
+  // exceptions keep a capability netd still needs: another live connection
+  // replies through the same port, or the port is a listener's notify port
+  // (ok-demux peeks with it, so a connection it rejects ends with that port
+  // as the last reader, and netd must keep announcing new connections).
+  if (conn.reply_cap.valid() && !ReplyCapStillNeeded(conn)) {
+    (void)ctx.SetSendLevel(conn.reply_cap, kDefaultSendLevel);
   }
   port_by_conn_.erase(conn.net_conn);
   conns_.erase(conn.port.value());  // `conn` is dangling after this line

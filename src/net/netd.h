@@ -64,16 +64,6 @@ class NetdProcess : public ProcessCode {
   Handle control_port() const { return control_port_; }
   uint64_t connections_accepted() const { return connections_accepted_; }
 
-  // Shed a connection's read-reply capability (the worker's uW, granted ⋆
-  // per kRead) when the connection closes. Off by default: with long-lived
-  // sessions the same uW is re-granted every read, so the label never grows
-  // and the paper-calibrated figure benches stay bit-identical. Session
-  // parking turns this on — each park/resume generation mints a fresh uW,
-  // and without the release netd's send label (and so every send's label
-  // work) would grow with every resume ever performed (§9.3 discipline,
-  // same as the uC release in CloseConn).
-  void set_release_reply_caps(bool on) { release_reply_caps_ = on; }
-
  private:
   struct PendingRead {
     Handle reply_port;
@@ -87,7 +77,7 @@ class NetdProcess : public ProcessCode {
     ConnId net_conn = kNoConn;
     Handle port;   // uC
     Handle taint;  // invalid until ADD_TAINT
-    Handle reply_cap;  // last kRead reply port (uW); shed at close when enabled
+    Handle reply_cap;  // last kRead reply port (uW); shed at close, see CloseConn
     std::string rx;
     bool client_closed = false;
     std::deque<PendingRead> pending_reads;
@@ -107,6 +97,9 @@ class NetdProcess : public ProcessCode {
   // Attempts one read; returns false if it must keep waiting for data.
   bool TryReadReply(ProcessContext& ctx, Conn& conn, const PendingRead& r);
   void CloseConn(ProcessContext& ctx, Conn& conn);
+  // True when conn's reply_cap must keep its ⋆ past close: a listener's
+  // notify port, or the reply port of another live connection.
+  bool ReplyCapStillNeeded(const Conn& conn) const;
   SendArgs TaintedReply(const Conn& conn) const;
   // Bumps the read counter and emits a "netd.read" span for this conn.
   void EmitReadSpan(const Conn& conn, uint64_t bytes);
@@ -125,7 +118,6 @@ class NetdProcess : public ProcessCode {
   std::map<uint64_t, Conn> conns_;           // uC handle value → connection
   std::map<ConnId, uint64_t> port_by_conn_;  // SimNet id → uC handle value
   uint64_t connections_accepted_ = 0;
-  bool release_reply_caps_ = false;
 };
 
 }  // namespace asbestos

@@ -302,12 +302,6 @@ void IddProcess::FinishLogin(ProcessContext& ctx, uint64_t qid, PendingLogin& p)
   id.user_id = p.db_user_id;
   cache_.Put(p.username, id, p.password);
   PersistIdentity(p.username, id, p.password);
-  if (!ScaleAccountingEnabled()) {
-    // Paper-calibrated mode models the old map entry (paper: idd never
-    // cleans its cache); scale mode charges the flat table's real bytes as
-    // KernelMemReport::binding_bytes instead.
-    ctx.ModelHeapBytes(96);
-  }
   // idd must remain reachable from uT-tainted processes (e.g. the password
   // worker proves uG over a tainted channel), so accept this user's taint.
   // It cannot stick: we hold uT at ⋆.

@@ -7,13 +7,6 @@ namespace asbestos {
 OkwsWorld::OkwsWorld(OkwsWorldConfig config) : kernel_(config.boot_key) {
   // Boot the launcher first: it mints the verification handles, including
   // the one netd uses to authenticate LISTEN requests from ok-demux.
-  bool any_service_parks = false;
-  for (const OkwsServiceSpec& service : config.services) {
-    if (service.worker_options.park_idle_sessions) {
-      any_service_parks = true;
-      break;
-    }
-  }
   OkwsLauncherConfig launcher_config;
   launcher_config.tcp_port = config.tcp_port;
   launcher_config.services = std::move(config.services);
@@ -49,11 +42,6 @@ OkwsWorld::OkwsWorld(OkwsWorldConfig config) : kernel_(config.boot_key) {
   // told which process may attach listeners.
   auto netd_code = std::make_unique<NetdProcess>(&net_);
   netd_ = netd_code.get();
-  if (any_service_parks) {
-    // Parking mints a fresh uW per resume; netd must shed retired reply
-    // capabilities or its send label grows with every resume (§9.3).
-    netd_code->set_release_reply_caps(true);
-  }
   SpawnArgs nargs;
   nargs.name = "netd";
   nargs.component = Component::kNetwork;

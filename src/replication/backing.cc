@@ -19,7 +19,7 @@ DurableBacking::DurableBacking(std::string service, const DurableOptions& option
   sopts.shards = options.shards;
   auto store = DurableStore::Open(std::move(sopts));
   if (!store.ok()) {
-    FailStop("open", store.status());
+    DurableFailStop(service_, "open", store.status());
   }
   store_ = store.take();
   store_->ForEach(recover);
@@ -28,8 +28,8 @@ DurableBacking::DurableBacking(std::string service, const DurableOptions& option
   }
 }
 
-void DurableBacking::FailStop(const char* op, Status status) const {
-  ASB_PANIC(StrFormat("%s durable store: %s failed: %s (%d)", service_.c_str(), op,
+void DurableFailStop(const std::string& service, const char* op, Status status) {
+  ASB_PANIC(StrFormat("%s durable store: %s failed: %s (%d)", service.c_str(), op,
                       StatusString(status), static_cast<int>(status))
                 .c_str());
 }
@@ -41,7 +41,7 @@ void DurableBacking::Put(std::string_view key, std::string_view value, const Lab
   }
   const Status s = store_->Put(key, value, secrecy, integrity);
   if (s != Status::kOk) {
-    FailStop("put", s);
+    DurableFailStop(service_, "put", s);
   }
 }
 
@@ -51,7 +51,7 @@ void DurableBacking::Erase(std::string_view key) {
   }
   const Status s = store_->Erase(key);
   if (s != Status::kOk && s != Status::kNotFound) {
-    FailStop("erase", s);
+    DurableFailStop(service_, "erase", s);
   }
 }
 
@@ -60,7 +60,7 @@ void DurableBacking::OnIdle(ProcessContext& ctx) {
     // The returned status acknowledges the previous round's flush.
     const Status s = store_->SyncPipelined();
     if (s != Status::kOk) {
-      FailStop("sync", s);
+      DurableFailStop(service_, "sync", s);
     }
   }
   if (repl_ != nullptr) {

@@ -23,7 +23,8 @@
 // SyncPipelined panics with a message naming the service, the operation
 // and the Status. A server that cannot persist a mutation it has already
 // applied in memory, or boots against state it cannot read, must stop
-// rather than acknowledge work a reboot would lose or limp on empty.
+// rather than acknowledge work a reboot would lose or limp on empty. A
+// follower's replica store shares the policy through DurableFailStop.
 #ifndef SRC_REPLICATION_BACKING_H_
 #define SRC_REPLICATION_BACKING_H_
 
@@ -47,6 +48,9 @@ struct DurableOptions {
   // WAL shipping to followers (src/replication). Requires store_dir.
   ReplicationOptions replication;
 };
+
+// The fail-stop panic: "<service> durable store: <op> failed: <STATUS> (<n>)".
+[[noreturn]] void DurableFailStop(const std::string& service, const char* op, Status status);
 
 class DurableBacking {
  public:
@@ -80,8 +84,6 @@ class DurableBacking {
   const ReplicationEndpoint* replication() const { return repl_.get(); }
 
  private:
-  [[noreturn]] void FailStop(const char* op, Status status) const;
-
   std::string service_;
   std::unique_ptr<DurableStore> store_;
   std::unique_ptr<ReplicationEndpoint> repl_;

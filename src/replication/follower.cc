@@ -2,6 +2,7 @@
 
 #include "src/base/panic.h"
 #include "src/net/netd.h"
+#include "src/replication/backing.h"
 #include "src/sim/costs.h"
 #include "src/sim/cycles.h"
 
@@ -13,7 +14,9 @@ FollowerProcess::FollowerProcess(StoreOptions store_opts, FollowerOptions option
   ropts.auth_token = options.auth_token;
   ropts.follower_id = options.follower_id;
   auto replica = ReplicaStore::Open(std::move(store_opts), ropts);
-  ASB_ASSERT(replica.ok() && "follower replica store failed to open");
+  if (!replica.ok()) {
+    DurableFailStop("follower", "open", replica.status());
+  }
   replica_ = replica.take();
   read_gate_ = std::make_unique<ReadGate>(replica_.get());
 }
@@ -297,7 +300,10 @@ void FollowerProcess::CheckLease(ProcessContext& ctx) {
 }
 
 void FollowerProcess::OnIdle(ProcessContext& ctx) {
-  ASB_ASSERT(replica_->SyncPipelined() == Status::kOk);
+  const Status s = replica_->SyncPipelined();
+  if (s != Status::kOk) {
+    DurableFailStop("follower", "sync", s);
+  }
   CheckLease(ctx);
 }
 

@@ -6,9 +6,11 @@
 #include <sys/resource.h>
 
 #include <csignal>
+#include <fstream>
 #include <map>
 #include <string>
 
+#include "src/replication/follower.h"
 #include "tests/test_util.h"
 
 namespace asbestos {
@@ -78,6 +80,18 @@ TEST(DurableBackingDeathTest, PutPastTheFileSizeLimitFailsStop) {
   TempDir dir;
   EXPECT_DEATH(PutPastTheFileSizeLimit(dir),
                "svc durable store: put failed: BAD_STATE \\(-5\\)");
+}
+
+// A follower's replica store shares the policy: a store it cannot open
+// stops it with the same message shape, never an anonymous assert.
+TEST(DurableBackingDeathTest, FollowerThatCannotOpenItsStoreFailsStop) {
+  TempDir dir;
+  const std::string file = dir.path() + "/not-a-directory";
+  std::ofstream(file) << "x";
+  StoreOptions options;
+  options.dir = file + "/replica";
+  EXPECT_DEATH(FollowerProcess{options},
+               "follower durable store: open failed: NOT_FOUND \\(-3\\)");
 }
 
 }  // namespace

@@ -529,7 +529,7 @@ TEST_F(KernelTest, SelfLabelOperations) {
   });
 }
 
-// The batched pump's contract (SetPumpBatchLimit): the batch size changes
+// The batched pump's contract (Kernel::kPumpBatchLimit): the batch size changes
 // delivery LOCALITY only. Replaying the same OKWS-shaped trace — a server
 // with a deep queue and an OnIdle hook, an echo peer bouncing replies, a
 // label-dropped message mid-queue — at B=1 (unbatched) and B=16 must give
@@ -559,7 +559,7 @@ class IdleCountingEcho : public ScriptedProcess {
 TraceResult RunPumpTrace(uint32_t batch_limit) {
   TraceResult result;
   Kernel kernel(0x7ace);
-  kernel.SetPumpBatchLimit(batch_limit);
+  kernel.SetPumpBatchLimitForTest(batch_limit);
 
   // "Worker": deep-queue server with an OnIdle hook; echoes type-1 requests
   // to the peer's reply port.
@@ -645,7 +645,7 @@ TraceResult RunPumpTrace(uint32_t batch_limit) {
 
 TEST(BatchedPumpTest, BatchLimitNeverChangesOrderCyclesOrIdleCadence) {
   const TraceResult unbatched = RunPumpTrace(1);
-  const TraceResult batched = RunPumpTrace(16);
+  const TraceResult batched = RunPumpTrace(Kernel::kPumpBatchLimit);
 
   EXPECT_EQ(unbatched.drops, 1u);
   EXPECT_EQ(batched.drops, 1u);

@@ -175,17 +175,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LabelChecksPropertyTest,
 
 // --- Flow-check verdict cache ------------------------------------------------
 
-// Restores cache state so these tests cannot leak config into each other.
+// Drops cached verdicts so these tests cannot leak state into each other.
 class LabelCheckCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ResetLabelCheckCache();
-    SetLabelCheckCacheEnabled(true);
-  }
-  void TearDown() override {
-    ResetLabelCheckCache();
-    SetLabelCheckCacheEnabled(true);
-  }
+  void SetUp() override { ResetLabelCheckCache(); }
+  void TearDown() override { ResetLabelCheckCache(); }
 };
 
 TEST_F(LabelCheckCacheTest, HitMissCountersAndVerdictStability) {
@@ -243,9 +237,10 @@ TEST_F(LabelCheckCacheTest, InPlaceMutationNeverServesStaleVerdicts) {
 }
 
 TEST_F(LabelCheckCacheTest, ChargedWorkMatchesUncachedBaselineExactly) {
-  // Run a recurring-tuple workload twice — cached, then uncached — and
-  // require bit-identical LabelWorkStats deltas and per-call work: Figure-9
-  // cost curves must not be able to tell the cache exists.
+  // Run a recurring-tuple workload twice — through the cache, then through
+  // the exported uncached reference — and require bit-identical
+  // LabelWorkStats deltas and per-call work: Figure-9 cost curves must not
+  // be able to tell the cache exists.
   Rng rng(20240731ULL);
   std::vector<Label> es_pool;
   std::vector<Label> qr_pool;
@@ -268,7 +263,7 @@ TEST_F(LabelCheckCacheTest, ChargedWorkMatchesUncachedBaselineExactly) {
   const Label v = Label::Top();
   const Label pr = Label::Top();
 
-  const auto run_workload = [&]() {
+  const auto run_workload = [&](bool cached) {
     std::vector<uint64_t> works;
     std::vector<bool> verdicts;
     for (int round = 0; round < 20; ++round) {
@@ -276,10 +271,12 @@ TEST_F(LabelCheckCacheTest, ChargedWorkMatchesUncachedBaselineExactly) {
         for (size_t j = 0; j < qr_pool.size(); ++j) {
           uint64_t w = 0;
           verdicts.push_back(
-              CheckDeliveryAllowed(es_pool[i], qr_pool[j], dr, v, pr, &w));
+              cached ? CheckDeliveryAllowed(es_pool[i], qr_pool[j], dr, v, pr, &w)
+                     : CheckDeliveryAllowedUncached(es_pool[i], qr_pool[j], dr, v, pr, &w));
           works.push_back(w);
           w = 0;
-          verdicts.push_back(NeedsContamination(es_pool[i], qr_pool[j], &w));
+          verdicts.push_back(cached ? NeedsContamination(es_pool[i], qr_pool[j], &w)
+                                    : NeedsContaminationUncached(es_pool[i], qr_pool[j], &w));
           works.push_back(w);
         }
       }
@@ -287,15 +284,13 @@ TEST_F(LabelCheckCacheTest, ChargedWorkMatchesUncachedBaselineExactly) {
     return std::make_pair(works, verdicts);
   };
 
-  SetLabelCheckCacheEnabled(true);
   ResetLabelWorkStats();
-  const auto cached = run_workload();
+  const auto cached = run_workload(true);
   const LabelWorkStats cached_stats = GetLabelWorkStats();
   EXPECT_GT(GetLabelCheckCacheStats().hits, 0u) << "the workload must actually hit";
 
-  SetLabelCheckCacheEnabled(false);
   ResetLabelWorkStats();
-  const auto uncached = run_workload();
+  const auto uncached = run_workload(false);
   const LabelWorkStats uncached_stats = GetLabelWorkStats();
 
   EXPECT_EQ(cached.first, uncached.first) << "per-call charged work must match";

@@ -32,9 +32,11 @@ TEST(MemStatsTest, ProcessLifecycleBalances) {
   EXPECT_EQ(after.process_bytes, 0u);
   EXPECT_EQ(after.modeled_heap_bytes, 0u);
   EXPECT_EQ(after.page_bytes, 0u) << "simulated pages die with the address space";
-  // The plain (non-port) handle's vnode survives: compartments outlive their
-  // creators (labels elsewhere may still reference the handle).
-  EXPECT_EQ(after.vnode_bytes, kVnodeBytes);
+  // The plain (non-port) handle's dense slot survives: compartments outlive
+  // their creators (labels elsewhere may still reference the handle). The
+  // port's vnode is gone.
+  EXPECT_EQ(after.handle_table_bytes, kHandleTableEntryBytes);
+  EXPECT_EQ(after.vnode_bytes, 0u);
 }
 
 TEST(MemStatsTest, EventProcessLifecycleBalances) {
@@ -194,42 +196,31 @@ TEST(MemStatsTest, LabelBytesAreLive) {
 // --- Million-compartment scale: accounting invariants ----------------------
 
 // total_bytes() must be exactly the sum of every constituent field (and
-// nothing else) in BOTH accounting modes — a new field that forgets to join
-// the sum, or a field double-counted across modes, breaks the Figure-6 and
-// bench_scale numbers silently.
+// nothing else) — a new field that forgets to join the sum, or a field
+// counted twice, breaks the Figure-6 and bench_scale numbers silently.
 TEST(MemStatsTest, TotalBytesIsExactlyTheSumOfItsFields) {
-  for (const bool scale : {false, true}) {
-    SetScaleAccountingEnabled(scale);
-    Kernel kernel(scale ? 31 : 30);
-    SpawnArgs args;
-    args.name = "holder";
-    const ProcessId pid = kernel.CreateProcess(std::make_unique<ScriptedProcess>(), args);
-    kernel.WithProcessContext(pid, [&](ProcessContext& ctx) {
-      ctx.NewHandle();  // plain handles: dense slot (scale) vs full vnode
-      ctx.NewHandle();
-      const Handle port = ctx.NewPort(Label::Top());
-      ASB_ASSERT(ctx.SetPortLabel(port, Label::Top()) == Status::kOk);
-      ctx.AllocPages(1);
-      ctx.ModelHeapBytes(512);
-    });
+  Kernel kernel(31);
+  SpawnArgs args;
+  args.name = "holder";
+  const ProcessId pid = kernel.CreateProcess(std::make_unique<ScriptedProcess>(), args);
+  kernel.WithProcessContext(pid, [&](ProcessContext& ctx) {
+    ctx.NewHandle();  // plain handles: dense slots, not vnodes
+    ctx.NewHandle();
+    const Handle port = ctx.NewPort(Label::Top());
+    ASB_ASSERT(ctx.SetPortLabel(port, Label::Top()) == Status::kOk);
+    ctx.AllocPages(1);
+    ctx.ModelHeapBytes(512);
+  });
 
-    const KernelMemReport r = kernel.MemReport();
-    const uint64_t sum = r.vnode_bytes + r.process_bytes + r.ep_bytes + r.label_bytes +
-                         r.label_intern_index_bytes + r.page_bytes + r.overlay_slot_bytes +
-                         r.queue_bytes + r.queue_arena_bytes + r.modeled_heap_bytes +
-                         r.store_bytes + r.session_bytes + r.binding_bytes +
-                         r.handle_table_bytes;
-    EXPECT_EQ(r.total_bytes(), sum)
-        << (scale ? "scale" : "paper") << " accounting mode";
-    if (scale) {
-      EXPECT_EQ(r.handle_table_bytes, 2 * kHandleTableEntryBytes)
-          << "plain handles must be charged as dense slots";
-    } else {
-      EXPECT_EQ(r.handle_table_bytes, 0u);
-      EXPECT_EQ(r.binding_bytes, 0u);
-    }
-    SetScaleAccountingEnabled(false);
-  }
+  const KernelMemReport r = kernel.MemReport();
+  const uint64_t sum = r.vnode_bytes + r.process_bytes + r.ep_bytes + r.label_bytes +
+                       r.label_intern_index_bytes + r.page_bytes + r.overlay_slot_bytes +
+                       r.queue_bytes + r.queue_arena_bytes + r.modeled_heap_bytes +
+                       r.store_bytes + r.session_bytes + r.binding_bytes +
+                       r.handle_table_bytes;
+  EXPECT_EQ(r.total_bytes(), sum);
+  EXPECT_EQ(r.handle_table_bytes, 2 * kHandleTableEntryBytes)
+      << "plain handles must be charged as dense slots";
 }
 
 // Dedup savings are informational (bytes never allocated): cumulative,

@@ -311,6 +311,101 @@ TEST_F(NetdTest, CloseTearsDownPortAndReleasesCapability) {
   EXPECT_TRUE(net_.ClientSeesClosed(conn));
 }
 
+// §9.3 for the last reader's reply port: netd holds its ⋆ only while a
+// connection still replies through it.
+class NetdReplyCapTest : public NetdTest {
+ protected:
+  // A fresh port of the listener's, not yet granted to netd.
+  Handle NewReplyPort() {
+    Handle port;
+    kernel_.WithProcessContext(listener_, [&](ProcessContext& ctx) {
+      port = ctx.NewPort(Label::Top());
+    });
+    return port;
+  }
+
+  // A consuming read on uc whose reply goes to `reply`, granting netd
+  // reply ⋆ as a worker does with its uW.
+  void ReadVia(Handle uc, Handle reply) {
+    kernel_.WithProcessContext(listener_, [&](ProcessContext& ctx) {
+      Message r;
+      r.type = netd_proto::kRead;
+      r.words = {1, 0, 0, 0};
+      r.reply_port = reply;
+      SendArgs args;
+      args.decont_send = Label({{reply, Level::kStar}}, Level::kL3);
+      EXPECT_EQ(ctx.Send(uc, std::move(r), args), Status::kOk);
+    });
+    kernel_.RunUntilIdle();
+  }
+
+  void Close(Handle uc) {
+    kernel_.WithProcessContext(listener_, [&](ProcessContext& ctx) {
+      Message c;
+      c.type = netd_proto::kControl;
+      c.words = {1, netd_proto::kControlOpClose};
+      EXPECT_EQ(ctx.Send(uc, std::move(c)), Status::kOk);
+    });
+    kernel_.RunUntilIdle();
+    received_.clear();
+  }
+
+  Level NetdSendLevel(Handle h) { return kernel_.SendLabelOf(netd_pid_).Get(h); }
+};
+
+TEST_F(NetdReplyCapTest, FreshReplyPortIsShedAtClose) {
+  ConnId conn;
+  const Handle uc = Connect(&conn);
+  const Handle uw = NewReplyPort();
+  net_.ClientSend(conn, "GET / HTTP/1.0\r\n\r\n");
+  Poll();
+  ReadVia(uc, uw);
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0].msg.type, netd_proto::kReadR);
+  EXPECT_EQ(NetdSendLevel(uw), Level::kStar) << "the read granted uW ⋆";
+  Close(uc);
+  EXPECT_EQ(NetdSendLevel(uw), kDefaultSendLevel)
+      << "netd released the reply capability with the connection (paper §9.3)";
+}
+
+TEST_F(NetdReplyCapTest, SharedReplyPortKeptUntilLastConnectionCloses) {
+  const Handle uc1 = Connect();
+  const Handle uc2 = Connect();
+  const Handle uw = NewReplyPort();
+  ReadVia(uc1, uw);
+  ReadVia(uc2, uw);
+  Close(uc1);
+  EXPECT_EQ(NetdSendLevel(uw), Level::kStar) << "uc2 still replies through uW";
+  Close(uc2);
+  EXPECT_EQ(NetdSendLevel(uw), kDefaultSendLevel);
+}
+
+TEST_F(NetdReplyCapTest, ListenerNotifyPortSurvivesAPeekingReaderClose) {
+  // ok-demux's shape: it peeks with its notify port as the reply port, and a
+  // connection it rejects closes with that port as the last reader.
+  ConnId conn;
+  const Handle uc = Connect(&conn);
+  net_.ClientSend(conn, "GET /missing HTTP/1.0\r\n\r\n");
+  Poll();
+  kernel_.WithProcessContext(listener_, [&](ProcessContext& ctx) {
+    Message r;
+    r.type = netd_proto::kRead;
+    r.words = {1, 0, 1 /*peek*/, 0};
+    r.reply_port = notify_port_;
+    EXPECT_EQ(ctx.Send(uc, std::move(r)), Status::kOk);
+  });
+  kernel_.RunUntilIdle();
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0].msg.type, netd_proto::kReadR);
+  Close(uc);
+  EXPECT_EQ(NetdSendLevel(notify_port_), Level::kStar)
+      << "netd must keep the capability it announces connections with";
+  EXPECT_NE(net_.ClientConnect(80), kNoConn);
+  Poll();
+  ASSERT_EQ(received_.size(), 1u) << "the next connection is still announced";
+  EXPECT_EQ(received_[0].msg.type, netd_proto::kNotifyConn);
+}
+
 TEST_F(NetdTest, UnauthorizedListenerIgnored) {
   // Spawn a netd that only trusts a specific verification handle.
   SimNet net2;

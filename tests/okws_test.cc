@@ -550,6 +550,27 @@ TEST(OkwsFollowerReadTest, ExpiredSessionRefusedIdenticallyOnFollower) {
   EXPECT_EQ(r.status, ReadStatus::kOk);
 }
 
+// §9.3 reply-capability release in a world whose service parks sessions:
+// every request, including the ones demux rejects itself (403, 404), must
+// leave netd able to announce the next connection.
+TEST(OkwsReplyCapTest, ParkingWorldAnswersEveryRequestAfterRejections) {
+  OkwsWorldConfig config;
+  config.users = {{"alice", "pw-a"}, {"bob", "pw-b"}};
+  WorkerOptions parking;
+  parking.park_idle_sessions = true;
+  config.services.push_back(
+      {"echo", [] { return std::make_unique<EchoService>(); }, false, parking});
+  OkwsWorld world(std::move(config));
+  world.PumpUntilReady();
+
+  EXPECT_EQ(FetchFrom(world, "/echo", "alice", "pw-a").status, 200);
+  EXPECT_EQ(FetchFrom(world, "/echo", "alice", "wrong").status, 403);
+  EXPECT_EQ(FetchFrom(world, "/echo", "bob", "pw-b").status, 200);
+  EXPECT_EQ(FetchFrom(world, "/missing", "bob", "pw-b").status, 404);
+  EXPECT_EQ(FetchFrom(world, "/echo", "alice", "pw-a").status, 200)
+      << "a parked session resumes after the rejections";
+}
+
 TEST_F(OkwsTest, PipelineDeliversExactlyOneIddLoginPerUser) {
   auto* idd = world_->kernel().FindProcessByName("idd");
   ASSERT_NE(idd, nullptr);
