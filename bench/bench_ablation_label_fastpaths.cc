@@ -1,9 +1,9 @@
-// Ablation: the asymmetric label fast paths (DESIGN.md §6, EXPERIMENTS.md
-// calibration notes) versus the literal linear evaluation the paper's kernel
-// performs. The fast paths are exact (tests/label_checks_test.cc) and the
-// *charged* virtual cycles stay linear either way; this bench shows the real
-// host-time difference that makes the Figure 7/9 sweeps tractable, and how
-// the naive path scales with label size while the fast path does not.
+// Ablation: the asymmetric label fast paths (README "Host time") versus the
+// literal linear evaluation the paper's kernel performs. The fast paths are
+// exact (tests/label_checks_test.cc) and the *charged* virtual cycles stay
+// linear either way; this bench shows the real host-time difference that
+// makes the Figure 7/9 sweeps tractable, and how the naive path scales with
+// label size while the fast path does not.
 #include <benchmark/benchmark.h>
 
 #include "src/kernel/label_checks.h"

@@ -1,6 +1,7 @@
 // Canonical-label benchmarks: the kernel flow-check cache on recurring
-// OKWS-shaped tuples (cold = uncached baseline, warm = cache hits), and
-// store-recovery label memory with hash-consed dedup.
+// OKWS-shaped tuples (cold = uncached baseline, warm = cache hits), the
+// delivery contamination join of a ⋆-heavy send label into a small worker
+// label, and store-recovery label memory with hash-consed dedup.
 //
 // The acceptance bar for the cache is wall-clock only: warm-cache
 // CheckDeliveryAllowed on recurring tuples must be ≥5× faster than the
@@ -148,6 +149,43 @@ BENCHMARK(BM_ContaminationCheckCold)->Arg(64);
 
 void BM_ContaminationCheckWarm(benchmark::State& state) { RunContaminationCheck(state, true); }
 BENCHMARK(BM_ContaminationCheckWarm)->Arg(64);
+
+// --- Delivery contamination join ---------------------------------------------
+
+// The kernel's delivery join on a login or resume: demux's effective send
+// label (one ⋆ per user plus the user's taint uT 3, default 1) joined into a
+// fresh worker's 5-entry send label (default 1). Every ⋆ entry drops out
+// (⋆ ⊔ 1 is the default), so the result is the worker's 5 entries plus uT 3;
+// the charged work is still the full merge. Arg0: ⋆ entries in the ES.
+void BM_DeliveryJoin(benchmark::State& state) {
+  obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  const uint64_t stride = 2;
+  LabelBuilder eb(Level::kL1);
+  for (uint64_t i = 1; i <= n; ++i) {
+    eb.Append(Handle::FromValue(i * stride), i == n / 2 ? Level::kL3 : Level::kStar);
+  }
+  const Label es = eb.Build();
+  Label qs(Level::kL1);
+  for (uint64_t k = 0; k < 5; ++k) {
+    qs.Set(Handle::FromValue((k + 1) * n * stride / 6 + 1), k % 2 ? Level::kL3 : Level::kL2);
+  }
+  ResetLabelWorkStats();
+  uint64_t result_entries = 0;
+  for (auto _ : state) {
+    Label joined = qs;
+    joined.JoinInPlace(es);
+    result_entries = joined.entry_count();
+    benchmark::DoNotOptimize(joined);
+  }
+  ASB_ASSERT(result_entries == 6);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["es_entries"] = static_cast<double>(n);
+  state.counters["entries_visited_per_join"] =
+      static_cast<double>(GetLabelWorkStats().entries_visited) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_DeliveryJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // --- Store recovery with hash-consed labels ---------------------------------
 

@@ -71,7 +71,7 @@ struct OkwsRunResult {
   // The tentpole metric: total post-run kernel bytes over distinct users.
   double BytesPerUser() const;
 
-  // Label-work telemetry (for calibration notes in EXPERIMENTS.md).
+  // Label-work telemetry (charged entries visited; see README "Host time").
   uint64_t label_entries_visited = 0;
 };
 

@@ -7,7 +7,7 @@
 // closed-loop cost models over a single simulated CPU, calibrated against
 // the paper's own measurements (Mod-Apache ≈ 2,800 conn/s and 999 µs median;
 // Apache+CGI ≈ 1,050 conn/s and 3,374 µs median; see src/sim/costs.h and
-// EXPERIMENTS.md). Neither provides any inter-user isolation — that is the
+// README "Reproducing Figures 6–9"). Neither provides any inter-user isolation — that is the
 // point of the comparison.
 #ifndef SRC_BASELINE_UNIX_SIM_H_
 #define SRC_BASELINE_UNIX_SIM_H_

@@ -44,6 +44,18 @@ bool RowMatches(const std::vector<SqlValue>& row, const std::vector<ResolvedPred
   return true;
 }
 
+// Removes the (key, rid) entry from a multimap index.
+template <typename Index, typename Key>
+void EraseIndexEntry(Index& index, const Key& key, uint64_t rid) {
+  auto [lo, hi] = index.equal_range(key);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == rid) {
+      index.erase(it);
+      return;
+    }
+  }
+}
+
 uint64_t RowBytes(const std::vector<SqlValue>& row) {
   uint64_t bytes = 24;  // per-row bookkeeping
   for (const SqlValue& v : row) {
@@ -83,6 +95,7 @@ Status SqlTable::AddIndex(const std::string& column) {
   for (const auto& [rid, row] : rows_) {
     it->second.emplace(row[static_cast<size_t>(ci)].AsText(), rid);
   }
+  host_indexes_.erase(ci);
   return Status::kOk;
 }
 
@@ -108,9 +121,48 @@ Status SqlTable::InsertRow(std::vector<SqlValue> row) {
   for (auto& [ci, index] : indexes_) {
     index.emplace(row[static_cast<size_t>(ci)].AsText(), rid);
   }
+  for (auto& [ci, index] : host_indexes_) {
+    index.emplace(row[static_cast<size_t>(ci)].TextHash(), rid);
+  }
   approx_bytes_ += RowBytes(row);
   rows_.emplace(rid, std::move(row));
   return Status::kOk;
+}
+
+void SqlTable::SetCell(RowId rid, int column, SqlValue v) {
+  SqlValue& cell = rows_.at(rid)[static_cast<size_t>(column)];
+  if (auto idx = indexes_.find(column); idx != indexes_.end()) {
+    EraseIndexEntry(idx->second, cell.AsText(), rid);
+    idx->second.emplace(v.AsText(), rid);
+  }
+  if (auto idx = host_indexes_.find(column); idx != host_indexes_.end()) {
+    EraseIndexEntry(idx->second, cell.TextHash(), rid);
+    idx->second.emplace(v.TextHash(), rid);
+  }
+  cell = std::move(v);
+}
+
+void SqlTable::EraseRow(RowId rid) {
+  auto row = rows_.find(rid);
+  for (auto& [ci, index] : indexes_) {
+    EraseIndexEntry(index, row->second[static_cast<size_t>(ci)].AsText(), rid);
+  }
+  for (auto& [ci, index] : host_indexes_) {
+    EraseIndexEntry(index, row->second[static_cast<size_t>(ci)].TextHash(), rid);
+  }
+  approx_bytes_ -= RowBytes(row->second);
+  rows_.erase(row);
+}
+
+const SqlTable::HostIndex& SqlTable::HostIndexFor(int column) const {
+  auto [it, inserted] = host_indexes_.try_emplace(column);
+  if (inserted) {
+    it->second.reserve(rows_.size());
+    for (const auto& [rid, row] : rows_) {
+      it->second.emplace(row[static_cast<size_t>(column)].TextHash(), rid);
+    }
+  }
+  return it->second;
 }
 
 std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& where,
@@ -142,7 +194,24 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
     }
     return out;
   }
+  // An equality on an undeclared column: the host index finds the candidate
+  // rows, RowMatches re-checks each (hashes collide, and NULL hashes like
+  // ''), and the charge stays a full scan.
   std::vector<RowId> out;
+  for (const ResolvedPredicate& p : resolved) {
+    if (p.op != SqlCompare::kEq || p.column < 0) {
+      continue;
+    }
+    stats->rows_visited += rows_.size();
+    auto [lo, hi] = HostIndexFor(p.column).equal_range(p.literal->TextHash());
+    for (auto it = lo; it != hi; ++it) {
+      if (RowMatches(rows_.at(it->second), resolved)) {
+        out.push_back(it->second);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
   for (const auto& [rid, row] : rows_) {
     stats->rows_visited += 1;
     if (RowMatches(row, resolved)) {
@@ -312,22 +381,22 @@ Result<QueryResult> SqlDatabase::DoUpdate(const UpdateStmt& stmt) {
     sets.emplace_back(ci, v);
   }
   QueryResult result;
-  for (SqlTable::RowId rid : t->Scan(stmt.where, &result)) {
-    auto& row = t->rows_.at(rid);
+  const std::vector<SqlTable::RowId> ids = t->Scan(stmt.where, &result);
+  // Every target row takes the same new key, so a primary-key assignment is
+  // refused, before any row is written, unless it leaves the key unique.
+  for (const auto& [ci, v] : sets) {
+    if (ids.empty() || !t->columns()[static_cast<size_t>(ci)].primary_key) {
+      continue;
+    }
+    auto [lo, hi] = t->indexes_.at(ci).equal_range(v.AsText());
+    if (ids.size() > 1 ||
+        std::any_of(lo, hi, [&](const auto& entry) { return entry.second != ids[0]; })) {
+      return Status::kAlreadyExists;
+    }
+  }
+  for (SqlTable::RowId rid : ids) {
     for (const auto& [ci, v] : sets) {
-      // Keep affected indexes in sync.
-      auto idx = t->indexes_.find(ci);
-      if (idx != t->indexes_.end()) {
-        auto [lo, hi] = idx->second.equal_range(row[static_cast<size_t>(ci)].AsText());
-        for (auto it = lo; it != hi; ++it) {
-          if (it->second == rid) {
-            idx->second.erase(it);
-            break;
-          }
-        }
-        idx->second.emplace(v.AsText(), rid);
-      }
-      row[static_cast<size_t>(ci)] = v;
+      t->SetCell(rid, ci, v);
     }
     result.rows_affected += 1;
   }
@@ -341,18 +410,7 @@ Result<QueryResult> SqlDatabase::DoDelete(const DeleteStmt& stmt) {
   }
   QueryResult result;
   for (SqlTable::RowId rid : t->Scan(stmt.where, &result)) {
-    auto& row = t->rows_.at(rid);
-    for (auto& [ci, index] : t->indexes_) {
-      auto [lo, hi] = index.equal_range(row[static_cast<size_t>(ci)].AsText());
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == rid) {
-          index.erase(it);
-          break;
-        }
-      }
-    }
-    t->approx_bytes_ -= RowBytes(row);
-    t->rows_.erase(rid);
+    t->EraseRow(rid);
     result.rows_affected += 1;
   }
   return result;

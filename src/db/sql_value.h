@@ -31,6 +31,13 @@ class SqlValue {
   bool operator==(const SqlValue& other) const { return Compare(other) == 0; }
   bool operator<(const SqlValue& other) const { return Compare(other) < 0; }
 
+  // Hash of the textual form (AsText() without the copy). Values that
+  // Compare equal hash equal; NULL hashes like ''.
+  size_t TextHash() const {
+    IntText buf;
+    return std::hash<std::string_view>{}(TextView(buf));
+  }
+
   // Literal syntax: 42 or 'text' (quotes doubled inside).
   std::string ToLiteral() const;
 

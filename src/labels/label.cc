@@ -21,6 +21,20 @@ uint64_t PackEntry(Handle h, Level l) { return (h.value() << 3) | LevelOrdinal(l
 Handle EntryHandle(uint64_t e) { return Handle::FromValue(e >> 3); }
 Level EntryLevel(uint64_t e) { return static_cast<Level>(e & 0x7); }
 
+// The asymmetric fast paths engage when one side is a handful of entries and
+// the other is huge (netd/idd/ok-dbproxy labels grow with the user count).
+// The real merge would be linear in the huge side; these compute the same
+// result via chunk sharing and point lookups, while callers keep *charging*
+// the linear cost (the paper's implementation is linear, §5.6/§9.3; our
+// cycle accounting must stay faithful to it).
+constexpr size_t kAsymmetricSmallLimit = 24;
+constexpr size_t kAsymmetricBigFactor = 8;
+
+bool AsymmetricShapes(size_t small_count, size_t big_count) {
+  return small_count <= kAsymmetricSmallLimit &&
+         big_count >= kAsymmetricBigFactor * (small_count + 8);
+}
+
 }  // namespace
 
 namespace internal {
@@ -81,6 +95,17 @@ void RecomputeChunkExtrema(Chunk* c) {
 }
 
 Handle ChunkFirstHandle(const Chunk* c) { return EntryHandle(c->entries[0]); }
+
+// Index of the first entry in c with handle >= h.
+uint16_t LowerBoundInChunk(const Chunk* c, Handle h) {
+  const uint64_t key = h.value() << 3;
+  const uint64_t* begin = c->entries.get();
+  const uint64_t* end = begin + c->size;
+  // Levels occupy the low 3 bits, so compare on the handle part only.
+  const uint64_t* it = std::lower_bound(begin, end, key,
+                                        [](uint64_t e, uint64_t k) { return (e >> 3) < (k >> 3); });
+  return static_cast<uint16_t>(it - begin);
+}
 
 }  // namespace
 
@@ -186,6 +211,18 @@ Chunk* CloneChunkWithCapacity(const Chunk* c, uint16_t capacity) {
   return copy;
 }
 
+// Whether rep has an entry whose handle value lies in (after, last]. Linear
+// in the rep's chunk count: only ever asked of the small side of a merge.
+bool HasEntryIn(const LabelRep* rep, uint64_t after, uint64_t last) {
+  for (const Chunk* c : rep->chunks) {
+    const uint16_t i = LowerBoundInChunk(c, Handle::FromValue(after + 1));
+    if (i < c->size) {
+      return (c->entries[i] >> 3) <= last;
+    }
+  }
+  return false;
+}
+
 // Sequential reader over a rep's entries in increasing handle order.
 class Cursor {
  public:
@@ -198,17 +235,67 @@ class Cursor {
     SkipToValid();
   }
 
+  // The survivor paths. When a handful of entries meets a huge label, most
+  // of the huge side's entries cannot affect the outcome: entries only it
+  // mentions whose level lies in the dead band [lo, hi] fold into a merge's
+  // default, or pass a ⊑ check. The level histogram counts the rest (the
+  // possible survivors) in O(1). When they and `other`, the small side, are
+  // few, and `sound` says the band is dead for the operation, this cursor
+  // over the huge side skips every chunk it enters whose stored extrema put
+  // all its levels in the band, as long as `other` has no entry between the
+  // end of the previous chunk and the end of the skipped one. The merge loop
+  // has consumed every entry below the previous chunk's end, so the skipped
+  // entries are ones only this side mentions and precede every entry the
+  // loop still examines. Each is charged as visited, as a loop that walked
+  // it would have, so the charged work is exactly the full walk's.
+  Cursor(const LabelRep* rep, const LabelRep* other, bool sound, Level lo, Level hi)
+      : Cursor(rep) {
+    uint64_t count = 0;
+    uint64_t other_count = 0;
+    uint64_t survivors = 0;
+    for (int l = 0; l < 5; ++l) {
+      count += rep->level_counts[l];
+      other_count += other->level_counts[l];
+      survivors += l < LevelOrdinal(lo) || l > LevelOrdinal(hi) ? rep->level_counts[l] : 0;
+    }
+    if (sound && AsymmetricShapes(other_count + survivors, count)) {
+      other_ = other;
+      dead_lo_ = lo;
+      dead_hi_ = hi;
+      SkipDead();
+    }
+  }
+
  private:
   void SkipToValid() {
     while (chunk_ < rep_->chunks.size() && index_ >= rep_->chunks[chunk_]->size) {
       ++chunk_;
       index_ = 0;
+      if (other_ != nullptr) {
+        SkipDead();
+      }
+    }
+  }
+
+  void SkipDead() {
+    for (; chunk_ < rep_->chunks.size(); ++chunk_) {
+      const Chunk* c = rep_->chunks[chunk_];
+      const Chunk* prev = chunk_ == 0 ? nullptr : rep_->chunks[chunk_ - 1];
+      const uint64_t after = prev == nullptr ? 0 : prev->entries[prev->size - 1] >> 3;
+      if (!LevelLeq(dead_lo_, c->min_level) || !LevelLeq(c->max_level, dead_hi_) ||
+          HasEntryIn(other_, after, c->entries[c->size - 1] >> 3)) {
+        return;
+      }
+      g_work.entries_visited += c->size;
     }
   }
 
   const LabelRep* rep_;
   size_t chunk_ = 0;
   uint16_t index_ = 0;
+  const LabelRep* other_ = nullptr;
+  Level dead_lo_ = Level::kStar;
+  Level dead_hi_ = Level::kStar;
 };
 
 // Entry-less default labels ({⋆}, {1}, {2}, {3}) are ubiquitous — every
@@ -509,17 +596,6 @@ size_t FindChunkIndex(const LabelRep* rep, Handle h) {
   return lo == 0 ? SIZE_MAX : lo - 1;
 }
 
-// Index of the first entry in c with handle >= h.
-uint16_t LowerBoundInChunk(const Chunk* c, Handle h) {
-  const uint64_t key = h.value() << 3;
-  const uint64_t* begin = c->entries.get();
-  const uint64_t* end = begin + c->size;
-  // Levels occupy the low 3 bits, so compare on the handle part only.
-  const uint64_t* it = std::lower_bound(begin, end, key,
-                                        [](uint64_t e, uint64_t k) { return (e >> 3) < (k >> 3); });
-  return static_cast<uint16_t>(it - begin);
-}
-
 }  // namespace
 
 Level Label::Get(Handle h) const {
@@ -530,7 +606,7 @@ Level Label::Get(Handle h) const {
     return rep->default_level;
   }
   const Chunk* c = rep->chunks[ci];
-  const uint16_t i = LowerBoundInChunk(c, h);
+  const uint16_t i = internal::LowerBoundInChunk(c, h);
   if (i < c->size && EntryHandle(c->entries[i]) == h) {
     return EntryLevel(c->entries[i]);
   }
@@ -544,7 +620,7 @@ bool Label::HasExplicit(Handle h) const {
     return false;
   }
   const Chunk* c = rep->chunks[ci];
-  const uint16_t i = LowerBoundInChunk(c, h);
+  const uint16_t i = internal::LowerBoundInChunk(c, h);
   return i < c->size && EntryHandle(c->entries[i]) == h;
 }
 
@@ -573,7 +649,7 @@ void Label::Set(Handle h, Level l) {
   uint16_t pos = 0;
   if (ci != SIZE_MAX) {
     const Chunk* c = rep->chunks[ci];
-    pos = LowerBoundInChunk(c, h);
+    pos = internal::LowerBoundInChunk(c, h);
     exists = pos < c->size && EntryHandle(c->entries[pos]) == h;
     if (exists && EntryLevel(c->entries[pos]) == l) {
       return;  // no change
@@ -673,7 +749,7 @@ void Label::Set(Handle h, Level l) {
     target = copy;
   }
   Chunk* c = target;
-  const uint16_t ins = LowerBoundInChunk(c, h);
+  const uint16_t ins = internal::LowerBoundInChunk(c, h);
   g_work.entries_visited += c->size;
   std::memmove(&c->entries[ins + 1], &c->entries[ins], (c->size - ins) * sizeof(uint64_t));
   c->entries[ins] = PackEntry(h, l);
@@ -681,24 +757,6 @@ void Label::Set(Handle h, Level l) {
   internal::RecomputeChunkExtrema(c);
   internal::RecomputeRepExtrema(rep);
 }
-
-namespace {
-
-// The asymmetric fast paths engage when one side is a handful of entries and
-// the other is huge (netd/idd/ok-dbproxy labels grow with the user count).
-// The real merge would be linear in the huge side; these compute the same
-// result via chunk sharing and point lookups, while callers keep *charging*
-// the linear cost (the paper's implementation is linear, §5.6/§9.3; our
-// cycle accounting must stay faithful to it).
-constexpr size_t kAsymmetricSmallLimit = 24;
-constexpr size_t kAsymmetricBigFactor = 8;
-
-bool AsymmetricShapes(size_t small_count, size_t big_count) {
-  return small_count <= kAsymmetricSmallLimit &&
-         big_count >= kAsymmetricBigFactor * (small_count + 8);
-}
-
-}  // namespace
 
 bool Label::Leq(const Label& other) const {
   g_work.ops += 1;
@@ -743,8 +801,8 @@ bool Label::Leq(const Label& other) const {
     }
     return true;
   }
-  internal::Cursor ca(a);
-  internal::Cursor cb(b);
+  internal::Cursor ca(a, b, true, Level::kStar, b->default_level);
+  internal::Cursor cb(b, a, true, a->default_level, Level::kL3);
   while (!ca.done() || !cb.done()) {
     g_work.entries_visited += 1;
     if (cb.done() || (!ca.done() && EntryHandle(ca.entry()) < EntryHandle(cb.entry()))) {
@@ -801,17 +859,18 @@ Label Label::Lub(const Label& a, const Label& b) {
       return result;
     }
   }
-  const Level def = LevelMax(ra->default_level, rb->default_level);
-  internal::RepBuilder out(def);
-  internal::Cursor ca(ra);
-  internal::Cursor cb(rb);
+  const Level da = ra->default_level;
+  const Level db = rb->default_level;
+  internal::RepBuilder out(LevelMax(da, db));
+  internal::Cursor ca(ra, rb, LevelLeq(da, db), Level::kStar, db);
+  internal::Cursor cb(rb, ra, LevelLeq(db, da), Level::kStar, da);
   while (!ca.done() || !cb.done()) {
     g_work.entries_visited += 1;
     if (cb.done() || (!ca.done() && EntryHandle(ca.entry()) < EntryHandle(cb.entry()))) {
-      out.Append(EntryHandle(ca.entry()), LevelMax(EntryLevel(ca.entry()), rb->default_level));
+      out.Append(EntryHandle(ca.entry()), LevelMax(EntryLevel(ca.entry()), db));
       ca.Advance();
     } else if (ca.done() || EntryHandle(cb.entry()) < EntryHandle(ca.entry())) {
-      out.Append(EntryHandle(cb.entry()), LevelMax(EntryLevel(cb.entry()), ra->default_level));
+      out.Append(EntryHandle(cb.entry()), LevelMax(EntryLevel(cb.entry()), da));
       cb.Advance();
     } else {
       out.Append(EntryHandle(ca.entry()),
@@ -850,17 +909,18 @@ Label Label::Glb(const Label& a, const Label& b) {
       return result;
     }
   }
-  const Level def = LevelMin(ra->default_level, rb->default_level);
-  internal::RepBuilder out(def);
-  internal::Cursor ca(ra);
-  internal::Cursor cb(rb);
+  const Level da = ra->default_level;
+  const Level db = rb->default_level;
+  internal::RepBuilder out(LevelMin(da, db));
+  internal::Cursor ca(ra, rb, LevelLeq(db, da), db, Level::kL3);
+  internal::Cursor cb(rb, ra, LevelLeq(da, db), da, Level::kL3);
   while (!ca.done() || !cb.done()) {
     g_work.entries_visited += 1;
     if (cb.done() || (!ca.done() && EntryHandle(ca.entry()) < EntryHandle(cb.entry()))) {
-      out.Append(EntryHandle(ca.entry()), LevelMin(EntryLevel(ca.entry()), rb->default_level));
+      out.Append(EntryHandle(ca.entry()), LevelMin(EntryLevel(ca.entry()), db));
       ca.Advance();
     } else if (ca.done() || EntryHandle(cb.entry()) < EntryHandle(ca.entry())) {
-      out.Append(EntryHandle(cb.entry()), LevelMin(EntryLevel(cb.entry()), ra->default_level));
+      out.Append(EntryHandle(cb.entry()), LevelMin(EntryLevel(cb.entry()), da));
       cb.Advance();
     } else {
       out.Append(EntryHandle(ca.entry()),

@@ -179,7 +179,7 @@ void IddProcess::SendPrivQuery(ProcessContext& ctx, uint64_t qid, const std::str
 void IddProcess::BeginSeeding(ProcessContext& ctx) {
   // The password table deliberately has no index on USERNAME: first-time
   // logins pay a scan, reproducing the paper's growing OKDB cost
-  // (Figure 9; see EXPERIMENTS.md).
+  // (Figure 9; see README "Host time").
   //
   // Against a persistent dbproxy the table may already exist WITH its rows;
   // once the CREATE resolves, a row probe decides whether to insert

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "src/db/sql_engine.h"
 #include "src/db/sql_parser.h"
@@ -238,6 +239,118 @@ TEST_F(SqlEngineTest, PrimaryKeyUniqueness) {
   auto dup = db_.Execute("INSERT INTO pk (id, v) VALUES (1, 'b')");
   EXPECT_FALSE(dup.ok());
   EXPECT_EQ(dup.status(), Status::kAlreadyExists);
+}
+
+TEST_F(SqlEngineTest, UpdateCannotDuplicateAPrimaryKey) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE pk (id INTEGER PRIMARY KEY, name TEXT)").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO pk (id, name) VALUES (1, 'a'), (2, 'b')").ok());
+  EXPECT_EQ(db_.Execute("UPDATE pk SET id = 1 WHERE name = 'b'").status(),
+            Status::kAlreadyExists);
+  // Two target rows would share the new key even though no row holds it yet.
+  EXPECT_EQ(db_.Execute("UPDATE pk SET id = 3, name = 'c' WHERE id > 0").status(),
+            Status::kAlreadyExists);
+  // Refused statements write nothing.
+  auto one = db_.Execute("SELECT name FROM pk WHERE id = 1");
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->rows.size(), 1u);
+  EXPECT_EQ(one->rows[0][0].AsText(), "a");
+  auto two = db_.Execute("SELECT name FROM pk WHERE id = 2");
+  ASSERT_TRUE(two.ok());
+  ASSERT_EQ(two->rows.size(), 1u);
+  EXPECT_EQ(two->rows[0][0].AsText(), "b");
+  EXPECT_EQ(db_.Execute("SELECT * FROM pk WHERE name = 'c'")->rows.size(), 0u);
+  // A row may keep its own key, or move to a free one.
+  EXPECT_EQ(db_.Execute("UPDATE pk SET id = 2 WHERE name = 'b'")->rows_affected, 1u);
+  EXPECT_EQ(db_.Execute("UPDATE pk SET id = 3 WHERE name = 'b'")->rows_affected, 1u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 3")->rows.size(), 1u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 2")->rows.size(), 0u);
+}
+
+// An equality on an undeclared column is found through a host-only index,
+// but must answer exactly as the full scan it is charged as. `v >= L AND
+// v <= L` selects the same rows as `v = L` and never uses an index, so it is
+// the forced full scan to compare against.
+class HostIndexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (SqlDatabase* db : {&db_, &scan_db_}) {
+      ASSERT_TRUE(db->Execute("CREATE TABLE t (tag INTEGER, v TEXT)").ok());
+      ASSERT_TRUE(db->Execute("INSERT INTO t (tag, v) VALUES (1, 10), (2, '10'), (3, '010'), "
+                              "(4, NULL), (5, ''), (6, 'x'), (7, 10), (8, NULL), (9, ''), "
+                              "(10, '9'), (11, 9)")
+                      .ok());
+    }
+  }
+
+  // Runs `stmt` (ending in "WHERE") with `v = literal` on db_ and with the
+  // forced full scan on scan_db_, and checks they agree.
+  void ExpectSameAsScan(const std::string& stmt, const std::string& literal) {
+    auto eq = db_.Execute(stmt + " v = " + literal);
+    auto scan = scan_db_.Execute(stmt + " v >= " + literal + " AND v <= " + literal);
+    ASSERT_TRUE(eq.ok() && scan.ok()) << stmt << literal;
+    EXPECT_EQ(eq->rows_affected, scan->rows_affected) << stmt << literal;
+    ASSERT_EQ(eq->rows.size(), scan->rows.size()) << stmt << literal;
+    for (size_t i = 0; i < eq->rows.size(); ++i) {
+      EXPECT_EQ(eq->rows[i][0].AsInt(), scan->rows[i][0].AsInt()) << stmt << literal;
+    }
+    EXPECT_EQ(eq->rows_visited, scan->rows_visited) << "the index is uncharged";
+    EXPECT_EQ(eq->index_probes, 0u);
+    EXPECT_FALSE(db_.FindTable("T")->HasIndex("V"));
+  }
+
+  void ExpectSelectsAgree() {
+    for (const char* literal : {"10", "'10'", "'010'", "9", "'9'", "NULL", "''", "'x'", "'moved'",
+                                "'absent'"}) {
+      ExpectSameAsScan("SELECT tag FROM t WHERE", literal);
+    }
+  }
+
+  SqlDatabase db_;
+  SqlDatabase scan_db_;
+};
+
+TEST_F(HostIndexTest, SelectMatchesTheFullScanAndChargesEveryRow) {
+  ExpectSelectsAgree();
+  auto r = db_.Execute("SELECT tag FROM t WHERE v = '10'");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 3u) << "10 and '10' compare equal by text; '010' does not";
+  EXPECT_EQ(r->rows[0][0].AsInt(), 1);
+  EXPECT_EQ(r->rows[1][0].AsInt(), 2);
+  EXPECT_EQ(r->rows[2][0].AsInt(), 7);
+  EXPECT_EQ(r->rows_visited, db_.FindTable("T")->row_count());
+  EXPECT_EQ(db_.Execute("SELECT tag FROM t WHERE v = NULL")->rows.size(), 2u)
+      << "NULL matches only NULL, not ''";
+  EXPECT_EQ(db_.Execute("SELECT tag FROM t WHERE v = ''")->rows.size(), 2u);
+}
+
+TEST_F(HostIndexTest, StaysCorrectAcrossUpdatesAndDeletesOfTheFilteredColumn) {
+  ExpectSelectsAgree();  // builds the index before the mutations
+  ExpectSameAsScan("UPDATE t SET v = 'moved' WHERE", "'10'");
+  ExpectSelectsAgree();
+  ExpectSameAsScan("UPDATE t SET v = NULL WHERE", "''");
+  ExpectSelectsAgree();
+  ExpectSameAsScan("UPDATE t SET v = 10 WHERE", "'9'");
+  ExpectSelectsAgree();
+  ExpectSameAsScan("DELETE FROM t WHERE", "NULL");
+  ExpectSelectsAgree();
+  ExpectSameAsScan("DELETE FROM t WHERE", "10");
+  ExpectSelectsAgree();
+  for (SqlDatabase* db : {&db_, &scan_db_}) {
+    ASSERT_TRUE(db->Execute("INSERT INTO t (tag, v) VALUES (12, 10), (13, NULL)").ok());
+  }
+  ExpectSelectsAgree();
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows.size(),
+            scan_db_.Execute("SELECT * FROM t")->rows.size());
+}
+
+TEST_F(HostIndexTest, ADeclaredIndexTakesOverAndIsCharged) {
+  ExpectSelectsAgree();
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byv ON t (v)").ok());
+  auto r = db_.Execute("SELECT tag FROM t WHERE v = '10'");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 3u);
+  EXPECT_EQ(r->rows_visited, 3u);
+  EXPECT_EQ(r->index_probes, 1u);
 }
 
 TEST_F(SqlEngineTest, ErrorsOnUnknownNames) {
