@@ -1,7 +1,8 @@
-// Durable-store microbenchmarks: label pickle/unpickle throughput, WAL
-// append rate, sharded put/group-commit throughput, and recovery time versus
-// record count. These bound the cost of the durability layer that backs the
-// file server and idd — the paper's performance story (Figures 7-9) assumes
+// Durable-store microbenchmarks: label pickle/unpickle throughput, CRC-32
+// and WAL append rate, sharded put/group-commit throughput, dbproxy's
+// whole-table image write, and recovery time versus record count. These
+// bound the cost of the durability layer that backs the file server and
+// idd — the paper's performance story (Figures 7-9) assumes
 // storage is not the bottleneck, and this bench is where we check that
 // assumption as the store grows features (replication is the remaining
 // ROADMAP follow-on).
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "src/base/panic.h"
+#include "src/db/dbproxy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/reset.h"
 #include "src/labels/label.h"
@@ -96,6 +98,77 @@ void BM_UnpickleLabel(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * pickled.size()));
 }
 BENCHMARK(BM_UnpickleLabel)->Arg(0)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+// --- CRC-32 ----------------------------------------------------------------
+
+// Every WAL frame, snapshot and replication frame is checksummed; 36 KiB is
+// the size of the notes table image a dbproxy write appends.
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * data.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(1024)->Arg(36 * 1024);
+
+// --- dbproxy table image ---------------------------------------------------
+
+// One privileged UPDATE on a durable dbproxy whose notes table holds Arg
+// rows (250 owners, 8 notes each at 2,000): the write re-encodes the whole
+// table/NOTES image, hidden USER_ID column included, and appends it to the
+// store's log, which the end-of-pump group commit then flushes.
+void BM_DbproxyTableImage(benchmark::State& state) {
+  obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
+  std::string dir = MakeRamDir();
+  if (dir.empty()) {
+    dir = MakeTempDir();
+  }
+  {
+    Kernel kernel(0x1a6e);
+    DurableOptions opts;
+    opts.store_dir = dir + "/dbproxy";
+    auto code = std::make_unique<DbproxyProcess>(opts);
+    DbproxyProcess* proxy = code.get();
+    SpawnArgs args;
+    args.name = "dbproxy";
+    args.component = Component::kOkdb;
+    const ProcessId pid = kernel.CreateProcess(std::move(code), args);
+    // The proxy holds its own priv port's capability, so it can send itself
+    // privileged statements; with no reply port nothing comes back.
+    const auto exec = [&](const std::string& sql) {
+      kernel.WithProcessContext(pid, [&](ProcessContext& ctx) {
+        Message q;
+        q.type = dbproxy_proto::kQuery;
+        q.words = {1, 0};
+        q.data = "\n" + sql;
+        ASB_ASSERT(ctx.Send(proxy->priv_port(), std::move(q)) == Status::kOk);
+      });
+      kernel.RunUntilIdle();
+    };
+    exec("CREATE TABLE notes (text TEXT)");
+    std::string insert = "INSERT INTO notes (text, USER_ID) VALUES ";
+    for (int64_t row = 0; row < state.range(0); ++row) {
+      insert += (row == 0 ? "('note " : ", ('note ") + std::to_string(row) + "', " +
+                std::to_string(row % 250 + 1) + ")";
+    }
+    exec(insert);
+    uint64_t i = 0;
+    for (auto _ : state) {
+      exec(std::string("UPDATE notes SET text = 'edit ") + (i++ % 2 == 0 ? "a" : "b") +
+           "' WHERE USER_ID = 1");
+    }
+    const StoreRecord* image = proxy->store()->Get("table/NOTES");
+    ASB_ASSERT(image != nullptr);
+    state.counters["image_bytes"] = static_cast<double>(image->value.size());
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image->value.size()));
+  }
+  RemoveTree(dir);
+}
+BENCHMARK(BM_DbproxyTableImage)->Arg(2000);
 
 // --- WAL append rate -------------------------------------------------------
 

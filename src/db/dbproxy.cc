@@ -1,6 +1,7 @@
 #include "src/db/dbproxy.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "src/base/panic.h"
 #include "src/base/strings.h"
@@ -39,30 +40,27 @@ void AddHiddenUserIdColumn(CreateTableStmt* create) {
   create->columns.push_back(std::move(uid));
 }
 
-std::string EncodeTableRows(const QueryResult& result) {
-  std::string out;
-  codec::AppendVarint(result.rows.size(), &out);
-  for (const auto& row : result.rows) {
-    codec::AppendString(EncodeDbRow(row), &out);
+// Appends the first `columns` fields of `row`, each "<type>:<len>:<bytes>".
+void AppendDbRow(const std::vector<SqlValue>& row, size_t columns, std::string* out) {
+  for (size_t c = 0; c < columns; ++c) {
+    const SqlValue& v = row[c];
+    SqlValue::IntText buf;
+    const std::string_view text = v.TextView(buf);
+    SqlValue::IntText len;
+    char* len_end = std::to_chars(len.data(), len.data() + len.size(), text.size()).ptr;
+    out->push_back(v.is_null() ? 'n' : (v.is_int() ? 'i' : 't'));
+    out->push_back(':');
+    out->append(len.data(), len_end);
+    out->push_back(':');
+    out->append(text);
   }
-  return out;
 }
 
 }  // namespace
 
 std::string EncodeDbRow(const std::vector<SqlValue>& row) {
   std::string out;
-  for (const SqlValue& v : row) {
-    if (v.is_null()) {
-      out += "n:0:";
-    } else if (v.is_int()) {
-      const std::string text = v.AsText();
-      out += StrFormat("i:%zu:%s", text.size(), text.c_str());
-    } else {
-      const std::string text = v.AsText();
-      out += StrFormat("t:%zu:%s", text.size(), text.c_str());
-    }
-  }
+  AppendDbRow(row, row.size(), &out);
   return out;
 }
 
@@ -70,7 +68,7 @@ bool DecodeDbRow(std::string_view data, std::vector<SqlValue>* out) {
   out->clear();
   size_t i = 0;
   while (i < data.size()) {
-    if (i + 2 > data.size() || data[i + 1] != ':') {
+    if (data.size() - i < 2 || data[i + 1] != ':') {
       return false;
     }
     const char type = data[i];
@@ -84,23 +82,25 @@ bool DecodeDbRow(std::string_view data, std::vector<SqlValue>* out) {
       return false;
     }
     i = colon + 1;
-    if (i + len > data.size()) {
+    if (len > data.size() - i) {
       return false;
     }
-    const std::string bytes(data.substr(i, len));
+    const std::string_view bytes = data.substr(i, len);
     i += len;
     if (type == 'n') {
       out->emplace_back();
     } else if (type == 'i') {
-      uint64_t magnitude = 0;
-      const bool negative = !bytes.empty() && bytes[0] == '-';
-      if (!ParseUint64(negative ? std::string_view(bytes).substr(1) : bytes, &magnitude)) {
+      // The whole field must be one in-range int64: no wrap-around of an
+      // over-long magnitude, and INT64_MIN parses without negating.
+      int64_t v = 0;
+      const char* end = bytes.data() + bytes.size();
+      const std::from_chars_result r = std::from_chars(bytes.data(), end, v);
+      if (r.ec != std::errc() || r.ptr != end) {
         return false;
       }
-      const auto v = static_cast<int64_t>(magnitude);
-      out->emplace_back(SqlValue(negative ? -v : v));
+      out->emplace_back(SqlValue(v));
     } else if (type == 't') {
-      out->emplace_back(SqlValue(bytes));
+      out->emplace_back(SqlValue(std::string(bytes)));
     } else {
       return false;
     }
@@ -187,19 +187,22 @@ void DbproxyProcess::PersistSchema(const std::string& sql) {
 }
 
 void DbproxyProcess::PersistTable(const std::string& table) {
-  SqlTable* t = db_.FindTable(table);
+  const SqlTable* t = db_.FindTable(table);
   if (t == nullptr) {
     return;
   }
-  // Full-width engine-level read (no worker rewrite): the hidden USER_ID
-  // column is exactly what must survive the reboot.
-  SelectStmt sel;
-  sel.table = table;
-  sel.star = true;
-  auto result = db_.ExecuteStmt(SqlStatement(sel));
-  ASB_ASSERT(result.ok());
-  backing_.Put(std::string(kTablePrefix) + table, EncodeTableRows(result.value()), Label::Bottom(),
-               Label::Top());
+  // The full-width rows, hidden USER_ID column included: exactly what must
+  // survive the reboot. A varint row count, then each encoded row
+  // length-prefixed, in the order an unordered SELECT * returns them.
+  std::string image;
+  std::string row_bytes;
+  codec::AppendVarint(t->row_count(), &image);
+  t->ForEachRow([&](const std::vector<SqlValue>& row) {
+    row_bytes.clear();
+    AppendDbRow(row, row.size(), &row_bytes);
+    codec::AppendString(row_bytes, &image);
+  });
+  backing_.Put(std::string(kTablePrefix) + table, image, Label::Bottom(), Label::Top());
 }
 
 void DbproxyProcess::PersistBinding(const std::string& username, const Binding& b) {
@@ -537,9 +540,8 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
 
   if (const auto* sel = std::get_if<SelectStmt>(&stmt)) {
     (void)sel;
-    for (auto row : result.value().rows) {
+    for (const auto& row : result.value().rows) {
       const int64_t owner = row.back().AsInt();
-      row.pop_back();  // strip the hidden column
       SendArgs args;
       if (owner != 0) {
         const Binding* owner_binding = bindings_.FindById(owner);
@@ -550,10 +552,12 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
         // the kernel drops rows the receiver may not see.
         args.contaminate = Label({{owner_binding->taint, Level::kL3}}, Level::kStar);
       }
+      std::string data;
+      AppendDbRow(row, row.size() - 1, &data);  // strip the hidden column
       Message r;
       r.type = MessageType::kRow;
       r.words = {cookie};
-      r.data = EncodeDbRow(row);
+      r.data = std::move(data);
       ctx.Send(msg.reply_port, std::move(r), args);
     }
   }

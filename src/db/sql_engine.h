@@ -36,6 +36,15 @@ class SqlTable {
   Status AddIndex(const std::string& column);
   bool HasIndex(const std::string& column) const;
 
+  // Visits every row at full width in row-id order, the order an unordered
+  // SELECT * returns them. Host-side only: nothing is charged.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    for (const auto& [rid, row] : rows_) {
+      fn(row);
+    }
+  }
+
  private:
   friend class SqlDatabase;
 

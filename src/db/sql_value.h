@@ -41,13 +41,13 @@ class SqlValue {
   // Literal syntax: 42 or 'text' (quotes doubled inside).
   std::string ToLiteral() const;
 
- private:
   // Room for any int64 in decimal ("-9223372036854775808" is 20 chars).
   using IntText = std::array<char, 24>;
   // AsText() without the copy: a view of the string, or of an int's decimal
   // form written into `buf`; empty for null.
   std::string_view TextView(IntText& buf) const;
 
+ private:
   std::variant<std::monostate, int64_t, std::string> v_;
 };
 

@@ -1199,30 +1199,40 @@ bool Kernel::DeliverFromPort(Vnode& port) {
   return false;
 }
 
-void Kernel::AddQueueAccounting(const QueuedMessage& qm) {
+void Kernel::AddQueueAccounting(QueuedMessage& qm) {
   mem_.queued_message_bytes +=
       qm.msg.words.size() * sizeof(uint64_t) + kQueuedMessageOverheadBytes;
-  const void* id = qm.msg.data.buffer_id();
-  if (id != nullptr) {
-    auto& entry = queued_buf_refs_[id];
-    if (entry.first++ == 0) {
-      entry.second = qm.msg.data.buffer_bytes();
-      mem_.queued_message_bytes += entry.second;
-    }
+  const uint64_t bytes = qm.msg.data.buffer_bytes();
+  if (bytes == 0) {
+    return;  // no buffer, or an empty one: nothing to charge
+  }
+  if (qm.msg.data.use_count() == 1) {
+    qm.sole_buffer_bytes = bytes;
+    mem_.queued_message_bytes += bytes;
+    return;
+  }
+  auto& entry = queued_buf_refs_[qm.msg.data.buffer_id()];
+  if (entry.first++ == 0) {
+    entry.second = bytes;
+    mem_.queued_message_bytes += bytes;
   }
 }
 
 void Kernel::SubQueueAccounting(const QueuedMessage& qm) {
   mem_.queued_message_bytes -=
       qm.msg.words.size() * sizeof(uint64_t) + kQueuedMessageOverheadBytes;
-  const void* id = qm.msg.data.buffer_id();
-  if (id != nullptr) {
-    auto it = queued_buf_refs_.find(id);
-    ASB_ASSERT(it != queued_buf_refs_.end() && it->second.first > 0);
-    if (--it->second.first == 0) {
-      mem_.queued_message_bytes -= it->second.second;
-      queued_buf_refs_.erase(it);
-    }
+  if (qm.sole_buffer_bytes != 0) {
+    mem_.queued_message_bytes -= qm.sole_buffer_bytes;
+    return;
+  }
+  if (qm.msg.data.buffer_bytes() == 0) {
+    return;
+  }
+  auto it = queued_buf_refs_.find(qm.msg.data.buffer_id());
+  ASB_ASSERT(it != queued_buf_refs_.end() && it->second.first > 0);
+  if (--it->second.first == 0) {
+    mem_.queued_message_bytes -= it->second.second;
+    queued_buf_refs_.erase(it);
   }
 }
 

@@ -302,6 +302,10 @@ class Kernel {
     Label decont_send;       // D_S
     Label decont_receive;    // D_R
     uint64_t payload_bytes = 0;
+    // Nonzero when this message was its payload buffer's only holder at
+    // send: nothing else can alias the buffer while it is queued, so its
+    // bytes are recorded here rather than refcounted in queued_buf_refs_.
+    uint64_t sole_buffer_bytes = 0;
     // Sender process name, filled only while the event log is enabled (the
     // paper's kernel does not tell receivers who sent; this exists solely
     // so taint edges can point at their source).
@@ -397,7 +401,7 @@ class Kernel {
   // Queue accounting for an enqueued/dequeued message: envelope + inline
   // words always; the payload buffer once per unique buffer (a K-way
   // fan-out of one Payload adds its bytes to queue_bytes exactly once).
-  void AddQueueAccounting(const QueuedMessage& qm);
+  void AddQueueAccounting(QueuedMessage& qm);
   void SubQueueAccounting(const QueuedMessage& qm);
   void DestroyEventProcess(Process& proc, EpId ep_id);
   void DestroyProcess(Process& proc);
@@ -427,9 +431,10 @@ class Kernel {
 
   KernelStats stats_;
   KernelMemCounters mem_;
-  // Refcounts of payload buffers currently sitting in message queues:
+  // Refcounts of shared payload buffers currently sitting in message queues:
   // buffer id → (queued references, buffer bytes). queue_bytes charges a
   // buffer's bytes while the count is nonzero — shared fan-out counts once.
+  // Sole-owner and empty buffers never enter the map.
   std::unordered_map<const void*, std::pair<uint64_t, uint64_t>> queued_buf_refs_;
   uint32_t pump_batch_limit_ = kPumpBatchLimit;
   uint64_t peak_total_bytes_ = 0;

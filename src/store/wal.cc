@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -40,20 +41,40 @@ Status WriteAll(int fd, const char* data, size_t n) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+  // Slicing-by-8: table k maps a byte to its CRC contribution k bytes
+  // further along, so one step folds eight bytes with eight lookups.
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
+  // Words are assembled from bytes, so the result is the same on any host.
+  const auto word_le = [](const uint8_t* p) {
+    return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+  };
+  const auto* p = reinterpret_cast<const uint8_t*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : data) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ word_le(p);
+    const uint32_t hi = word_le(p + 4);
+    crc = tables[7][lo & 0xFF] ^ tables[6][(lo >> 8) & 0xFF] ^ tables[5][(lo >> 16) & 0xFF] ^
+          tables[4][lo >> 24] ^ tables[3][hi & 0xFF] ^ tables[2][(hi >> 8) & 0xFF] ^
+          tables[1][(hi >> 16) & 0xFF] ^ tables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = tables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

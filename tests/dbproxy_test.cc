@@ -3,7 +3,13 @@
 // on reads, and declassified rows.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/db/dbproxy.h"
+#include "src/store/label_codec.h"
 #include "tests/test_util.h"
 
 namespace asbestos {
@@ -309,6 +315,181 @@ TEST_F(DbproxyTest, DeclassifyRequiresStarInVerify) {
   EXPECT_EQ(row[0].AsText(), "public-profile");
 }
 
+// --- Row codec: byte identity, totality, seeded mutation --------------------
+
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+// The formatted-string encoder the row codec replaced, kept as the reference
+// for byte identity (the bytes are appended after the header, so text with
+// an embedded NUL is compared whole).
+std::string ReferenceEncodeDbRow(const std::vector<SqlValue>& row) {
+  std::string out;
+  for (const SqlValue& v : row) {
+    const std::string text = v.AsText();
+    out += StrFormat("%c:%zu:", v.is_null() ? 'n' : (v.is_int() ? 'i' : 't'), text.size());
+    out += text;
+  }
+  return out;
+}
+
+// Same values AND same types (SqlValue's == equates 5 with '5').
+bool SameRow(const std::vector<SqlValue>& a, const std::vector<SqlValue>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].is_null() != b[i].is_null() || a[i].is_int() != b[i].is_int() ||
+        a[i].Compare(b[i]) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+SqlValue Text(const char* s) { return SqlValue(std::string(s)); }
+
+TEST(DbRowCodecTest, GoldenEncodings) {
+  EXPECT_EQ(EncodeDbRow({}), "");
+  EXPECT_EQ(EncodeDbRow({SqlValue()}), "n:0:");
+  EXPECT_EQ(EncodeDbRow({SqlValue(int64_t{42}), Text("hi"), SqlValue()}), "i:2:42t:2:hin:0:");
+  EXPECT_EQ(EncodeDbRow({SqlValue(int64_t{0}), SqlValue(int64_t{-7})}), "i:1:0i:2:-7");
+  EXPECT_EQ(EncodeDbRow({SqlValue(kInt64Min)}), "i:20:-9223372036854775808");
+  EXPECT_EQ(EncodeDbRow({SqlValue(kInt64Max)}), "i:19:9223372036854775807");
+  EXPECT_EQ(EncodeDbRow({Text("a:b"), Text("")}), "t:3:a:bt:0:");
+  EXPECT_EQ(EncodeDbRow({Text("0123456789")}), "t:10:0123456789");
+  EXPECT_EQ(EncodeDbRow({SqlValue(std::string("a\0b", 3))}), std::string("t:3:a\0b", 7));
+}
+
+TEST(DbRowCodecTest, DecodeIsTotal) {
+  std::vector<SqlValue> out;
+  // A length that wraps `i + len` to 0 used to re-parse the row forever.
+  EXPECT_FALSE(DecodeDbRow("t:18446744073709551593:", &out));
+  // An integer field past int64 used to wrap (this one to -1).
+  EXPECT_FALSE(DecodeDbRow("i:20:18446744073709551615", &out));
+  EXPECT_FALSE(DecodeDbRow("i:19:9223372036854775808", &out));
+  EXPECT_FALSE(DecodeDbRow("i:20:-9223372036854775809", &out));
+  // INT64_MIN decodes without negating its magnitude (a signed overflow).
+  ASSERT_TRUE(DecodeDbRow(EncodeDbRow({SqlValue(kInt64Min)}), &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].is_int());
+  EXPECT_EQ(out[0].AsInt(), kInt64Min);
+  // An integer field is one whole decimal number.
+  EXPECT_FALSE(DecodeDbRow("i:0:", &out));
+  EXPECT_FALSE(DecodeDbRow("i:1:-", &out));
+  EXPECT_FALSE(DecodeDbRow("i:2:+1", &out));
+  EXPECT_FALSE(DecodeDbRow("i:2:1x", &out));
+  EXPECT_FALSE(DecodeDbRow("i:3:1 2", &out));
+}
+
+// Checked-in seeds for the mutation loop: every type's edge values.
+std::vector<std::vector<SqlValue>> SeedRows() {
+  return {
+      {},
+      {SqlValue()},
+      {SqlValue(kInt64Min), SqlValue(kInt64Max), SqlValue(int64_t{0})},
+      {Text(""), Text(":"), Text("t:3:abc"), Text("n:0:")},
+      {Text("note 17"), SqlValue(int64_t{250})},
+      {SqlValue(), Text("i:1:5"), SqlValue(int64_t{-1}), Text("")},
+  };
+}
+
+SqlValue RandomValue(Rng& rng) {
+  static constexpr char kAlphabet[] = "itn:-0123456789 x\n";
+  switch (rng.NextBelow(6)) {
+    case 0:
+      return SqlValue();
+    case 1:
+      return SqlValue(rng.NextBool() ? kInt64Min : kInt64Max);
+    case 2:
+      return SqlValue(static_cast<int64_t>(rng.Next()) >> rng.NextBelow(64));
+    case 3:
+      return Text("");
+    default: {
+      std::string text(rng.NextBelow(16), ' ');
+      for (char& c : text) {
+        c = kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)];
+      }
+      return SqlValue(std::move(text));
+    }
+  }
+}
+
+// One to four byte-level edits: overwrite, insert, delete, truncate, or
+// splice in a length that overflows.
+std::string Mutate(std::string s, Rng& rng) {
+  static constexpr char kAlphabet[] = "itnx:-09";
+  static const char* const kHuge[] = {"18446744073709551593", "18446744073709551615",
+                                      "9223372036854775808", "99999999999999999999"};
+  const auto pos = [&](size_t limit) { return static_cast<size_t>(rng.NextBelow(limit)); };
+  const auto byte = [&] { return kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)]; };
+  for (uint64_t edits = rng.NextInRange(1, 4); edits > 0; --edits) {
+    switch (rng.NextBelow(5)) {
+      case 0:
+        if (!s.empty()) {
+          s[pos(s.size())] = rng.NextBool() ? byte() : static_cast<char>(rng.Next());
+        }
+        break;
+      case 1:
+        s.insert(pos(s.size() + 1), 1, byte());
+        break;
+      case 2:
+        if (!s.empty()) {
+          s.erase(pos(s.size()), 1);
+        }
+        break;
+      case 3:
+        s.resize(pos(s.size() + 1));
+        break;
+      default:
+        s.insert(pos(s.size() + 1), kHuge[rng.NextBelow(4)]);
+        break;
+    }
+  }
+  return s;
+}
+
+// Round trip for random rows, and "reject or decode, never crash or hang"
+// for mutated encodings. The budget is fixed so a failure replays exactly.
+TEST(DbRowCodecTest, SeededMutation) {
+  constexpr int kIterations = 20000;
+  Rng rng(0xdb0c0dec);
+  const std::vector<std::vector<SqlValue>> seeds = SeedRows();
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    std::vector<SqlValue> row;
+    if (static_cast<size_t>(iter) < seeds.size()) {
+      row = seeds[static_cast<size_t>(iter)];
+    } else {
+      row.resize(rng.NextBelow(7));
+      for (SqlValue& v : row) {
+        v = RandomValue(rng);
+      }
+    }
+    const std::string encoded = EncodeDbRow(row);
+    ASSERT_EQ(encoded, ReferenceEncodeDbRow(row)) << "iteration " << iter;
+    std::vector<SqlValue> decoded;
+    ASSERT_TRUE(DecodeDbRow(encoded, &decoded)) << "iteration " << iter;
+    ASSERT_TRUE(SameRow(decoded, row)) << "iteration " << iter;
+
+    const std::string mutated = Mutate(encoded, rng);
+    if (!DecodeDbRow(mutated, &decoded)) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    // Every field costs at least "n:0:", so a decode cannot outgrow its input.
+    ASSERT_LE(decoded.size() * 4, mutated.size()) << "iteration " << iter;
+    std::vector<SqlValue> again;
+    ASSERT_TRUE(DecodeDbRow(EncodeDbRow(decoded), &again)) << "iteration " << iter;
+    ASSERT_TRUE(SameRow(again, decoded)) << "iteration " << iter;
+  }
+  // The edits exercise both outcomes.
+  EXPECT_GT(accepted, kIterations / 20);
+  EXPECT_GT(rejected, kIterations / 20);
+}
+
 // --- Reboot: durable tables, hidden USER_ID column, label bindings -----------
 
 // A minimal one-boot world around a (possibly persistent) dbproxy: a
@@ -521,6 +702,49 @@ TEST(DbproxyRebootTest, TablesUserIdColumnAndBindingsSurviveReboot) {
     }
     EXPECT_EQ(row_count, 1u);
   }
+}
+
+// The table image is byte-identical to the legacy encoding (SELECT * plus
+// the row encoder, USER_ID included) after every kind of write, so a store
+// written in the old format recovers unchanged.
+std::string LegacyTableImage(const SqlDatabase& db, const std::string& table) {
+  SqlDatabase copy = db;
+  auto result = copy.Execute("SELECT * FROM " + table);
+  EXPECT_TRUE(result.ok());
+  std::string out;
+  codec::AppendVarint(result.value().rows.size(), &out);
+  for (const auto& row : result.value().rows) {
+    codec::AppendString(ReferenceEncodeDbRow(row), &out);
+  }
+  return out;
+}
+
+TEST(DbproxyRebootTest, TableImageMatchesLegacyEncodingAndRecovers) {
+  asbestos::testing::TempDir dir;
+  const std::string store_dir = dir.path() + "/dbproxy";
+  std::string image;
+  {
+    ProxyBoot boot(store_dir, 0x1a6e);
+    boot.PrivExec("CREATE TABLE notes (text TEXT, n INTEGER)");
+    const auto expect_legacy_image = [&](const std::string& after) {
+      const StoreRecord* record = boot.proxy_->store()->Get("table/NOTES");  // names are case-folded
+      ASSERT_NE(record, nullptr) << after;
+      EXPECT_EQ(record->value, LegacyTableImage(boot.proxy_->database(), "notes")) << after;
+      image = record->value;
+    };
+    boot.PrivExec(
+        "INSERT INTO notes (text, n, USER_ID) VALUES ('a:b', -9223372036854775808, 1), "
+        "('', 9223372036854775807, 2), (NULL, NULL, 0), ('i:1:5', 0, 1)");
+    expect_legacy_image("INSERT");
+    boot.PrivExec("UPDATE notes SET text = 'n:0:' WHERE USER_ID = 1");
+    expect_legacy_image("UPDATE");
+    boot.PrivExec("DELETE FROM notes WHERE USER_ID = 2");
+    expect_legacy_image("DELETE");
+    boot.PrivExec("INSERT INTO notes (text, n, USER_ID) VALUES ('after delete', 5, 2)");
+    expect_legacy_image("INSERT after DELETE");
+  }
+  ProxyBoot boot(store_dir, 0x1a6f);
+  EXPECT_EQ(LegacyTableImage(boot.proxy_->database(), "notes"), image);
 }
 
 TEST_F(DbproxyTest, RowCodecRoundTrip) {

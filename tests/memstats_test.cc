@@ -154,6 +154,125 @@ TEST(MemStatsTest, QueueBytesCountFanOutPayloadBufferOnce) {
   EXPECT_EQ(kernel.MemReport().queue_bytes, before) << "delivery drains every entry";
 }
 
+// queue_bytes must be exact however a payload buffer is held: alone by its
+// queued message (tracked in the message), or shared with another queued
+// message or with the sender (refcounted by the kernel) — and it must return
+// exactly to its baseline however the messages leave the queue.
+enum class QueueExit { kDelivery, kClosePort, kProcessExit };
+constexpr QueueExit kQueueExits[] = {QueueExit::kDelivery, QueueExit::kClosePort,
+                                     QueueExit::kProcessExit};
+
+class QueueAccountingWorld {
+ public:
+  explicit QueueAccountingWorld(size_t port_count) : kernel_(16) {
+    SpawnArgs rargs;
+    rargs.name = "rx";
+    rx_ = kernel_.CreateProcess(std::make_unique<testing::RecorderProcess>(&got_), rargs);
+    kernel_.WithProcessContext(rx_, [&](ProcessContext& ctx) {
+      for (size_t k = 0; k < port_count; ++k) {
+        const Handle p = ctx.NewPort(Label::Top());
+        ASB_ASSERT(ctx.SetPortLabel(p, Label::Top()) == Status::kOk);
+        ports_.push_back(p);
+      }
+    });
+    SpawnArgs sargs;
+    sargs.name = "tx";
+    tx_ = kernel_.CreateProcess(std::make_unique<ScriptedProcess>(), sargs);
+    baseline_ = kernel_.MemReport().queue_bytes;
+  }
+
+  void Send(size_t port, Payload data, std::vector<uint64_t> words = {}) {
+    kernel_.WithProcessContext(tx_, [&](ProcessContext& ctx) {
+      Message m;
+      m.words = std::move(words);
+      m.data = std::move(data);
+      ASSERT_EQ(ctx.Send(ports_[port], std::move(m)), Status::kOk);
+    });
+  }
+
+  // queue_bytes above the baseline.
+  uint64_t Queued() { return kernel_.MemReport().queue_bytes - baseline_; }
+
+  void ClosePort(size_t port) {
+    kernel_.WithProcessContext(
+        rx_, [&](ProcessContext& ctx) { ASSERT_EQ(ctx.ClosePort(ports_[port]), Status::kOk); });
+  }
+
+  void Drain(QueueExit how) {
+    switch (how) {
+      case QueueExit::kDelivery:
+        kernel_.RunUntilIdle();
+        break;
+      case QueueExit::kClosePort:
+        for (size_t k = 0; k < ports_.size(); ++k) {
+          ClosePort(k);
+        }
+        break;
+      case QueueExit::kProcessExit:
+        kernel_.WithProcessContext(rx_, [](ProcessContext& ctx) { ctx.Exit(); });
+        break;
+    }
+  }
+
+  size_t delivered() const { return got_.size(); }
+
+ private:
+  Kernel kernel_;
+  std::vector<testing::RecorderProcess::Received> got_;
+  ProcessId rx_ = kNoProcess;
+  ProcessId tx_ = kNoProcess;
+  std::vector<Handle> ports_;
+  uint64_t baseline_ = 0;
+};
+
+TEST(MemStatsTest, QueueBytesExactForSoleOwnerPayload) {
+  for (const QueueExit how : kQueueExits) {
+    QueueAccountingWorld world(1);
+    world.Send(0, std::string(1000, 'x'), {7, 8, 9});
+    world.Send(0, std::string());  // an empty buffer: the envelope only
+    EXPECT_EQ(world.Queued(), 2 * kQueuedMessageOverheadBytes + 3 * sizeof(uint64_t) + 1000);
+    world.Drain(how);
+    EXPECT_EQ(world.Queued(), 0u) << static_cast<int>(how);
+    EXPECT_EQ(world.delivered(), how == QueueExit::kDelivery ? 2u : 0u);
+  }
+}
+
+TEST(MemStatsTest, QueueBytesExactForPayloadQueuedAtTwoPorts) {
+  constexpr uint64_t kBody = 4096;
+  for (const QueueExit how : kQueueExits) {
+    QueueAccountingWorld world(2);
+    Payload body(std::string(kBody, 'y'));
+    world.Send(0, body);
+    world.Send(1, std::move(body));  // the sender keeps no copy
+    EXPECT_EQ(world.Queued(), 2 * kQueuedMessageOverheadBytes + kBody) << "one buffer";
+    if (how == QueueExit::kClosePort) {
+      // The buffer stays charged while the other queue still holds it.
+      world.ClosePort(0);
+      EXPECT_EQ(world.Queued(), kQueuedMessageOverheadBytes + kBody);
+      world.ClosePort(1);
+    } else {
+      world.Drain(how);
+    }
+    EXPECT_EQ(world.Queued(), 0u) << static_cast<int>(how);
+  }
+}
+
+TEST(MemStatsTest, QueueBytesExactForPayloadTheSenderKeeps) {
+  constexpr uint64_t kBody = 2048;
+  for (const QueueExit how : kQueueExits) {
+    QueueAccountingWorld world(1);
+    auto kept = std::make_unique<Payload>(std::string(kBody, 'z'));
+    world.Send(0, *kept);
+    EXPECT_EQ(world.Queued(), kQueuedMessageOverheadBytes + kBody);
+    // Dropping the sender's copy leaves the queued message the buffer's only
+    // holder; the charge neither changes now nor leaks at dequeue.
+    kept.reset();
+    EXPECT_EQ(world.Queued(), kQueuedMessageOverheadBytes + kBody);
+    world.Drain(how);
+    EXPECT_EQ(world.Queued(), 0u) << static_cast<int>(how);
+  }
+}
+
 TEST(MemStatsTest, PeakTracksHighWaterMark) {
   Kernel kernel(14);
   SpawnArgs args;
