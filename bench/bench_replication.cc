@@ -360,7 +360,7 @@ void BM_EndToEndSimnet(benchmark::State& state) {
     StoreOptions ropts;
     ropts.dir = dir + "/follower" + std::to_string(k);
     ropts.shards = 4;
-    FollowerOptions fopts;
+    ReplicaOptions fopts;
     fopts.follower_id = k + 1;
     fleet.AddFollower(0x0452 + k, static_cast<uint16_t>(7001 + k), ropts, fopts);
   }

@@ -1,5 +1,9 @@
 #include "src/db/sql_parser.h"
 
+#include <charconv>
+#include <cstdint>
+#include <system_error>
+
 #include "src/base/strings.h"
 #include "src/db/sql_tokenizer.h"
 
@@ -72,7 +76,14 @@ class Parser {
   bool TakeLiteral(SqlValue* out) {
     const SqlToken& t = Peek();
     if (t.kind == SqlToken::Kind::kNumber) {
-      *out = SqlValue(static_cast<int64_t>(std::stoll(t.text)));
+      // A literal outside int64 is a parse error, not an exception.
+      int64_t v = 0;
+      const char* end = t.text.data() + t.text.size();
+      const auto [ptr, ec] = std::from_chars(t.text.data(), end, v);
+      if (ec != std::errc() || ptr != end) {
+        return false;
+      }
+      *out = SqlValue(v);
       Advance();
       return true;
     }

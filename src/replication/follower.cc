@@ -8,12 +8,8 @@
 
 namespace asbestos {
 
-FollowerProcess::FollowerProcess(StoreOptions store_opts, FollowerOptions options)
-    : options_(options) {
-  ReplicaOptions ropts;
-  ropts.auth_token = options.auth_token;
-  ropts.follower_id = options.follower_id;
-  auto replica = ReplicaStore::Open(std::move(store_opts), ropts);
+FollowerProcess::FollowerProcess(StoreOptions store_opts, ReplicaOptions options) {
+  auto replica = ReplicaStore::Open(std::move(store_opts), options);
   if (!replica.ok()) {
     DurableFailStop("follower", "open", replica.status());
   }
@@ -156,7 +152,7 @@ void FollowerProcess::HandleReadPlane(ProcessContext& ctx, const Message& msg) {
         // with the replication session secret; anything else poisons it.
         if (p == replwire::FrameParse::kCorrupt ||
             frame.type != replwire::kReadReq ||
-            frame.token != options_.auth_token) {
+            frame.token != replica_->auth_token()) {
           CloseReadConn(ctx, cookie);
           return;
         }
@@ -244,7 +240,7 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
           ++busy_signals_;
           const uint64_t wait = replica_->busy_retry_after() != 0
                                     ? replica_->busy_retry_after()
-                                    : options_.busy_backoff_cycles;
+                                    : replwire::kBusyRetryCycles;
           backoff_until_cycles_ = GetCycleAccounting().now() + wait;
           EndSession(ctx, /*close_conn=*/true);
           return;
@@ -286,16 +282,19 @@ void FollowerProcess::CheckLease(ProcessContext& ctx) {
     return;
   }
   lease_expired_ = true;
-  if (!options_.auto_promote || options_.follower_id == 0 ||
-      replica_->successor_id() != options_.follower_id) {
-    return;  // not the designated successor: stand by
+  if (replica_->follower_id() == 0 ||
+      replica_->successor_id() != replica_->follower_id()) {
+    return;  // a mirror, or not the designated successor: stand by
   }
   // The primary's own last designation names us: take over. Exactly one
   // replica passes this test — the designation was computed once, by the
   // primary, and distributed to everyone before it died.
   EndSession(ctx, /*close_conn=*/true);
   CloseAllReadConns(ctx);
-  ASB_ASSERT(replica_->Promote() == Status::kOk);
+  const Status s = replica_->Promote();
+  if (s != Status::kOk) {
+    DurableFailStop("follower", "promote", s);
+  }
   auto_promoted_ = true;
 }
 

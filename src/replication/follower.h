@@ -9,9 +9,10 @@
 // durable server whose only client is the primary's log.
 //
 // Automatic failover: a follower configured with a nonzero follower_id
-// carries that id in its acks and tracks the primary's lease (the deadline
-// stamped on every batch/heartbeat). Each OnIdle it charges one lease-check
-// tick — the local failover timer — and when the lease runs out:
+// (ReplicaOptions; 0 = a mirror that never promotes) carries that id in its
+// acks and tracks the primary's lease (the deadline stamped on every
+// batch/heartbeat). Each OnIdle it charges one lease-check tick — the local
+// failover timer — and when the lease runs out:
 //   * if the PRIMARY'S OWN last designation named this follower (lowest id
 //     among caught-up replicas), it promotes itself;
 //   * otherwise it stands by for the designated successor's endpoint (or an
@@ -28,7 +29,7 @@
 //
 // Busy back-off: a kBusy refusal from an at-capacity primary ends the
 // session quietly and starts a back-off window (the refusal's retry hint,
-// falling back to FollowerOptions::busy_backoff_cycles); connections
+// falling back to replwire::kBusyRetryCycles); connections
 // arriving inside the window are closed unaccepted instead of burning a
 // hello/resume round trip on the same refusal.
 //
@@ -54,25 +55,12 @@
 
 namespace asbestos {
 
-struct FollowerOptions {
-  // Session shared secret; must match the primary's
-  // ReplicationOptions::auth_token.
-  uint64_t auth_token = 0;
-  // Failover identity carried in acks; 0 = mirror only, never auto-promote.
-  uint64_t follower_id = 0;
-  // Act on lease expiry when designated successor. Off only for worlds that
-  // want lease observability without the promotion (operator drills).
-  bool auto_promote = true;
-  // Back-off window after a kBusy refusal that carried no hint.
-  uint64_t busy_backoff_cycles = 2'000'000;
-};
-
 class FollowerProcess : public ProcessCode {
  public:
   // Opens the replica store immediately (panics if the directory is
   // corrupt, like every durable server here: a follower must not limp on
   // empty state it does not actually have).
-  explicit FollowerProcess(StoreOptions store_opts, FollowerOptions options = FollowerOptions());
+  explicit FollowerProcess(StoreOptions store_opts, ReplicaOptions options = ReplicaOptions());
 
   // env: "netd_ctl" (required), "tcp_port" (required), "self_verify"
   // (optional, for worlds whose netd checks listener identity),
@@ -125,7 +113,6 @@ class FollowerProcess : public ProcessCode {
 
   std::unique_ptr<ReplicaStore> replica_;
   std::unique_ptr<ReadGate> read_gate_;
-  FollowerOptions options_;
   Handle notify_port_;
   Handle conn_;     // live session's uC (invalid = none)
   std::string rx_;  // buffered stream bytes awaiting a whole frame

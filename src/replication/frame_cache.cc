@@ -3,6 +3,9 @@
 #include "src/obs/metrics.h"
 
 namespace {
+// Byte budget of the hub's shared frame cache.
+constexpr uint64_t kFrameCacheBytes = 256 * 1024;
+
 // Process-wide mirrors of the per-instance stats, so a metrics snapshot
 // taken after every hub is gone still carries the frame-cache family.
 asbestos::obs::Counter& HitCounter() {
@@ -59,8 +62,8 @@ bool FrameCache::Lookup(uint32_t shard, uint64_t generation, uint64_t offset,
 
 void FrameCache::Insert(uint32_t shard, uint64_t generation, uint64_t offset,
                         const Payload& span) {
-  if (max_bytes_ == 0 || span.size() > max_bytes_) {
-    return;  // cache disabled, or a span no budget could hold
+  if (span.size() > kFrameCacheBytes) {
+    return;  // a span no budget could hold
   }
   const Key key{shard, generation, offset};
   auto it = index_.find(key);
@@ -79,7 +82,7 @@ void FrameCache::Insert(uint32_t shard, uint64_t generation, uint64_t offset,
 }
 
 void FrameCache::EvictToBudget() {
-  while (stats_.bytes > max_bytes_ && !lru_.empty()) {
+  while (stats_.bytes > kFrameCacheBytes && !lru_.empty()) {
     const Entry& victim = lru_.back();
     stats_.bytes -= victim.span.size();
     stats_.evictions += 1;

@@ -33,8 +33,6 @@ struct FrameCacheStats {
 
 class FrameCache {
  public:
-  explicit FrameCache(uint64_t max_bytes) : max_bytes_(max_bytes) {}
-
   // Hands out a refcounted view of the cached span for (shard, generation,
   // offset) — no byte copy, the caller shares the resident buffer — and
   // returns true when the entry can satisfy a read of up to `want_bytes`:
@@ -47,8 +45,7 @@ class FrameCache {
 
   // Caches `span` (sharing its buffer, no copy) as the bytes at (shard,
   // generation, offset), replacing any shorter entry at the same position,
-  // then evicts LRU entries until the byte budget holds. A zero-capacity
-  // cache stores nothing.
+  // then evicts LRU entries until the byte budget (256 KiB) holds.
   void Insert(uint32_t shard, uint64_t generation, uint64_t offset, const Payload& span);
 
   const FrameCacheStats& stats() const { return stats_; }
@@ -71,7 +68,6 @@ class FrameCache {
 
   void EvictToBudget();
 
-  uint64_t max_bytes_;
   std::list<Entry> lru_;  // front = most recently used
   std::map<Key, std::list<Entry>::iterator> index_;
   FrameCacheStats stats_;

@@ -112,7 +112,7 @@ void FsPrimaryWorld::Pump() {
 }
 
 FollowerWorld::FollowerWorld(uint64_t boot_key, uint16_t tcp_port, StoreOptions store_opts,
-                             FollowerOptions options, uint16_t read_tcp_port)
+                             ReplicaOptions options, uint16_t read_tcp_port)
     : kernel_(boot_key) {
   auto netd_code = std::make_unique<NetdProcess>(&net_);
   netd_ = netd_code.get();
@@ -154,7 +154,7 @@ ReplicationFleet::ReplicationFleet(uint64_t boot_key, const FileServerOptions& f
 }
 
 size_t ReplicationFleet::AddFollower(uint64_t boot_key, uint16_t tcp_port,
-                                     StoreOptions store_opts, FollowerOptions options,
+                                     StoreOptions store_opts, ReplicaOptions options,
                                      uint16_t read_tcp_port) {
   followers_.push_back(std::make_unique<FollowerWorld>(boot_key, tcp_port,
                                                        std::move(store_opts), options,

@@ -116,7 +116,7 @@ class FsPrimaryWorld {
 class FollowerWorld {
  public:
   FollowerWorld(uint64_t boot_key, uint16_t tcp_port, StoreOptions store_opts,
-                FollowerOptions options = FollowerOptions(), uint16_t read_tcp_port = 0);
+                ReplicaOptions options = ReplicaOptions(), uint16_t read_tcp_port = 0);
 
   void Pump();
   // Closes the session, drains, checkpoints; the store directory is now a
@@ -149,7 +149,7 @@ class ReplicationFleet {
   // Boots one follower machine and dials its link. Returns its index. A
   // nonzero read_tcp_port additionally opens that follower's read listener.
   size_t AddFollower(uint64_t boot_key, uint16_t tcp_port, StoreOptions store_opts,
-                     FollowerOptions options = FollowerOptions(),
+                     ReplicaOptions options = ReplicaOptions(),
                      uint16_t read_tcp_port = 0);
 
   // One driver step: ferry every link, pump the primary (if alive) and

@@ -70,9 +70,9 @@ bool ReadGate::CursorCovers(const replwire::ReadCursorToken& applied,
   if (applied.source_id != token.source_id) {
     return false;  // a different (or no) history: the token means nothing here
   }
-  // Generations only advance once everything before the switch is applied
-  // (snapshot install or kGenMark hand-off), so a later generation covers
-  // every earlier token outright.
+  // A follower's generation only advances by installing a snapshot, and an
+  // image of a later generation holds every record of the earlier ones, so
+  // a later generation covers every earlier token outright.
   return applied.generation > token.generation ||
          (applied.generation == token.generation && applied.offset >= token.offset);
 }

@@ -16,9 +16,10 @@
 //      (the primary (generation, offset) ack position stamped into the
 //      session at its last write). A follower whose applied cursor for the
 //      token's shard trails the token refuses (kRefusedCursorLag) with its
-//      applied position as the retry-at-primary hint. Generations only
-//      advance once fully applied (snapshot install or kGenMark hand-off),
-//      so `applied.generation > token.generation` always covers the token.
+//      applied position as the retry-at-primary hint. A follower's
+//      generation only advances by installing a snapshot, and an image of
+//      a later generation holds every record of the earlier ones, so
+//      `applied.generation > token.generation` always covers the token.
 //
 // Admitted reads are label-checked with the SAME fused flow check the
 // kernel's IPC delivery path runs — CheckDeliveryAllowed with the record's

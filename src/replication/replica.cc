@@ -222,31 +222,6 @@ Status ReplicaStore::HandleFrame(const WireMessage& msg, std::string* ack_out) {
       stats_.heartbeats_seen += 1;
       return Status::kOk;
     }
-    case replwire::kGenMark: {
-      // Compaction hand-off (see wire.h): the primary retained the old
-      // generation's tail, this follower applied ALL of it, and the mark
-      // names exactly that end position. Advancing to (generation+1, 0) is
-      // pure bookkeeping — the records are already applied — so a synced
-      // follower rides through the compaction without a snapshot re-image.
-      // Wal::Reset() advances generations by exactly one, which is why the
-      // mark needs no explicit target. Anywhere else, re-ack the true
-      // position and let the source fall back to a snapshot.
-      if (msg.shard >= cursors_.size() || session_source_ == 0) {
-        return Status::kOk;
-      }
-      TrackLease(msg);
-      Cursor& c = cursors_[static_cast<uint32_t>(msg.shard)];
-      if (c.source_id == session_source_ && c.generation == msg.generation &&
-          c.offset == msg.offset) {
-        c.generation += 1;
-        c.offset = 0;
-        stats_.gen_marks_applied += 1;
-      } else {
-        stats_.gaps_ignored += 1;
-      }
-      AppendAck(static_cast<uint32_t>(msg.shard), ack_out);
-      return Status::kOk;
-    }
     case replwire::kBusy: {
       // The primary is at capacity: record the back-off hint and tell the
       // caller to end the session quietly (it reconnects later instead of

@@ -53,7 +53,6 @@ struct ReplicaStoreStats {
   uint64_t gaps_ignored = 0;        // batches past the cursor or wrong gen
   uint64_t heartbeats_seen = 0;     // kHeartbeat frames (lease refreshes)
   uint64_t busy_signals = 0;        // kBusy refusals from an at-capacity primary
-  uint64_t gen_marks_applied = 0;   // compaction hand-offs ridden through
 };
 
 struct ReplicaOptions {
@@ -101,6 +100,7 @@ class ReplicaStore {
   const ReplicaStoreStats& stats() const { return stats_; }
   uint64_t session_source() const { return session_source_; }
   uint64_t follower_id() const { return options_.follower_id; }
+  uint64_t auth_token() const { return options_.auth_token; }
   // Flow-trace id the current session's kHello carried (0 = no session, or
   // an untraced primary). Frames the replica applies are spanned under it.
   uint64_t session_trace_id() const { return session_trace_id_; }

@@ -119,11 +119,13 @@ void FollowerSession::ShipSnapshot(uint32_t shard, uint64_t lease_until,
   *frames += 1;
 }
 
-bool FollowerSession::ShipBatchSpan(uint32_t shard, uint64_t gen, uint64_t end_off,
-                                    uint64_t max_batch_bytes, uint64_t max_total_bytes,
-                                    uint64_t lease_until, uint64_t successor_id,
-                                    std::string* out, size_t* frames) {
+bool FollowerSession::ShipBatchSpan(uint32_t shard, uint64_t max_batch_bytes,
+                                    uint64_t max_total_bytes, uint64_t lease_until,
+                                    uint64_t successor_id, std::string* out,
+                                    size_t* frames) {
   Cursor& c = cursors_[shard];
+  const uint64_t gen = c.shipped_gen;
+  const uint64_t end_off = hub_->store()->shard_wal_offset(shard);
   obs::ProfSpan ship_span;
   if (obs::CycleProfiler::enabled()) {
     ship_span.Begin("repl.ship.batch");
@@ -197,57 +199,14 @@ size_t FollowerSession::PollFrames(uint64_t max_batch_bytes, uint64_t max_total_
       continue;  // the follower has not told us where it is yet
     }
     // The follower's position is unusable (unknown history), or compaction
-    // moved the log out from under the cursor: catch up by image — UNLESS
-    // the store retained the compacted generation's tail and the cursor sits
-    // inside it, in which case the session streams the retained span to its
-    // end and hands the follower across the generation switch with one
-    // kGenMark. A fully-synced follower rides through a compaction without
-    // ever seeing a snapshot.
+    // moved the log out from under the cursor: catch up by image.
     if (c.force_snapshot || c.shipped_gen != store->shard_wal_generation(shard) ||
         c.shipped_off > store->shard_wal_offset(shard)) {
-      uint64_t rgen = 0;
-      uint64_t rstart = 0;
-      uint64_t rend = 0;
-      const bool retained =
-          !c.force_snapshot && store->ShardRetainedSpan(shard, &rgen, &rstart, &rend) &&
-          c.shipped_gen == rgen && rgen + 1 == store->shard_wal_generation(shard) &&
-          c.shipped_off >= rstart && c.shipped_off <= rend;
-      if (!retained) {
-        ShipSnapshot(shard, lease_until, successor_id, out, &frames);
-        continue;
-      }
-      if (!ShipBatchSpan(shard, rgen, rend, max_batch_bytes, max_total_bytes,
-                         lease_until, successor_id, out, &frames)) {
-        ShipSnapshot(shard, lease_until, successor_id, out, &frames);
-        continue;
-      }
-      if (c.shipped_off < rend || out->size() >= max_total_bytes) {
-        continue;  // budget spent mid-span; the rest (and the mark) ship later
-      }
-      WireMessage mark;
-      mark.type = replwire::kGenMark;
-      mark.shard = shard;
-      mark.generation = rgen;
-      mark.offset = rend;
-      mark.lease_until = lease_until;
-      mark.successor_id = successor_id;
-      mark.trace_id = trace_id_;
-      replwire::AppendFrame(mark, out);
-      ++frames;
-      stats_.gen_marks_sent += 1;
-      if (obs::EventLog::enabled() && trace_id_ != 0) {
-        obs::EventLog::Get().Span(
-            trace_id_, "repl", "repl.ship",
-            "genmark shard=" + std::to_string(shard) + " gen=" + std::to_string(rgen),
-            Label::Bottom());
-      }
-      c.shipped_gen = rgen + 1;
-      c.shipped_off = 0;
-      // Fall through: the new generation's bytes (if any) ship below.
+      ShipSnapshot(shard, lease_until, successor_id, out, &frames);
+      continue;
     }
-    if (!ShipBatchSpan(shard, c.shipped_gen, store->shard_wal_offset(shard),
-                       max_batch_bytes, max_total_bytes, lease_until, successor_id, out,
-                       &frames)) {
+    if (!ShipBatchSpan(shard, max_batch_bytes, max_total_bytes, lease_until, successor_id,
+                       out, &frames)) {
       ShipSnapshot(shard, lease_until, successor_id, out, &frames);  // raced a compaction
     }
   }
@@ -287,18 +246,10 @@ void FollowerSession::HandleAck(const WireMessage& ack) {
   Cursor& c = cursors_[ack.shard];
   const uint32_t shard = static_cast<uint32_t>(ack.shard);
   // An ack names a servable position in our history when it sits in the
-  // live generation — or inside the retained previous-generation tail,
-  // which PollFrames can still stream (compaction-aware hand-off).
-  uint64_t rgen = 0;
-  uint64_t rstart = 0;
-  uint64_t rend = 0;
-  const bool in_retained = store->ShardRetainedSpan(shard, &rgen, &rstart, &rend) &&
-                           ack.generation == rgen && ack.offset >= rstart &&
-                           ack.offset <= rend;
+  // live generation at or before the tail.
   const bool ours = ack.source_id == hub_->source_id() &&
-                    ((ack.generation == store->shard_wal_generation(shard) &&
-                      ack.offset <= store->shard_wal_offset(shard)) ||
-                     in_retained);
+                    ack.generation == store->shard_wal_generation(shard) &&
+                    ack.offset <= store->shard_wal_offset(shard);
   if (c.await_resume) {
     c.await_resume = false;
     if (ours) {
@@ -374,11 +325,10 @@ bool FollowerSession::CaughtUp() const {
 
 // --- ReplicationHub ----------------------------------------------------------
 
-ReplicationHub::ReplicationHub(const DurableStore* store, uint64_t source_id, Tuning tuning)
-    : store_(store),
-      source_id_(source_id),
-      tuning_(tuning),
-      cache_(tuning.frame_cache_bytes) {
+ReplicationHub::ReplicationHub(const DurableStore* store, uint64_t source_id,
+                               ReplicationOptions options)
+    : store_(store), source_id_(source_id), options_(options) {
+  ASB_ASSERT(options_.lease_interval_cycles > 0);
   // Per-process hub ordinal, so two hubs in one simulation (e.g. a promoted
   // follower re-publishing) get distinct gauge namespaces.
   static uint64_t hub_ordinal = 0;
@@ -423,9 +373,6 @@ ReplicationHub::ReplicationHub(const DurableStore* store, uint64_t source_id, Tu
         sink.Set(prefix + "read_staleness_p99_cycles", st.read_staleness_p99_cycles);
       });
 }
-
-ReplicationHub::ReplicationHub(const DurableStore* store, uint64_t source_id)
-    : ReplicationHub(store, source_id, Tuning()) {}
 
 ReplicationHub::~ReplicationHub() {
   // Only drop the gauge group. Recomputing lag here would walk the store's
@@ -472,17 +419,7 @@ bool ReplicationHub::AllFullySynced() const {
 }
 
 uint64_t ReplicationHub::LeaseDeadline() const {
-  if (tuning_.lease_interval_cycles == 0) {
-    return 0;
-  }
-  return GetCycleAccounting().now() + tuning_.lease_interval_cycles;
-}
-
-uint64_t ReplicationHub::heartbeat_interval_cycles() const {
-  if (tuning_.heartbeat_interval_cycles != 0) {
-    return tuning_.heartbeat_interval_cycles;
-  }
-  return tuning_.lease_interval_cycles / 4;
+  return GetCycleAccounting().now() + options_.lease_interval_cycles;
 }
 
 HubDebugStatus ReplicationHub::DebugStatus() const {
@@ -600,20 +537,7 @@ FollowerSession* ReplicationHub::RouteRead(const std::string& routing_key,
 
 Status ReplicationHub::ReadSpan(uint32_t shard, uint64_t generation, uint64_t offset,
                                 uint64_t max_bytes, Payload* span) {
-  // Reads target the live generation — or the retained previous-generation
-  // tail during a compaction hand-off, whose fixed end is its "tail". Spans
-  // cached before the compaction stay valid for retained-gen reads (same
-  // generation, same immutable bytes), so a ride-through usually never
-  // touches the store at all.
-  uint64_t tail = store_->shard_wal_offset(shard);
-  if (generation != store_->shard_wal_generation(shard)) {
-    uint64_t rgen = 0;
-    uint64_t rstart = 0;
-    uint64_t rend = 0;
-    if (store_->ShardRetainedSpan(shard, &rgen, &rstart, &rend) && generation == rgen) {
-      tail = rend;
-    }
-  }
+  const uint64_t tail = store_->shard_wal_offset(shard);
   if (cache_.Lookup(shard, generation, offset, max_bytes, tail, span)) {
     return Status::kOk;
   }

@@ -37,12 +37,12 @@
 // session does not recognize and gets a snapshot. The session never trusts
 // a cursor it cannot prove is into its own history.
 //
-// Leases (automatic failover): with lease stamping enabled, every batch the
-// hub ships carries `lease_until = now + lease_interval` on the virtual
-// clock plus the current successor designation — the LOWEST follower id
-// among sessions that are caught up (resumed on every shard, no snapshot
-// pending, acked into the current generation). An idle primary refreshes
-// the lease with explicit kHeartbeat frames. Followers act on expiry; see
+// Leases (automatic failover): every batch the hub ships carries
+// `lease_until = now + lease_interval` on the virtual clock plus the
+// current successor designation — the LOWEST follower id among sessions
+// that are caught up (resumed on every shard, no snapshot pending, acked
+// into the current generation). An idle primary refreshes the lease with
+// explicit kHeartbeat frames. Followers act on expiry; see
 // src/replication/follower.h.
 #ifndef SRC_REPLICATION_SOURCE_H_
 #define SRC_REPLICATION_SOURCE_H_
@@ -58,6 +58,34 @@
 
 namespace asbestos {
 
+struct ReplicationOptions {
+  // TCP port the endpoint listens on for follower connections; 0 disables
+  // replication entirely (the owner never constructs an endpoint).
+  uint16_t listen_tcp_port = 0;
+  // Concurrent follower sessions served; a connection beyond this gets one
+  // kBusy frame and a close.
+  uint32_t max_followers = 4;
+  // Session shared secret, configured identically on the follower. The
+  // hub ships nothing to a peer whose acks carry a different token, and
+  // a follower refuses a hello with one — so a stray client that merely
+  // connects to either port gets no labeled data. 0 (default) means an
+  // unauthenticated closed testbed; the token travels in cleartext (the
+  // simulated wire models no cryptography), so it is a capability in the
+  // handle-value sense, not a defense against a wire eavesdropper.
+  uint64_t auth_token = 0;
+  // Lease/heartbeat protocol (automatic failover); must be > 0. Shipped
+  // traffic carries lease_until = now + lease_interval_cycles on the
+  // virtual clock; an idle session is refreshed with kHeartbeat every
+  // lease/4. Sizing bounds: the lease must dwarf the cycles one loaded pump
+  // iteration burns (~1.5M through netd with several followers) or a stamp
+  // is stale before it crosses the wire, and the heartbeat interval must
+  // stay well above the ~110k cycles one heartbeat itself charges, or the
+  // idle loop would re-arm itself every pump.
+  uint64_t lease_interval_cycles = 50'000'000;
+
+  bool enabled() const { return listen_tcp_port != 0; }
+};
+
 class ReplicationHub;
 
 struct FollowerSessionStats {
@@ -66,7 +94,6 @@ struct FollowerSessionStats {
   uint64_t heartbeats_sent = 0;
   uint64_t bytes_shipped = 0;  // payload bytes (batch spans + images)
   uint64_t rewinds = 0;        // acks that moved `shipped` backwards
-  uint64_t gen_marks_sent = 0; // compaction hand-offs (no snapshot needed)
 };
 
 class FollowerSession {
@@ -114,7 +141,7 @@ class FollowerSession {
   // hello send when no ack has arrived yet).
   uint64_t ApplyLagCycles() const;
   // Virtual cycles until the newest lease stamped for this follower runs
-  // out (0 when lease stamping is off or the lease already expired).
+  // out (0 when nothing was stamped yet or the lease already expired).
   uint64_t LeaseRemainingCycles() const;
   // The follower's self-declared failover id, learned from its acks
   // (0 until an authenticated ack carries one).
@@ -146,12 +173,11 @@ class FollowerSession {
   void ShipSnapshot(uint32_t shard, uint64_t lease_until, uint64_t successor_id,
                     std::string* out, size_t* frames);
 
-  // Streams whole-frame batches of generation `gen` from `shipped` toward
-  // `end_off` (the live tail, or a retained span's end), honoring the batch
-  // and total byte budgets. False when a read failed (the span vanished
-  // under us — the caller ships a snapshot instead).
-  bool ShipBatchSpan(uint32_t shard, uint64_t gen, uint64_t end_off,
-                     uint64_t max_batch_bytes, uint64_t max_total_bytes,
+  // Streams whole-frame batches from `shipped` toward the shard's live WAL
+  // tail, honoring the batch and total byte budgets. False when a read
+  // failed (the span vanished under us — the caller ships a snapshot
+  // instead).
+  bool ShipBatchSpan(uint32_t shard, uint64_t max_batch_bytes, uint64_t max_total_bytes,
                      uint64_t lease_until, uint64_t successor_id, std::string* out,
                      size_t* frames);
 
@@ -212,27 +238,12 @@ struct HubDebugStatus {
 
 class ReplicationHub {
  public:
-  struct Tuning {
-    // Session shared secret: acks carrying a different token are ignored
-    // outright, so an unauthenticated peer never advances past await-resume
-    // and receives no data. 0 = unauthenticated closed testbed.
-    uint64_t auth_token = 0;
-    // Byte budget of the shared frame cache; 0 disables caching.
-    uint64_t frame_cache_bytes = 256 * 1024;
-    // Lease stamped on shipped traffic: deadline = now + this many virtual
-    // cycles. 0 disables lease stamping (and heartbeats) entirely. See
-    // ReplicationOptions::lease_interval_cycles for the sizing bounds.
-    uint64_t lease_interval_cycles = 50'000'000;
-    // Idle-primary lease refresh period; 0 = lease_interval / 4.
-    uint64_t heartbeat_interval_cycles = 0;
-  };
-
   // `source_id` names this primary's WAL history; a fresh nonce per store
   // open (the owning process mints it from the kernel's RNG-backed handle
   // space or any per-boot unique value). The store must outlive the hub.
-  // The two-arg form runs with default tuning.
-  ReplicationHub(const DurableStore* store, uint64_t source_id, Tuning tuning);
-  ReplicationHub(const DurableStore* store, uint64_t source_id);
+  // The hub reads `auth_token` and `lease_interval_cycles` from `options`.
+  ReplicationHub(const DurableStore* store, uint64_t source_id,
+                 ReplicationOptions options = ReplicationOptions());
   ~ReplicationHub();
 
   ReplicationHub(const ReplicationHub&) = delete;
@@ -251,11 +262,10 @@ class ReplicationHub {
   // synced to the WAL tail.
   bool AllFullySynced() const;
 
-  // The lease deadline to stamp right now: now + lease_interval (0 when
-  // lease stamping is disabled).
+  // The lease deadline to stamp right now: now + lease_interval.
   uint64_t LeaseDeadline() const;
-  uint64_t heartbeat_interval_cycles() const;
-  bool lease_enabled() const { return tuning_.lease_interval_cycles != 0; }
+  // Idle-primary lease refresh period: a quarter of the lease.
+  uint64_t heartbeat_interval_cycles() const { return options_.lease_interval_cycles / 4; }
 
   // Deterministic successor designation: the lowest nonzero follower id
   // among caught-up sessions; 0 when no session qualifies.
@@ -285,7 +295,7 @@ class ReplicationHub {
                   Payload* span);
 
   uint64_t source_id() const { return source_id_; }
-  uint64_t auth_token() const { return tuning_.auth_token; }
+  uint64_t auth_token() const { return options_.auth_token; }
   const DurableStore* store() const { return store_; }
   const FrameCacheStats& cache_stats() const { return cache_.stats(); }
 
@@ -306,7 +316,7 @@ class ReplicationHub {
 
   const DurableStore* store_;
   uint64_t source_id_;
-  Tuning tuning_;
+  ReplicationOptions options_;
   FrameCache cache_;
   std::vector<std::unique_ptr<FollowerSession>> sessions_;
   mutable std::vector<RetiredDesignee> retired_designees_;  // pruned in SuccessorId

@@ -33,19 +33,8 @@ std::string EncodePayload(const WireMessage& msg) {
       codec::AppendVarint(msg.source_id, &p);
       codec::AppendVarint(msg.shard_count, &p);
       codec::AppendVarint(msg.lease_until, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     case kBatch:
-      codec::AppendVarint(msg.shard, &p);
-      codec::AppendVarint(msg.generation, &p);
-      codec::AppendVarint(msg.offset, &p);
-      codec::AppendVarint(msg.lease_until, &p);
-      codec::AppendVarint(msg.successor_id, &p);
-      codec::AppendString(msg.payload, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
-      break;
     case kSnapshot:
       codec::AppendVarint(msg.shard, &p);
       codec::AppendVarint(msg.generation, &p);
@@ -53,8 +42,6 @@ std::string EncodePayload(const WireMessage& msg) {
       codec::AppendVarint(msg.lease_until, &p);
       codec::AppendVarint(msg.successor_id, &p);
       codec::AppendString(msg.payload, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     case kAck:
       codec::AppendVarint(msg.token, &p);
@@ -63,28 +50,13 @@ std::string EncodePayload(const WireMessage& msg) {
       codec::AppendVarint(msg.generation, &p);
       codec::AppendVarint(msg.offset, &p);
       codec::AppendVarint(msg.follower_id, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     case kHeartbeat:
       codec::AppendVarint(msg.lease_until, &p);
       codec::AppendVarint(msg.successor_id, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     case kBusy:
       codec::AppendVarint(msg.retry_after, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
-      break;
-    case kGenMark:
-      codec::AppendVarint(msg.shard, &p);
-      codec::AppendVarint(msg.generation, &p);
-      codec::AppendVarint(msg.offset, &p);
-      codec::AppendVarint(msg.lease_until, &p);
-      codec::AppendVarint(msg.successor_id, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     case kReadReq:
       codec::AppendVarint(msg.token, &p);
@@ -95,8 +67,6 @@ std::string EncodePayload(const WireMessage& msg) {
       codec::AppendVarint(msg.cursor.generation, &p);
       codec::AppendVarint(msg.cursor.offset, &p);
       codec::AppendLabel(msg.label, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     case kReadResp:
       codec::AppendVarint(msg.cookie, &p);
@@ -108,12 +78,13 @@ std::string EncodePayload(const WireMessage& msg) {
       codec::AppendVarint(msg.cursor.offset, &p);
       codec::AppendLabel(msg.label, &p);
       codec::AppendString(msg.payload, &p);
-      codec::AppendVarint(msg.trace_id, &p);
-      codec::AppendString(msg.prof_ctx, &p);
       break;
     default:
-      break;
+      return p;  // unknown type: no body, no trailer
   }
+  // Every frame type ends with the same observational trailer.
+  codec::AppendVarint(msg.trace_id, &p);
+  codec::AppendString(msg.prof_ctx, &p);
   return p;
 }
 
@@ -133,28 +104,8 @@ Status DecodePayload(std::string_view p, WireMessage* msg) {
           !IsOk(s = codec::ReadVarint(p, &pos, &msg->lease_until))) {
         return s;
       }
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     case kBatch:
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->shard)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->generation)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->offset)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->lease_until)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->successor_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->payload = Payload(bytes);  // one copy out of the rx buffer, then shared
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
-      break;
     case kSnapshot:
       if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->shard)) ||
           !IsOk(s = codec::ReadVarint(p, &pos, &msg->generation)) ||
@@ -165,11 +116,6 @@ Status DecodePayload(std::string_view p, WireMessage* msg) {
         return s;
       }
       msg->payload = Payload(bytes);  // one copy out of the rx buffer, then shared
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     case kAck:
       if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->token)) ||
@@ -180,46 +126,17 @@ Status DecodePayload(std::string_view p, WireMessage* msg) {
           !IsOk(s = codec::ReadVarint(p, &pos, &msg->follower_id))) {
         return s;
       }
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     case kHeartbeat:
       if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->lease_until)) ||
           !IsOk(s = codec::ReadVarint(p, &pos, &msg->successor_id))) {
         return s;
       }
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     case kBusy:
       if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->retry_after))) {
         return s;
       }
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
-      break;
-    case kGenMark:
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->shard)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->generation)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->offset)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->lease_until)) ||
-          !IsOk(s = codec::ReadVarint(p, &pos, &msg->successor_id))) {
-        return s;
-      }
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     case kReadReq:
       if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->token)) ||
@@ -235,11 +152,6 @@ Status DecodePayload(std::string_view p, WireMessage* msg) {
           !IsOk(s = codec::ReadLabel(p, &pos, &msg->label))) {
         return s;
       }
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     case kReadResp:
       if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->cookie)) ||
@@ -254,15 +166,15 @@ Status DecodePayload(std::string_view p, WireMessage* msg) {
         return s;
       }
       msg->payload = Payload(bytes);  // one copy out of the rx buffer, then shared
-      if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-          !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
-        return s;
-      }
-      msg->prof_ctx.assign(bytes);
       break;
     default:
       return Status::kInvalidArgs;  // unknown frame type: poison the session
   }
+  if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
+      !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
+    return s;
+  }
+  msg->prof_ctx.assign(bytes);
   return pos == p.size() ? Status::kOk : Status::kInvalidArgs;
 }
 

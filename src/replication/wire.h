@@ -16,7 +16,8 @@
 //
 // so a torn TCP read is detected exactly like a torn log tail: the parser
 // waits for the rest of the frame, and a CRC mismatch poisons the session
-// (the follower re-syncs on reconnect). Frame payloads are codec varints:
+// (the follower re-syncs on reconnect). Frame payloads are codec varints,
+// and every type ends with the same trailer, trace_id + prof_ctx:
 //
 //   kHello     token, source_id, shard_count,   primary → follower, once
 //              lease_until
@@ -31,22 +32,12 @@
 //              follower_id
 //   kHeartbeat lease_until, successor_id        primary → follower, when idle
 //   kBusy      retry_after_cycles               primary → follower, then close
-//   kGenMark   shard, from-generation,          primary → follower, at compaction
-//              from-offset, lease_until,
-//              successor_id
+//   (type 7 is unassigned and decodes as corrupt)
 //   kReadReq   token, cookie, key,              reader → follower
 //              cursor token, clearance label
 //   kReadResp  cookie, read status, staleness,  follower → reader
 //              applied cursor, secrecy label,
 //              value bytes
-//
-// kGenMark is the compaction hand-off for fully-synced followers: when the
-// primary compacts a shard but retains the old generation's WAL tail
-// (StoreOptions::retain_wal_tail_bytes), a follower that has applied the
-// retained span to its end receives one kGenMark naming that end position
-// and atomically advances its cursor to (generation+1, 0) — no snapshot
-// re-image. A follower anywhere else re-acks its true cursor and the source
-// falls back to a snapshot as before.
 //
 // kReadReq/kReadResp are the follower-read plane (see src/replication/
 // read_gate.h): a labeled read carries the session's cursor token — the
@@ -105,16 +96,22 @@ enum MessageType : uint64_t {
   kAck = 4,
   kHeartbeat = 5,
   kBusy = 6,
-  kGenMark = 7,
+  // 7 is unassigned (a retired frame type): it decodes as an unknown type
+  // (kCorrupt), so a peer that still sends it is refused, not misread.
   kReadReq = 8,
   kReadResp = 9,
 };
 
+// Back-off hint, in virtual cycles, that an at-capacity endpoint carries in
+// kBusy; a follower refused without a hint waits this long too.
+constexpr uint64_t kBusyRetryCycles = 2'000'000;
+
 // A session's read-your-writes position: the primary's per-shard WAL cursor
 // at the session's last acknowledged write. A follower may answer a read
 // carrying this token only when its applied cursor for the shard covers it —
-// same source, and either a later generation (compaction only ever advances
-// a fully-applied cursor) or the same generation at `offset` or beyond.
+// same source, and either a later generation (reached only by installing a
+// snapshot, which holds every record of the earlier generations) or the
+// same generation at `offset` or beyond.
 // source_id == 0 is the empty token: the session never wrote, any fresh
 // follower may answer.
 struct ReadCursorToken {
@@ -131,11 +128,11 @@ struct WireMessage {
   uint64_t token = 0;        // kHello, kAck: session shared secret
   uint64_t source_id = 0;    // kHello, kAck
   uint64_t shard_count = 0;  // kHello
-  uint64_t shard = 0;        // kBatch, kSnapshot, kAck, kGenMark
-  uint64_t generation = 0;   // kBatch, kSnapshot, kAck, kGenMark
+  uint64_t shard = 0;        // kBatch, kSnapshot, kAck
+  uint64_t generation = 0;   // kBatch, kSnapshot, kAck
   uint64_t offset = 0;       // kBatch: span start; kSnapshot/kAck: position covered
-  uint64_t lease_until = 0;  // kHello/kBatch/kHeartbeat/kGenMark: lease deadline
-  uint64_t successor_id = 0; // kBatch/kHeartbeat/kGenMark: designated failover id
+  uint64_t lease_until = 0;  // kHello/kBatch/kSnapshot/kHeartbeat: lease deadline
+  uint64_t successor_id = 0; // kBatch/kSnapshot/kHeartbeat: designated failover id
   uint64_t follower_id = 0;  // kAck: the follower's configured id (0 = bystander)
   uint64_t retry_after = 0;  // kBusy: suggested back-off in virtual cycles
   uint64_t cookie = 0;       // kReadReq/kReadResp: request id, echoed verbatim

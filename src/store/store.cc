@@ -35,6 +35,8 @@ constexpr char kLogPut = 'P';
 constexpr char kLogErase = 'E';
 // Stamps the shard count at creation; see ResolveShardCount.
 constexpr char kShardMetaName[] = "shards";
+// Auto-compaction's log-to-live ratio (see StoreOptions::compact_min_log_records).
+constexpr uint64_t kCompactFactor = 4;
 
 uint64_t RecordBytes(const std::string& key, const StoreRecord& r) {
   return key.size() + r.value.size() + kStoreRecordOverheadBytes;
@@ -463,27 +465,6 @@ Status DurableStore::CompactShard(Shard& shard) {
   if (!IsOk(s)) {
     return s;
   }
-  // Capture the outgoing generation's tail before the log vanishes, so
-  // replication sources can stream nearly-synced followers across the
-  // generation switch (ReadShardWal serves the span from memory; see
-  // StoreOptions::retain_wal_tail_bytes). Read straight off the Wal — this
-  // is not a replication read and must not perturb wal_read_calls().
-  shard.retained_valid = false;
-  shard.retained_tail.clear();
-  if (opts_.retain_wal_tail_bytes > 0 && shard.wal.size_bytes() > 0) {
-    const uint64_t end = shard.wal.size_bytes();
-    const uint64_t start =
-        end > opts_.retain_wal_tail_bytes ? end - opts_.retain_wal_tail_bytes : 0;
-    std::string tail;
-    if (IsOk(shard.wal.ReadAt(start, end - start, &tail)) &&
-        tail.size() == end - start) {
-      shard.retained_valid = true;
-      shard.retained_generation = shard.wal.generation();
-      shard.retained_start = start;
-      shard.retained_end = end;
-      shard.retained_tail = std::move(tail);
-    }
-  }
   // Only once the snapshot is durably in place may the log be dropped.
   s = shard.wal.Reset();
   if (!IsOk(s)) {
@@ -715,19 +696,8 @@ Status DurableStore::ReadShardWal(uint32_t shard, uint64_t generation, uint64_t 
   if (shard >= shards_.size()) {
     return Status::kInvalidArgs;
   }
-  const Shard& s = *shards_[shard];
-  const Wal& wal = s.wal;
+  const Wal& wal = shards_[shard]->wal;
   if (generation != wal.generation() || offset > wal.size_bytes()) {
-    // The previous generation's tail may still be retained in memory
-    // (compaction-aware fan-out): serve it like log bytes, without touching
-    // the log or its read counter.
-    if (s.retained_valid && generation == s.retained_generation &&
-        offset >= s.retained_start && offset <= s.retained_end) {
-      const uint64_t avail = s.retained_end - offset;
-      out->assign(s.retained_tail, static_cast<size_t>(offset - s.retained_start),
-                  static_cast<size_t>(avail < max_bytes ? avail : max_bytes));
-      return Status::kOk;
-    }
     // The span this cursor wants no longer exists (compacted away) or never
     // existed here (a cursor from some other history): snapshot territory.
     return Status::kNotFound;
@@ -826,28 +796,13 @@ Status DurableStore::InstallShardSnapshot(uint32_t shard, std::string_view image
   scratch.records.clear();
   s.snapshot_records_loaded = scratch.snapshot_records_loaded;
   s.log_records_replayed = 0;
-  // The image replaced whatever history the retained tail belonged to.
-  s.retained_valid = false;
-  s.retained_tail.clear();
   return Status::kOk;
-}
-
-bool DurableStore::ShardRetainedSpan(uint32_t shard, uint64_t* generation,
-                                     uint64_t* start_offset, uint64_t* end_offset) const {
-  if (shard >= shards_.size() || !shards_[shard]->retained_valid) {
-    return false;
-  }
-  const Shard& s = *shards_[shard];
-  *generation = s.retained_generation;
-  *start_offset = s.retained_start;
-  *end_offset = s.retained_end;
-  return true;
 }
 
 void DurableStore::MaybeAutoCompact(Shard& shard) {
   const uint64_t log_records = shard.wal.appended_records() + shard.log_records_replayed;
   if (log_records >= opts_.compact_min_log_records &&
-      log_records >= opts_.compact_factor * (shard.records.size() + 1)) {
+      log_records >= kCompactFactor * (shard.records.size() + 1)) {
     // Compaction failure is not fatal to the in-memory state; the log simply
     // keeps growing until the next attempt.
     (void)CompactShard(shard);

@@ -99,16 +99,9 @@ struct StoreOptions {
   // whole life. 1 keeps the flat single-log layout.
   uint32_t shards = 1;
   // Per-shard auto-compaction: once a shard's log holds at least this many
-  // records AND at least `compact_factor`× the shard's live record count,
+  // records AND at least 4× the shard's live record count,
   // fold it into that shard's snapshot.
   uint64_t compact_min_log_records = 1024;
-  uint64_t compact_factor = 4;
-  // Compaction-aware replication fan-out: keep up to this many bytes of the
-  // compacted generation's WAL tail in memory, so a replication source can
-  // stream a nearly-synced follower across the generation switch (and hand
-  // it over with a kGenMark) instead of re-imaging it with a snapshot.
-  // 0 (the default) retains nothing — compaction behaves exactly as before.
-  uint64_t retain_wal_tail_bytes = 0;
 };
 
 class DurableStore {
@@ -184,15 +177,7 @@ class DurableStore {
 
   // Number of ReadShardWal calls that hit the log (observability for the
   // replication frame cache: hub read requests minus this = reads saved).
-  // Retained-tail reads are served from memory and intentionally NOT
-  // counted: they never touch the log.
   uint64_t wal_read_calls() const { return wal_read_calls_; }
-
-  // True when `shard` holds a retained previous-generation tail (see
-  // StoreOptions::retain_wal_tail_bytes); reports its generation and the
-  // [start, end) byte span still servable through ReadShardWal.
-  bool ShardRetainedSpan(uint32_t shard, uint64_t* generation, uint64_t* start_offset,
-                         uint64_t* end_offset) const;
 
   // Serializes the shard's live records into a snapshot image (the on-disk
   // snapshot format: magic, crc, body) and reports the WAL position the
@@ -253,15 +238,6 @@ class DurableStore {
     uint64_t log_records_replayed = 0;
     uint64_t torn_tail_bytes_dropped = 0;
     uint64_t compactions = 0;
-    // Previous generation's retained tail (retain_wal_tail_bytes > 0): the
-    // log bytes in [retained_start, retained_end) of retained_generation,
-    // kept in memory across one compaction so streaming followers ride
-    // through the generation switch. Overwritten by the next compaction.
-    bool retained_valid = false;
-    uint64_t retained_generation = 0;
-    uint64_t retained_start = 0;
-    uint64_t retained_end = 0;
-    std::string retained_tail;
   };
 
   // One round of pipelined flushing, owned by the main thread, executed by

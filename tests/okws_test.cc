@@ -476,9 +476,8 @@ TEST(OkwsFollowerReadTest, ExpiredSessionRefusedIdenticallyOnFollower) {
   StoreOptions replica_opts;
   replica_opts.dir = dir.path() + "/demux-replica";
   replica_opts.shards = 4;
-  FollowerOptions fopts;
-  fopts.follower_id = 1;
-  fopts.auto_promote = false;
+  ReplicaOptions fopts;
+  fopts.follower_id = 1;  // routable; the lease above never runs out, so no promote
   FollowerWorld follower(0x2222, 7201, replica_opts, fopts, /*read_tcp_port=*/7300);
   // The demux session liveness rule, applied follower-side: the SAME
   // comparison FindLiveSession uses on the primary (session_codec.h).

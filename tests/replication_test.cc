@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/fs/file_server.h"
@@ -26,7 +28,9 @@
 #include "src/replication/source.h"
 #include "src/replication/wire.h"
 #include "src/sim/cycles.h"
+#include "src/store/label_codec.h"
 #include "src/store/store.h"
+#include "src/store/wal.h"
 #include "tests/test_util.h"
 
 namespace asbestos {
@@ -126,17 +130,166 @@ TEST(ReplWireTest, CorruptFramePoisons) {
   EXPECT_EQ(replwire::ConsumeFrame(&stream, &out), replwire::FrameParse::kCorrupt);
 }
 
+// Lower-case hex of a byte string, for pinning wire bytes.
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// One populated frame of every message type, each with a trace id and a
+// non-empty profiler context, pinned byte for byte: the wire format is a
+// compatibility surface between primaries and followers of different
+// builds, so an encoder refactor must leave every byte where it was.
+TEST(ReplWireTest, GoldenFrames) {
+  const Label label({{H(77), Level::kL3}}, Level::kStar);
+  auto frame = [](replwire::MessageType type) {
+    replwire::WireMessage m;
+    m.type = type;
+    m.trace_id = 0x1234;
+    m.prof_ctx = "ship;batch";
+    return m;
+  };
+  std::vector<std::pair<replwire::WireMessage, std::string>> cases;
+
+  replwire::WireMessage hello = frame(replwire::kHello);
+  hello.token = 0xA5;
+  hello.source_id = 0x5EED;
+  hello.shard_count = 4;
+  hello.lease_until = 1000000;
+  cases.emplace_back(hello,
+                     "17000000aecf0bb101a501edbd0104c0843db4240a736869703b6261746368");
+
+  replwire::WireMessage batch = frame(replwire::kBatch);
+  batch.shard = 3;
+  batch.generation = 7;
+  batch.offset = 4096;
+  batch.lease_until = 123456;
+  batch.successor_id = 9;
+  batch.payload = std::string("wal\x00\x01", 5);
+  cases.emplace_back(batch,
+                     "1c0000007fabfb0b0203078020c0c407090577616c0001b4240a736869703b62"
+                     "61746368");
+
+  replwire::WireMessage snapshot = frame(replwire::kSnapshot);
+  snapshot.shard = 1;
+  snapshot.generation = 2;
+  snapshot.offset = 300;
+  snapshot.lease_until = 5000;
+  snapshot.successor_id = 4;
+  snapshot.payload = std::string("ASBSTOR1image");
+  cases.emplace_back(snapshot,
+                     "230000009087495f030102ac028827040d41534253544f5231696d616765b424"
+                     "0a736869703b6261746368");
+
+  replwire::WireMessage ack = frame(replwire::kAck);
+  ack.token = 0xA5;
+  ack.shard = 3;
+  ack.source_id = 0xABCDEF;
+  ack.generation = 7;
+  ack.offset = 8192;
+  ack.follower_id = 42;
+  cases.emplace_back(ack,
+                     "1900000027d667ea04a50103ef9baf050780402ab4240a736869703b62617463"
+                     "68");
+
+  replwire::WireMessage hb = frame(replwire::kHeartbeat);
+  hb.lease_until = 999;
+  hb.successor_id = 42;
+  cases.emplace_back(hb,
+                     "11000000f816f93605e7072ab4240a736869703b6261746368");
+
+  replwire::WireMessage busy = frame(replwire::kBusy);
+  busy.retry_after = 2000000;
+  cases.emplace_back(busy,
+                     "11000000dd1b24250680897ab4240a736869703b6261746368");
+
+  replwire::WireMessage req = frame(replwire::kReadReq);
+  req.token = 0xA5;
+  req.cookie = 17;
+  req.key = "notes/alice";
+  req.cursor = {0x5EED, 2, 1, 640};
+  req.label = label;
+  cases.emplace_back(req,
+                     "28000000d869773808a501110b6e6f7465732f616c696365edbd010201800500"
+                     "010c4db4240a736869703b6261746368");
+
+  replwire::WireMessage resp = frame(replwire::kReadResp);
+  resp.cookie = 17;
+  resp.read_status = 0;
+  resp.staleness = 250;
+  resp.cursor = {0x5EED, 2, 1, 700};
+  resp.label = label;
+  resp.payload = std::string("hello");
+  cases.emplace_back(resp,
+                     "2300000087b93d85091100fa01edbd010201bc0500010c4d0568656c6c6fb424"
+                     "0a736869703b6261746368");
+
+  for (const auto& [msg, want] : cases) {
+    std::string bytes;
+    replwire::AppendFrame(msg, &bytes);
+    EXPECT_EQ(Hex(bytes), want) << "type " << msg.type;
+    replwire::WireMessage out;
+    ASSERT_EQ(replwire::ConsumeFrame(&bytes, &out), replwire::FrameParse::kFrame);
+    EXPECT_TRUE(bytes.empty());
+    EXPECT_EQ(out.type, msg.type);
+    EXPECT_EQ(out.trace_id, msg.trace_id);
+    EXPECT_EQ(out.prof_ctx, msg.prof_ctx);
+    std::string again;
+    replwire::AppendFrame(out, &again);
+    EXPECT_EQ(Hex(again), want) << "re-encoded type " << msg.type;
+  }
+}
+
+// Type 7 is unassigned (it once named a compaction hand-off frame). A
+// well-framed payload carrying it is an unknown type: the session is
+// poisoned rather than the frame skipped.
+TEST(ReplWireTest, UnassignedTypeSevenIsCorrupt) {
+  // CRC-frames a payload of varints plus an empty profiler context.
+  auto framed = [](std::vector<uint64_t> varints) {
+    std::string payload;
+    for (uint64_t v : varints) {
+      codec::AppendVarint(v, &payload);
+    }
+    codec::AppendString("", &payload);
+    std::string frame;
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    const uint32_t crc = Crc32(payload);
+    frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    return frame + payload;
+  };
+  // The helper frames exactly like the encoder: a heartbeat round-trips.
+  replwire::WireMessage hb;
+  hb.type = replwire::kHeartbeat;
+  hb.lease_until = 999;
+  hb.successor_id = 42;
+  hb.trace_id = 0x1234;
+  std::string want;
+  replwire::AppendFrame(hb, &want);
+  std::string heartbeat = framed({replwire::kHeartbeat, 999, 42, 0x1234});
+  EXPECT_EQ(heartbeat, want);
+  replwire::WireMessage out;
+  EXPECT_EQ(replwire::ConsumeFrame(&heartbeat, &out), replwire::FrameParse::kFrame);
+  // Type 7 with the old hand-off's fields (shard, generation, offset,
+  // lease_until, successor_id, trace_id) is an unknown type.
+  std::string seven = framed({7, 1, 2, 300, 5000, 4, 0x1234});
+  EXPECT_EQ(replwire::ConsumeFrame(&seven, &out), replwire::FrameParse::kCorrupt);
+}
+
 // --- Hub ↔ replica protocol (no transport) -----------------------------------
 
 class ReplProtocolTest : public ::testing::Test {
  protected:
-  void OpenPrimary(uint32_t shards, uint64_t compact_min = 1024,
-                   uint64_t retain_tail_bytes = 0) {
+  void OpenPrimary(uint32_t shards, uint64_t compact_min = 1024) {
     StoreOptions opts;
     opts.dir = dir_.path() + "/primary";
     opts.shards = shards;
     opts.compact_min_log_records = compact_min;
-    opts.retain_wal_tail_bytes = retain_tail_bytes;
     auto store = DurableStore::Open(opts);
     ASSERT_TRUE(store.ok());
     primary_ = store.take();
@@ -483,9 +636,9 @@ TEST_F(ReplProtocolTest, CompactionDuringResumeWindowStillSnapshots) {
 TEST_F(ReplProtocolTest, MismatchedAuthTokenShipsNothing) {
   OpenPrimary(4);
   // The primary requires a token; this replica was configured with another.
-  ReplicationHub::Tuning tuning;
-  tuning.auth_token = 42;
-  hub_ = std::make_unique<ReplicationHub>(primary_.get(), 0x5EED, tuning);
+  ReplicationOptions ropts_primary;
+  ropts_primary.auth_token = 42;
+  hub_ = std::make_unique<ReplicationHub>(primary_.get(), 0x5EED, ropts_primary);
   session_ = hub_->OpenSession();
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(primary_->Put("k" + std::to_string(i), "secret", Label::Bottom(), Label::Top()),
@@ -520,9 +673,9 @@ TEST_F(ReplProtocolTest, MismatchedAuthTokenShipsNothing) {
 
 TEST_F(ReplProtocolTest, MatchingAuthTokenSyncs) {
   OpenPrimary(2);
-  ReplicationHub::Tuning tuning;
-  tuning.auth_token = 99;
-  hub_ = std::make_unique<ReplicationHub>(primary_.get(), 0x5EED, tuning);
+  ReplicationOptions ropts_primary;
+  ropts_primary.auth_token = 99;
+  hub_ = std::make_unique<ReplicationHub>(primary_.get(), 0x5EED, ropts_primary);
   session_ = hub_->OpenSession();
   ASSERT_EQ(primary_->Put("k", "v", Label::Bottom(), Label::Top()), Status::kOk);
   StoreOptions opts;
@@ -536,6 +689,20 @@ TEST_F(ReplProtocolTest, MatchingAuthTokenSyncs) {
   SyncOnce();
   EXPECT_TRUE(session_->FullySynced());
   ExpectReplicaMatchesPrimary();
+}
+
+// The lease is the failover window and the heartbeat is derived from it;
+// there is no "leases off" configuration to fall into by accident.
+TEST(ReplHubDeathTest, ZeroLeaseIntervalIsRefused) {
+  TempDir dir;
+  StoreOptions opts;
+  opts.dir = dir.path() + "/primary";
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  ReplicationOptions options;
+  options.lease_interval_cycles = 0;
+  EXPECT_DEATH(ReplicationHub(store.value().get(), 0x5EED, options),
+               "lease_interval_cycles > 0");
 }
 
 // --- Multi-follower fan-out through the hub ----------------------------------
@@ -691,57 +858,10 @@ TEST_F(ReplProtocolTest, HeartbeatRefreshesLeaseWithoutData) {
   EXPECT_EQ(session_->stats().heartbeats_sent, 1u);
 }
 
-// --- Compaction ride-through (retained WAL tail + kGenMark) ------------------
-
-TEST_F(ReplProtocolTest, SyncedFollowerRidesThroughCompactionViaRetainedTail) {
-  OpenPrimary(2, /*compact_min=*/1024, /*retain_tail_bytes=*/256 * 1024);
-  OpenReplica(2, /*follower_id=*/1);
-  const Label secrecy({{H(9), Level::kL3}}, Level::kStar);
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_EQ(primary_->Put("k" + std::to_string(i), std::string(100, 'x'), secrecy,
-                            Label::Top()),
-              Status::kOk);
-  }
-  SyncOnce();
-  ASSERT_TRUE(session_->FullySynced());
-  // A fresh follower is imaged once per shard — that is the normal adoption
-  // path. Ride-through means the count never grows PAST this baseline.
-  const uint64_t initial_images = session_->stats().snapshots_shipped;
-  ASSERT_EQ(initial_images, 2u);
-
-  // Compaction with a retained tail: the synced follower rides through on
-  // kGenMark hand-offs — the whole point of satellite retention — and the
-  // session never re-images a store the follower already has.
-  ASSERT_EQ(primary_->Compact(), Status::kOk);
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_EQ(primary_->Put("post" + std::to_string(i), "y", Label::Bottom(), Label::Top()),
-              Status::kOk);
-  }
-  SyncOnce();
-  EXPECT_TRUE(session_->FullySynced());
-  EXPECT_EQ(session_->stats().snapshots_shipped, initial_images)
-      << "ride-through must not re-image";
-  EXPECT_EQ(replica_->stats().snapshots_installed, initial_images);
-  EXPECT_EQ(session_->stats().gen_marks_sent, 2u);  // one hand-off per shard
-  EXPECT_EQ(replica_->stats().gen_marks_applied, 2u);
-  ExpectReplicaMatchesPrimary();
-
-  // A second compaction cycle hands off again: retention is refreshed each
-  // time, not a one-shot.
-  ASSERT_EQ(primary_->Compact(), Status::kOk);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(primary_->Put("again" + std::to_string(i), "z", Label::Bottom(), Label::Top()),
-              Status::kOk);
-  }
-  SyncOnce();
-  EXPECT_TRUE(session_->FullySynced());
-  EXPECT_EQ(session_->stats().snapshots_shipped, initial_images);
-  EXPECT_EQ(session_->stats().gen_marks_sent, 4u);
-  ExpectReplicaMatchesPrimary();
-}
+// --- Compaction catch-up ------------------------------------------------------
 
 TEST_F(ReplProtocolTest, LaggingFollowerStillSnapshotsAcrossCompaction) {
-  OpenPrimary(1, /*compact_min=*/1024, /*retain_tail_bytes=*/64);  // tiny tail
+  OpenPrimary(1);
   OpenReplica(1);
   SyncOnce();
   for (int i = 0; i < 64; ++i) {
@@ -749,14 +869,56 @@ TEST_F(ReplProtocolTest, LaggingFollowerStillSnapshotsAcrossCompaction) {
                             Label::Top()),
               Status::kOk);
   }
-  // The follower never applied this span, and the retained tail (64 bytes)
-  // does not reach back to its cursor: compaction must re-image as before.
+  // The follower never applied this span, and compaction discarded it:
+  // the follower is re-imaged.
   ASSERT_EQ(primary_->Compact(), Status::kOk);
   SyncOnce();
   EXPECT_TRUE(session_->FullySynced());
   EXPECT_GE(session_->stats().snapshots_shipped, 1u);
-  EXPECT_EQ(session_->stats().gen_marks_sent, 0u);
   ExpectReplicaMatchesPrimary();
+}
+
+TEST_F(ReplProtocolTest, ReadYourWritesHoldsAcrossCompactionSnapshot) {
+  OpenPrimary(1);
+  OpenReplica(1, /*follower_id=*/1);
+  SyncOnce();  // adopt the (empty) shard and stamp the lease
+  ASSERT_EQ(primary_->Put("doc", "mine", Label::Bottom(), Label::Top()), Status::kOk);
+  // The session's token right after its write: the primary's tail, in the
+  // generation the write landed in.
+  replwire::ReadCursorToken token;
+  token.source_id = 0x5EED;  // OpenPrimary's hub source id
+  token.shard = 0;
+  token.generation = primary_->shard_wal_generation(0);
+  token.offset = primary_->shard_wal_offset(0);
+  ReadGate gate(replica_.get());
+  EXPECT_EQ(gate.Serve("doc", Label::Top(), token).status, ReadStatus::kRefusedCursorLag);
+
+  // Compaction discards the span before it ships: the follower catches up
+  // by snapshot and lands in a later generation than the token names.
+  ASSERT_EQ(primary_->Compact(), Status::kOk);
+  const uint64_t images_before = replica_->stats().snapshots_installed;
+  SyncOnce();
+  EXPECT_EQ(replica_->stats().snapshots_installed, images_before + 1);
+  const replwire::ReadCursorToken applied = replica_->applied_cursor(0);
+  EXPECT_EQ(applied.generation, token.generation + 1);
+  EXPECT_EQ(applied.offset, 0u);
+  const ReadResult r = gate.Serve("doc", Label::Top(), token);
+  EXPECT_EQ(r.status, ReadStatus::kOk);
+  EXPECT_EQ(r.value, "mine");
+
+  // A token past the follower's applied cursor is still refused: a write
+  // in the new generation that has not shipped yet...
+  ASSERT_EQ(primary_->Put("doc", "newer", Label::Bottom(), Label::Top()), Status::kOk);
+  replwire::ReadCursorToken ahead = token;
+  ahead.generation = primary_->shard_wal_generation(0);
+  ahead.offset = primary_->shard_wal_offset(0);
+  EXPECT_EQ(gate.Serve("doc", Label::Top(), ahead).status, ReadStatus::kRefusedCursorLag);
+  // ...and a token from a generation the follower has not reached.
+  replwire::ReadCursorToken future = applied;
+  future.generation += 1;
+  EXPECT_EQ(gate.Serve("doc", Label::Top(), future).status, ReadStatus::kRefusedCursorLag);
+  SyncOnce();
+  EXPECT_EQ(gate.Serve("doc", Label::Top(), ahead).status, ReadStatus::kOk);
 }
 
 // --- The read gate: lease, cursor token, labels ------------------------------
@@ -888,7 +1050,7 @@ class ReplEndToEndTest : public ::testing::Test {
     StoreOptions opts;
     opts.dir = dir;
     opts.shards = 4;
-    FollowerOptions fopts;
+    ReplicaOptions fopts;
     fopts.auth_token = kAuthToken;
     fopts.follower_id = follower_id;
     return fleet_->AddFollower(boot_key, next_follower_port_++, opts, fopts, read_tcp_port);
@@ -1292,10 +1454,9 @@ TEST_F(ReplEndToEndTest, StaleLeaseFollowerRefusesAllReads) {
   StoreOptions fopts_store;
   fopts_store.dir = dir_.path() + "/follower";
   fopts_store.shards = 4;
-  FollowerOptions fopts;
+  ReplicaOptions fopts;
   fopts.auth_token = kAuthToken;
-  fopts.follower_id = 1;
-  fopts.auto_promote = false;  // observe the expiry, don't fail over
+  fopts.follower_id = 0;  // a mirror: observe the expiry, don't fail over
   fleet_->AddFollower(0x0452, kFollowerPortBase, fopts_store, fopts,
                       /*read_tcp_port=*/7500);
   RunFsWorkload();
@@ -1422,11 +1583,11 @@ TEST(ReplOkwsTest, IddDemuxAndDbproxyStoresReplicateFromTheFullWorld) {
   world.PumpUntilReady();
 
   FollowerWorld idd_follower(0x1111, 7200,
-                             StoreOptions{dir.path() + "/idd-replica", 4, 1024, 4});
+                             StoreOptions{dir.path() + "/idd-replica", 4, 1024});
   FollowerWorld demux_follower(0x2222, 7201,
-                               StoreOptions{dir.path() + "/demux-replica", 4, 1024, 4});
+                               StoreOptions{dir.path() + "/demux-replica", 4, 1024});
   FollowerWorld dbproxy_follower(0x3333, 7202,
-                                 StoreOptions{dir.path() + "/dbproxy-replica", 4, 1024, 4});
+                                 StoreOptions{dir.path() + "/dbproxy-replica", 4, 1024});
   ReplicationLink idd_link(&world.net(), 7100, &idd_follower.net(), 7200);
   ReplicationLink demux_link(&world.net(), 7101, &demux_follower.net(), 7201);
   ReplicationLink dbproxy_link(&world.net(), 7102, &dbproxy_follower.net(), 7202);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 
+#include "src/base/rng.h"
 #include "src/db/sql_engine.h"
 #include "src/db/sql_parser.h"
 #include "src/db/sql_tokenizer.h"
@@ -86,6 +89,86 @@ TEST(SqlParserTest, RejectsMalformed) {
   EXPECT_FALSE(ParseSql("DROP TABLE t").ok()) << "unsupported statement";
   EXPECT_FALSE(ParseSql("SELECT a FROM t WHERE x LIKE 'y'").ok());
   EXPECT_FALSE(ParseSql("SELECT a FROM t LIMIT -1").ok());
+}
+
+TEST(SqlParserTest, IntegerLiteralsOutsideInt64AreParseErrors) {
+  EXPECT_FALSE(ParseSql("INSERT INTO t (a) VALUES (99999999999999999999)").ok());
+  EXPECT_FALSE(ClassifyReadOnlySql("SELECT a FROM t WHERE a = 99999999999999999999"));
+
+  auto min = ParseSql("INSERT INTO t (a) VALUES (-9223372036854775808)");
+  ASSERT_TRUE(min.ok());
+  EXPECT_EQ(std::get<InsertStmt>(min.value()).rows[0][0].AsInt(),
+            std::numeric_limits<int64_t>::min());
+  auto max = ParseSql("INSERT INTO t (a) VALUES (9223372036854775807)");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(std::get<InsertStmt>(max.value()).rows[0][0].AsInt(),
+            std::numeric_limits<int64_t>::max());
+
+  EXPECT_FALSE(ParseSql("INSERT INTO t (a) VALUES (-9223372036854775809)").ok());
+  EXPECT_FALSE(ParseSql("INSERT INTO t (a) VALUES (9223372036854775808)").ok());
+}
+
+// Random edits of well-formed statements, seeded so every failure replays:
+// the parser must accept or reject each one, never crash. Budget: 20,000
+// mutations from seed 0x5e1ec7 over 7 checked-in statements.
+std::string MutateSql(std::string s, Rng& rng) {
+  static constexpr char kAlphabet[] = "0123456789-'(),;=<>! aZ*";
+  static const char* const kDigitRuns[] = {"9223372036854775807", "9223372036854775808",
+                                           "-9223372036854775809", "99999999999999999999",
+                                           "0000000000000000000000001"};
+  const auto pos = [&](size_t limit) { return static_cast<size_t>(rng.NextBelow(limit)); };
+  const auto byte = [&] { return kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)]; };
+  for (uint64_t edits = rng.NextInRange(1, 4); edits > 0; --edits) {
+    switch (rng.NextBelow(4)) {
+      case 0:  // overwrite
+        if (!s.empty()) {
+          s[pos(s.size())] = rng.NextBool() ? byte() : static_cast<char>(rng.Next());
+        }
+        break;
+      case 1:  // insert
+        s.insert(pos(s.size() + 1), 1, byte());
+        break;
+      case 2:  // delete
+        if (!s.empty()) {
+          s.erase(pos(s.size()), 1);
+        }
+        break;
+      default:  // digit run
+        s.insert(pos(s.size() + 1), kDigitRuns[rng.NextBelow(5)]);
+        break;
+    }
+  }
+  return s;
+}
+
+TEST(SqlParserTest, SeededMutation) {
+  constexpr int kIterations = 20000;
+  const char* const kSeeds[] = {
+      "CREATE TABLE notes (id INTEGER PRIMARY KEY, owner TEXT, body VARCHAR)",
+      "CREATE INDEX by_owner ON notes (owner)",
+      "INSERT INTO notes (id, owner, body) VALUES (1, 'alice', 'hi'), (-2, 'bob', NULL)",
+      "SELECT id, body FROM notes WHERE owner = 'alice' AND id >= 10 ORDER BY id DESC LIMIT 5",
+      "SELECT * FROM notes WHERE id != -7;",
+      "UPDATE notes SET body = 'edited', id = 42 WHERE owner = 'bob'",
+      "DELETE FROM notes WHERE id < 100",
+  };
+  Rng rng(0x5e1ec7);
+  int accepted = 0;
+  int rejected = 0;
+  for (const char* seed : kSeeds) {
+    ASSERT_TRUE(ParseSql(seed).ok()) << seed;
+  }
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const std::string mutated =
+        MutateSql(kSeeds[rng.NextBelow(std::size(kSeeds))], rng);
+    const auto stmt = ParseSql(mutated);
+    stmt.ok() ? ++accepted : ++rejected;
+    EXPECT_EQ(ClassifyReadOnlySql(mutated), stmt.ok() && IsReadOnlySql(stmt.value()))
+        << "iteration " << iter;
+  }
+  // The edits exercise both outcomes.
+  EXPECT_GT(accepted, kIterations / 20);
+  EXPECT_GT(rejected, kIterations / 20);
 }
 
 // --- Engine ------------------------------------------------------------------

@@ -233,7 +233,6 @@ TEST(DurableStoreTest, AutoCompactionBoundsTheLog) {
   TempDir dir;
   StoreOptions opts = Opts(dir);
   opts.compact_min_log_records = 16;
-  opts.compact_factor = 4;
   auto store = DurableStore::Open(std::move(opts));
   ASSERT_TRUE(store.ok());
   // One hot key rewritten many times: the log would grow without bound, the
@@ -263,7 +262,6 @@ TEST(DurableStoreTest, ReplayedRecordsStopCountingAfterCompaction) {
   // rewriting a snapshot on every subsequent mutation.
   StoreOptions opts = Opts(dir);
   opts.compact_min_log_records = 32;
-  opts.compact_factor = 4;
   auto store = DurableStore::Open(std::move(opts));
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store.value()->log_records_replayed(), 100u);
