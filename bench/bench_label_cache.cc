@@ -1,7 +1,8 @@
 // Canonical-label benchmarks: the kernel flow-check cache on recurring
 // OKWS-shaped tuples (cold = uncached baseline, warm = cache hits), the
 // delivery contamination join of a ⋆-heavy send label into a small worker
-// label, and store-recovery label memory with hash-consed dedup.
+// label, the send-time effective send label of a read fan-out, and
+// store-recovery label memory with hash-consed dedup.
 //
 // The acceptance bar for the cache is wall-clock only: warm-cache
 // CheckDeliveryAllowed on recurring tuples must be ≥5× faster than the
@@ -186,6 +187,45 @@ void BM_DeliveryJoin(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_DeliveryJoin)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// --- Send-time effective send label of a read fan-out ------------------------
+
+// dbproxy's OKDB read (§7.5): one message per row, each with ES = PS ⊔ CS,
+// where PS holds ⋆ for every user (756 entries, default 1) and CS is the row
+// owner's {uT 3, ⋆}. Rows rotate over 250 owners, and the last 2,000 results
+// stay live, as a queue of in-flight lists holds them. Each ES only
+// overwrites one ⋆ entry, so the rows of one owner share one canonical rep:
+// live_label_bytes is the heap the 2,000 queued results hold.
+void BM_FanOutEffectiveSend(benchmark::State& state) {
+  obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
+  constexpr uint64_t kEntries = 756;
+  constexpr uint64_t kOwners = 250;
+  constexpr size_t kQueued = 2000;
+  LabelBuilder pb(Level::kL1);
+  for (uint64_t i = 1; i <= kEntries; ++i) {
+    pb.Append(Handle::FromValue(i * 2), Level::kStar);
+  }
+  const Label ps = pb.Build();
+  std::vector<Label> taints;
+  for (uint64_t j = 0; j < kOwners; ++j) {
+    taints.push_back(Label({{Handle::FromValue((j * 3 + 1) * 2), Level::kL3}}, Level::kStar));
+  }
+  const int64_t live_before = GetLabelMemStats().live_bytes;
+  std::vector<Label> queue(kQueued, ps);
+  size_t row = 0;
+  for (auto _ : state) {
+    queue[row % kQueued] = Label::Lub(ps, taints[row % kOwners]);
+    benchmark::DoNotOptimize(queue[row % kQueued]);
+    ++row;
+  }
+  ASB_ASSERT(queue[0].Get(Handle::FromValue(2)) == Level::kL3);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["es_entries"] = static_cast<double>(kEntries);
+  state.counters["owners"] = static_cast<double>(kOwners);
+  state.counters["live_label_bytes"] =
+      static_cast<double>(GetLabelMemStats().live_bytes - live_before);
+}
+BENCHMARK(BM_FanOutEffectiveSend);
 
 // --- Store recovery with hash-consed labels ---------------------------------
 

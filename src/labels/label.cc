@@ -368,24 +368,29 @@ bool MatchRepAgainstFlat(const LabelRep* rep, const void* vctx) {
   return c.done();
 }
 
-// Extensional equality of two reps (Equals, and the intern probe of
-// Canonicalize). The default level and the level histogram reject in O(1);
-// the entry walk then skips whole chunks the two share: a COW clone that
-// diverged in one chunk still shares the others, and pointer-identical
-// chunks at a chunk boundary are equal without touching their entries.
-bool SameContent(const LabelRep* a, const LabelRep* b) {
-  if (a->default_level != b->default_level) {
-    return false;
-  }
-  for (int i = 0; i < 5; ++i) {
-    if (a->level_counts[i] != b->level_counts[i]) {
-      return false;
-    }
-  }
+// In-place overwrites of some of a rep's entries, in increasing (chunk, pos)
+// order. The asymmetric ⊔ of Label::Lub describes a result this way before
+// building it: its big side with a few entries raised. Only the first
+// `count` slots are ever written or read; the arrays are left uninitialized
+// because zeroing them costs a sixth of a probe hit.
+struct Overwrites {
+  size_t count = 0;
+  size_t chunk[kAsymmetricSmallLimit];
+  uint16_t pos[kAsymmetricSmallLimit];
+  uint64_t entry[kAsymmetricSmallLimit];
+};
+
+// Whether a's entries, with `o` applied to them, equal b's. Chunks that
+// start together and have one size compare whole, and the two share most
+// of them: a COW clone that diverged in one chunk still shares the others,
+// and a shared chunk that `o` leaves alone is equal without touching its
+// entries. Otherwise the walk compares entry by entry.
+bool SameEntries(const LabelRep* a, const Overwrites& o, const LabelRep* b) {
   size_t ai = 0;
   size_t bi = 0;
   uint16_t aj = 0;
   uint16_t bj = 0;
+  size_t k = 0;  // first overwrite at or after a's position
   const auto& achunks = a->chunks;
   const auto& bchunks = b->chunks;
   for (;;) {
@@ -402,17 +407,50 @@ bool SameContent(const LabelRep* a, const LabelRep* b) {
     if (a_done || b_done) {
       return a_done && b_done;
     }
-    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
+    while (k < o.count && (o.chunk[k] < ai || (o.chunk[k] == ai && o.pos[k] < aj))) {
+      ++k;
+    }
+    if (aj == 0 && bj == 0 && achunks[ai]->size == bchunks[bi]->size) {
+      const uint64_t* as = achunks[ai]->entries.get();
+      const uint64_t* bs = bchunks[bi]->entries.get();
+      uint16_t from = 0;
+      for (; k < o.count && o.chunk[k] == ai; ++k) {
+        if (o.entry[k] != bs[o.pos[k]] || !std::equal(as + from, as + o.pos[k], bs + from)) {
+          return false;
+        }
+        from = static_cast<uint16_t>(o.pos[k] + 1);
+      }
+      if (as != bs && !std::equal(as + from, as + achunks[ai]->size, bs + from)) {
+        return false;
+      }
       ++ai;
       ++bi;
       continue;
     }
-    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
+    const bool overwritten = k < o.count && o.chunk[k] == ai && o.pos[k] == aj;
+    const uint64_t ae = overwritten ? o.entry[k] : achunks[ai]->entries[aj];
+    if (ae != bchunks[bi]->entries[bj]) {
       return false;
     }
     ++aj;
     ++bj;
   }
+}
+
+// Extensional equality of two reps (Equals, and the intern probe of
+// Canonicalize). The default level and the level histogram reject in O(1)
+// before the entry walk.
+bool SameContent(const LabelRep* a, const LabelRep* b) {
+  if (a->default_level != b->default_level) {
+    return false;
+  }
+  for (int i = 0; i < 5; ++i) {
+    if (a->level_counts[i] != b->level_counts[i]) {
+      return false;
+    }
+  }
+  static const Overwrites kNone{};
+  return SameEntries(a, kNone, b);
 }
 
 // The hash-consing funnel (see intern.h): every completed construction from
@@ -580,9 +618,16 @@ Level Label::MinNonStarEntryLevel() const {
 
 namespace {
 
-// Index of the chunk that could contain h: the last chunk whose first handle
-// is <= h. Returns SIZE_MAX when h precedes every chunk.
-size_t FindChunkIndex(const LabelRep* rep, Handle h) {
+// Where h is or would go: the chunk that could hold it (the last one whose
+// first handle is <= h; SIZE_MAX when h precedes every chunk), its lower
+// bound there, and whether h has an entry.
+struct Slot {
+  size_t chunk;
+  uint16_t pos;
+  bool exists;
+};
+
+Slot FindSlot(const LabelRep* rep, Handle h) {
   size_t lo = 0;
   size_t hi = rep->chunks.size();
   while (lo < hi) {
@@ -593,36 +638,90 @@ size_t FindChunkIndex(const LabelRep* rep, Handle h) {
       hi = mid;
     }
   }
-  return lo == 0 ? SIZE_MAX : lo - 1;
+  if (lo == 0) {
+    return {SIZE_MAX, 0, false};
+  }
+  const Chunk* c = rep->chunks[lo - 1];
+  const uint16_t pos = internal::LowerBoundInChunk(c, h);
+  return {lo - 1, pos, pos < c->size && EntryHandle(c->entries[pos]) == h};
 }
+
+// The asymmetric small ⊔ big of Label::Lub, described before it is built.
+// When every point change the small side makes overwrites an existing entry
+// of the big side, the result keeps the big side's chunk layout, so its
+// structural hash and level histogram follow from the big side's in O(k)
+// and the intern table can be probed without building anything.
+struct AsymmetricLub {
+  const LabelRep* big = nullptr;
+  internal::Overwrites changes;
+  uint64_t level_counts[5] = {};
+  uint64_t struct_hash = 0;
+
+  // Collects the changes; false as soon as one is not an overwrite (an
+  // insert, or a raise to the big default, which removes the entry): those
+  // move the chunk layout.
+  bool Collect(const LabelRep* big_rep, const LabelRep* small) {
+    big = big_rep;
+    std::copy(big->level_counts, big->level_counts + 5, level_counts);
+    struct_hash = big->struct_hash;
+    for (internal::Cursor it(small); !it.done(); it.Advance()) {
+      const Handle h = EntryHandle(it.entry());
+      const Slot slot = FindSlot(big, h);
+      const uint64_t* entry = slot.exists ? &big->chunks[slot.chunk]->entries[slot.pos] : nullptr;
+      const Level old = slot.exists ? EntryLevel(*entry) : big->default_level;
+      const Level now = LevelMax(old, EntryLevel(it.entry()));
+      if (now == old) {
+        continue;
+      }
+      if (!slot.exists || now == big->default_level) {
+        return false;
+      }
+      const size_t k = changes.count++;
+      changes.chunk[k] = slot.chunk;
+      changes.pos[k] = slot.pos;
+      changes.entry[k] = PackEntry(h, now);
+      level_counts[LevelOrdinal(old)] -= 1;
+      level_counts[LevelOrdinal(now)] += 1;
+      struct_hash +=
+          internal::InternHashEntry(changes.entry[k]) - internal::InternHashEntry(*entry);
+    }
+    return true;
+  }
+
+  static bool Matches(const LabelRep* candidate, const void* self) {
+    const auto* lub = static_cast<const AsymmetricLub*>(self);
+    return candidate->default_level == lub->big->default_level &&
+           std::equal(lub->level_counts, lub->level_counts + 5, candidate->level_counts) &&
+           internal::SameEntries(lub->big, lub->changes, candidate);
+  }
+
+  // Charges what building the result with one Get and one Set per small
+  // entry charges: 1 per Get, and 1 + the chunk's size per overwrite.
+  // Returns the heap the build's rep and chunk clones would have taken.
+  uint64_t ChargeBuild(size_t small_count) const {
+    g_work.entries_visited += small_count;
+    uint64_t clone_bytes = internal::kRepBytes;
+    for (size_t k = 0; k < changes.count; ++k) {
+      const Chunk* c = big->chunks[changes.chunk[k]];
+      g_work.entries_visited += 1 + c->size;
+      if (k == 0 || changes.chunk[k - 1] != changes.chunk[k]) {
+        clone_bytes += internal::ChunkBytes(c->capacity);
+      }
+    }
+    return clone_bytes;
+  }
+};
 
 }  // namespace
 
 Level Label::Get(Handle h) const {
   g_work.entries_visited += 1;
-  const LabelRep* rep = rep_.get();
-  const size_t ci = FindChunkIndex(rep, h);
-  if (ci == SIZE_MAX) {
-    return rep->default_level;
-  }
-  const Chunk* c = rep->chunks[ci];
-  const uint16_t i = internal::LowerBoundInChunk(c, h);
-  if (i < c->size && EntryHandle(c->entries[i]) == h) {
-    return EntryLevel(c->entries[i]);
-  }
-  return rep->default_level;
+  const Slot slot = FindSlot(rep_.get(), h);
+  return slot.exists ? EntryLevel(rep_->chunks[slot.chunk]->entries[slot.pos])
+                     : rep_->default_level;
 }
 
-bool Label::HasExplicit(Handle h) const {
-  const LabelRep* rep = rep_.get();
-  const size_t ci = FindChunkIndex(rep, h);
-  if (ci == SIZE_MAX) {
-    return false;
-  }
-  const Chunk* c = rep->chunks[ci];
-  const uint16_t i = internal::LowerBoundInChunk(c, h);
-  return i < c->size && EntryHandle(c->entries[i]) == h;
-}
+bool Label::HasExplicit(Handle h) const { return FindSlot(rep_.get(), h).exists; }
 
 uint64_t Label::rep_id() const { return rep_->id; }
 bool Label::rep_canonical() const { return rep_->interned; }
@@ -642,18 +741,13 @@ LabelRep* Label::MutableRep() {
 void Label::Set(Handle h, Level l) {
   ASB_ASSERT(h.valid());
   LabelRep* rep = rep_.get();
-  size_t ci = FindChunkIndex(rep, h);
-
   // Locate an existing entry without unsharing yet.
-  bool exists = false;
-  uint16_t pos = 0;
-  if (ci != SIZE_MAX) {
-    const Chunk* c = rep->chunks[ci];
-    pos = internal::LowerBoundInChunk(c, h);
-    exists = pos < c->size && EntryHandle(c->entries[pos]) == h;
-    if (exists && EntryLevel(c->entries[pos]) == l) {
-      return;  // no change
-    }
+  const Slot found = FindSlot(rep, h);
+  size_t ci = found.chunk;
+  const bool exists = found.exists;
+  const uint16_t pos = found.pos;
+  if (exists && EntryLevel(rep->chunks[ci]->entries[pos]) == l) {
+    return;  // no change
   }
   if (!exists && l == rep->default_level) {
     return;  // absent and equal to default: nothing to record
@@ -846,15 +940,33 @@ Label Label::Lub(const Label& a, const Label& b) {
   // everything in the big side, big-only entries and the default are
   // unchanged, so the result is the big label with the small side's entries
   // folded in pointwise. Account the work as if the big side were scanned.
+  // A result that differs from the big side is canonical. When it only
+  // overwrites big entries, a live twin is found before anything is built,
+  // so the sends of one owner (ES = PS ⊔ CS, dbproxy's row fan-out) share one
+  // rep and one id while any of them is queued.
   {
     const Label& small = a.entry_count() <= b.entry_count() ? a : b;
     const Label& big = a.entry_count() <= b.entry_count() ? b : a;
     if (AsymmetricShapes(small.entry_count(), big.entry_count()) &&
         LevelLeq(small.default_level(), big.min_level())) {
       g_work.entries_visited += big.entry_count() + small.entry_count();
+      AsymmetricLub lub;
+      if (lub.Collect(big.rep_.get(), small.rep_.get()) && lub.changes.count > 0) {
+        LabelRep* twin = internal::InternLookup(lub.struct_hash, AsymmetricLub::Matches, &lub);
+        if (twin != nullptr) {
+          internal::InternNoteDedup(lub.ChargeBuild(small.entry_count()));
+          ++twin->refcount;
+          return Label(LabelRepRef(twin));
+        }
+      }
       Label result = big;
       for (Label::EntryIter it = small.IterateEntries(); !it.done(); it.Advance()) {
         result.Set(it.handle(), LevelMax(big.Get(it.handle()), it.level()));
+      }
+      // No change leaves the big side's own rep, possibly a process's
+      // mutable label: canonicalizing it would freeze that label.
+      if (result.rep_.get() != big.rep_.get()) {
+        result.Canonicalize();
       }
       return result;
     }
@@ -988,10 +1100,10 @@ void Label::JoinInPlace(const Label& other) {
     return;  // accurate containment check avoids allocating a new rep
   }
   *this = Lub(*this, other);
-  // The merge ran: re-key the result to its canonical rep. Lub's builder
-  // path already interned; this covers the asymmetric Set-based path, whose
-  // private rep would otherwise take a fresh id on every contamination and
-  // starve the kernel's check cache (ROADMAP: live-path hit rate).
+  // The merge ran: re-key the result to its canonical rep. Lub's merge paths
+  // already return canonical reps; this covers the paths that hand back
+  // `other`'s own rep, which would otherwise take a fresh id on the next
+  // contamination and starve the kernel's check cache.
   Canonicalize();
 }
 

@@ -5,6 +5,7 @@
 // never corrupt a canonical rep or resurrect a stale id.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -283,6 +284,186 @@ TEST_P(LabelInternPropertyTest, IncrementalHashHoldsAcrossRandomOperations) {
     canon.CheckRep();
 
     pool[rng_->NextBelow(pool.size())] = result;
+  }
+}
+
+// The asymmetric small ⊔ big of Label::Lub (the kernel's send-time
+// ES = PS ⊔ CS). Big sides are ⋆-rich, default 1, on handles 3, 6, 9, ...
+// with full 64-entry chunks; small sides carry 1–24 entries, default ⋆, of
+// one change shape each (or a random mix). For every shape the result must
+// be the pointwise max, pass CheckRep, be canonical whenever it differs from
+// the big side (and be the big side's own rep when it does not), repeat to
+// the same rep id, and charge exactly what the reference below charges: a
+// copy of the big side with one Get and one Set per small entry.
+enum class LubShape { kOverwrite, kInsert, kRemoveToDefault, kChunkSplit, kNoChange, kMixed };
+
+Label ReferenceAsymmetricLub(const Label& big, const Label& small) {
+  LabelWorkStats& work = GetLabelWorkStats();
+  work.ops += 1;
+  work.entries_visited += big.entry_count() + small.entry_count();
+  Label result = big;
+  for (const auto& [h, l] : small.Entries()) {
+    result.Set(h, LevelMax(big.Get(h), l));
+  }
+  return result;
+}
+
+LabelWorkStats WorkSince(const LabelWorkStats& before) {
+  const LabelWorkStats& now = GetLabelWorkStats();
+  return {now.ops - before.ops, now.entries_visited - before.entries_visited,
+          now.fast_path_hits - before.fast_path_hits};
+}
+
+void ExpectSameWork(const LabelWorkStats& got, const LabelWorkStats& want) {
+  EXPECT_EQ(got.ops, want.ops);
+  EXPECT_EQ(got.entries_visited, want.entries_visited);
+  EXPECT_EQ(got.fast_path_hits, want.fast_path_hits);
+}
+
+TEST_P(LabelInternPropertyTest, AsymmetricLubIsCanonicalAndChargesAsTheSetLoop) {
+  const auto big_label = [&](uint64_t n) {
+    LabelBuilder builder(Level::kL1);
+    for (uint64_t i = 1; i <= n; ++i) {
+      const uint64_t r = rng_->NextBelow(10);
+      builder.Append(Handle::FromValue(3 * i),
+                     r < 7 ? Level::kStar : (r < 9 ? Level::kL0 : Level::kL2));
+    }
+    return builder.Build();
+  };
+  // Raises of an existing entry at level `old` that keep it explicit.
+  const auto overwrite_level = [&](Level old) {
+    std::vector<Level> up;
+    for (Level l : {Level::kL0, Level::kL2, Level::kL3}) {
+      if (LevelLeq(old, l) && l != old) {
+        up.push_back(l);
+      }
+    }
+    return up.empty() ? Level::kStar : up[rng_->NextBelow(up.size())];
+  };
+
+  for (int t = 0; t < 60; ++t) {
+    const uint64_t n = rng_->NextInRange(300, 700);
+    Label big = big_label(n);
+    if (rng_->NextBool()) {
+      // A private, mutable big side (a process's send label mid-life).
+      big.Set(Handle::FromValue(3 * rng_->NextInRange(1, n)), Level::kL3);
+    }
+    const auto shape = static_cast<LubShape>(t % 6);
+    const uint64_t k = rng_->NextInRange(1, 24);
+    std::map<uint64_t, Level> small_entries;
+    for (uint64_t i = 0; i < k; ++i) {
+      LubShape s = shape;
+      if (s == LubShape::kMixed) {
+        s = static_cast<LubShape>(rng_->NextBelow(5));
+      }
+      uint64_t h = 3 * rng_->NextInRange(1, n);
+      const Level old = big.Get(Handle::FromValue(h));
+      Level l = Level::kStar;
+      switch (s) {
+        case LubShape::kOverwrite:
+          l = overwrite_level(old);
+          break;
+        case LubShape::kInsert:
+          h += 1;
+          l = rng_->NextBool() ? Level::kL2 : Level::kL3;
+          break;
+        case LubShape::kRemoveToDefault:
+          l = LevelLeq(old, Level::kL0) ? Level::kL1 : Level::kStar;
+          break;
+        case LubShape::kChunkSplit:  // inserts into the first, full chunk
+          h = 3 * rng_->NextInRange(1, 60) + 2;
+          l = Level::kL3;
+          break;
+        default:  // kNoChange: at most the big side's level
+          l = rng_->NextBool() ? Level::kStar : old;
+          break;
+      }
+      if (l != Level::kStar) {
+        small_entries[h] = l;
+      }
+    }
+    if (small_entries.empty()) {
+      continue;  // {⋆} ⊔ big is a fast path, not the asymmetric one
+    }
+    Label small(Level::kStar);
+    for (const auto& [h, l] : small_entries) {
+      small.Set(Handle::FromValue(h), l);
+    }
+
+    // The pointwise max, computed from the two entry lists.
+    std::map<uint64_t, Level> want;
+    for (const auto& [h, l] : big.Entries()) {
+      want[h.value()] = l;
+    }
+    bool overwrites_only = true;
+    for (const auto& [h, l] : small_entries) {
+      const auto it = want.find(h);
+      const Level old = it == want.end() ? Level::kL1 : it->second;
+      const Level joined = LevelMax(old, l);
+      if (joined == old) {
+        continue;
+      }
+      overwrites_only = overwrites_only && it != want.end() && joined != Level::kL1;
+      if (joined == Level::kL1) {
+        want.erase(h);
+      } else {
+        want[h] = joined;
+      }
+    }
+
+    LabelWorkStats before = GetLabelWorkStats();
+    const Label reference = ReferenceAsymmetricLub(big, small);
+    const LabelWorkStats reference_work = WorkSince(before);
+
+    before = GetLabelWorkStats();
+    const Label result = Label::Lub(small, big);
+    ExpectSameWork(WorkSince(before), reference_work);
+    result.CheckRep();
+    ASSERT_EQ(result.default_level(), Level::kL1);
+    std::vector<std::pair<Handle, Level>> want_entries;
+    for (const auto& [h, l] : want) {
+      want_entries.emplace_back(Handle::FromValue(h), l);
+    }
+    ASSERT_EQ(result.Entries(), want_entries) << "shape " << static_cast<int>(shape);
+    EXPECT_TRUE(result.Equals(reference));
+
+    if (result.Equals(big)) {
+      // No change: the big side's own rep, left exactly as canonical (or
+      // as mutable) as it was.
+      EXPECT_EQ(result.rep_id(), big.rep_id());
+      EXPECT_EQ(result.rep_canonical(), big.rep_canonical());
+    } else {
+      EXPECT_TRUE(result.rep_canonical());
+      EXPECT_NE(result.rep_id(), big.rep_id());
+    }
+    if (shape == LubShape::kNoChange) {
+      EXPECT_EQ(result.rep_id(), big.rep_id());
+    }
+    if (shape == LubShape::kChunkSplit) {
+      EXPECT_GT(result.entry_count(), big.entry_count());
+    }
+
+    // Repeating the merge while `result` lives lands on its rep and charges
+    // the same. An all-overwrite change finds it before building: no rep is
+    // created in between.
+    const uint64_t id_before = internal::InternNextRepId();
+    before = GetLabelWorkStats();
+    const Label again = Label::Lub(big, small);
+    ExpectSameWork(WorkSince(before), reference_work);
+    if (overwrites_only && result.rep_id() != big.rep_id()) {
+      EXPECT_EQ(internal::InternNextRepId(), id_before + 1) << "probe hit must not build";
+    }
+    EXPECT_EQ(again.rep_id(), result.rep_id());
+
+    // So does the merge with a big side of equal content but another chunk
+    // layout (built by Set, whose chunks split in halves): the probe's match
+    // is extensional, not a chunk-by-chunk comparison.
+    Label relaid(Level::kL1);
+    for (const auto& [h, l] : big.Entries()) {
+      relaid.Set(h, l);
+    }
+    EXPECT_EQ(Label::Lub(small, relaid).rep_id(),
+              result.rep_id() == big.rep_id() ? relaid.rep_id() : result.rep_id());
   }
 }
 

@@ -312,6 +312,82 @@ TEST(MemStatsTest, LabelBytesAreLive) {
   EXPECT_LT(kernel.MemReport().label_bytes, before + 400);
 }
 
+// The OKDB read fan-out (§7.5): a sender holding ⋆ for many users sends one
+// message per row, each contaminated with its owner's {uT 3, ⋆}, and the
+// kernel drops the rows the reader may not see. Each message snapshots its
+// ES = PS ⊔ CS; the rows of one owner share one canonical ES rep while they
+// are queued, so the label heap of the fan-out grows with the owners, not
+// with the rows.
+TEST(MemStatsTest, FanOutRowsShareOneEffectiveSendPerOwner) {
+  constexpr int kHandles = 600;
+  constexpr int kOwners = 10;
+  constexpr int kRows = 1000;
+  Kernel kernel(33);
+  std::vector<testing::RecorderProcess::Received> got;
+  SpawnArgs rargs;
+  rargs.name = "reader";
+  const ProcessId rx = kernel.CreateProcess(
+      std::make_unique<testing::RecorderProcess>(&got), rargs);
+  Handle port;
+  kernel.WithProcessContext(rx, [&](ProcessContext& ctx) {
+    port = ctx.NewPort(Label::Top());
+    ASSERT_EQ(ctx.SetPortLabel(port, Label::Top()), Status::kOk);
+  });
+  SpawnArgs sargs;
+  sargs.name = "dbproxy";
+  const ProcessId tx = kernel.CreateProcess(std::make_unique<ScriptedProcess>(), sargs);
+  std::vector<Label> taints;
+  kernel.WithProcessContext(tx, [&](ProcessContext& ctx) {
+    for (int i = 0; i < kHandles; ++i) {
+      const Handle h = ctx.NewHandle();  // a ⋆ entry in the send label
+      if (i % (kHandles / kOwners) == 0) {
+        taints.push_back(Label({{h, Level::kL3}}, Level::kStar));
+      }
+    }
+  });
+  ASSERT_EQ(taints.size(), static_cast<size_t>(kOwners));
+
+  // What one send-time ES clone of the sender's label costs: a rep and the
+  // one chunk the taint rewrites.
+  const Label& ps = kernel.SendLabelOf(tx);
+  ASSERT_GE(ps.entry_count(), 500u);
+  int64_t clone_bytes = 0;
+  {
+    const int64_t live = GetLabelMemStats().live_bytes;
+    Label clone = ps;
+    clone.Set(taints[0].Entries()[0].first, Level::kL3);
+    clone_bytes = GetLabelMemStats().live_bytes - live;
+  }
+  ASSERT_GT(clone_bytes, 0);
+
+  const KernelMemReport before = kernel.MemReport();
+  const uint64_t drops_before = kernel.stats().drops_label_check;
+  kernel.WithProcessContext(tx, [&](ProcessContext& ctx) {
+    for (int row = 0; row < kRows; ++row) {
+      SendArgs args;
+      args.contaminate = taints[row % kOwners];
+      Message m;
+      m.data = "row";
+      ASSERT_EQ(ctx.Send(port, std::move(m), args), Status::kOk);
+    }
+  });
+  const KernelMemReport queued = kernel.MemReport();
+  EXPECT_EQ(kernel.QueuedMessageCount(port), static_cast<size_t>(kRows));
+  const uint64_t label_growth = (queued.label_bytes + queued.label_intern_index_bytes) -
+                                (before.label_bytes + before.label_intern_index_bytes);
+  RecordProperty("label_growth", std::to_string(label_growth));
+  EXPECT_LE(label_growth, kOwners * (clone_bytes + kLabelInternEntryBytes))
+      << "queued rows of one owner must share one effective-send label";
+
+  kernel.RunUntilIdle();
+  EXPECT_TRUE(got.empty()) << "the reader may see none of the rows";
+  EXPECT_EQ(kernel.stats().drops_label_check, drops_before + kRows);
+  const KernelMemReport after = kernel.MemReport();
+  EXPECT_EQ(after.label_bytes, before.label_bytes);
+  EXPECT_EQ(after.label_intern_index_bytes, before.label_intern_index_bytes);
+  EXPECT_EQ(after.queue_bytes, before.queue_bytes);
+}
+
 // --- Million-compartment scale: accounting invariants ----------------------
 
 // total_bytes() must be exactly the sum of every constituent field (and

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/fs/file_server.h"
 #include "src/net/client.h"
 #include "src/obs/event_log.h"
@@ -131,6 +133,17 @@ TEST(ReplWireTest, CorruptFramePoisons) {
 }
 
 // Lower-case hex of a byte string, for pinning wire bytes.
+// Wraps `payload` in the wire's frame header: u32 length, u32 CRC-32.
+std::string CrcFrame(std::string_view payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload);
+  std::string frame;
+  frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  frame.append(payload);
+  return frame;
+}
+
 std::string Hex(std::string_view bytes) {
   static const char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -142,10 +155,8 @@ std::string Hex(std::string_view bytes) {
 }
 
 // One populated frame of every message type, each with a trace id and a
-// non-empty profiler context, pinned byte for byte: the wire format is a
-// compatibility surface between primaries and followers of different
-// builds, so an encoder refactor must leave every byte where it was.
-TEST(ReplWireTest, GoldenFrames) {
+// non-empty profiler context, and its encoding in hex.
+std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   const Label label({{H(77), Level::kL3}}, Level::kStar);
   auto frame = [](replwire::MessageType type) {
     replwire::WireMessage m;
@@ -228,8 +239,14 @@ TEST(ReplWireTest, GoldenFrames) {
   cases.emplace_back(resp,
                      "2300000087b93d85091100fa01edbd010201bc0500010c4d0568656c6c6fb424"
                      "0a736869703b6261746368");
+  return cases;
+}
 
-  for (const auto& [msg, want] : cases) {
+// The golden frames pinned byte for byte: the wire format is a
+// compatibility surface between primaries and followers of different
+// builds, so an encoder refactor must leave every byte where it was.
+TEST(ReplWireTest, GoldenFrames) {
+  for (const auto& [msg, want] : GoldenCases()) {
     std::string bytes;
     replwire::AppendFrame(msg, &bytes);
     EXPECT_EQ(Hex(bytes), want) << "type " << msg.type;
@@ -256,12 +273,7 @@ TEST(ReplWireTest, UnassignedTypeSevenIsCorrupt) {
       codec::AppendVarint(v, &payload);
     }
     codec::AppendString("", &payload);
-    std::string frame;
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    const uint32_t crc = Crc32(payload);
-    frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
-    frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    return frame + payload;
+    return CrcFrame(payload);
   };
   // The helper frames exactly like the encoder: a heartbeat round-trips.
   replwire::WireMessage hb;
@@ -279,6 +291,116 @@ TEST(ReplWireTest, UnassignedTypeSevenIsCorrupt) {
   // lease_until, successor_id, trace_id) is an unknown type.
   std::string seven = framed({7, 1, 2, 300, 5000, 4, 0x1234});
   EXPECT_EQ(replwire::ConsumeFrame(&seven, &out), replwire::FrameParse::kCorrupt);
+}
+
+// Mutated frame bodies, re-framed with a correct length and CRC so every
+// mutation reaches the payload decoder: each must be rejected (kCorrupt) or
+// decoded whole, never crash, and an accepted frame must re-encode to bytes
+// that decode and re-encode to themselves. The budget is fixed (50,000
+// mutations of the golden frames, one seed), so a failure replays exactly.
+TEST(ReplWireTest, SeededMutation) {
+  constexpr int kIterations = 50000;
+  // Varint edges and length prefixes that overrun the body.
+  static const char* const kRuns[] = {"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01",
+                                      "\x80\x80\x80\x80\x80", "\xff\xff\xff\x7f", "\x7f"};
+  std::vector<std::string> bodies;
+  for (const auto& [msg, hex] : GoldenCases()) {
+    std::string bytes;
+    replwire::AppendFrame(msg, &bytes);
+    bodies.push_back(bytes.substr(8));
+  }
+  Rng rng(0x3e91e7);
+  const auto pos = [&](size_t limit) { return static_cast<size_t>(rng.NextBelow(limit)); };
+  int accepted = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    std::string body = bodies[rng.NextBelow(bodies.size())];
+    for (uint64_t edits = rng.NextInRange(1, 4); edits > 0; --edits) {
+      switch (rng.NextBelow(5)) {
+        case 0:  // overwrite one byte
+          if (!body.empty()) {
+            body[pos(body.size())] = static_cast<char>(rng.Next());
+          }
+          break;
+        case 1:  // insert one byte
+          body.insert(pos(body.size() + 1), 1, static_cast<char>(rng.Next()));
+          break;
+        case 2:  // delete one byte
+          if (!body.empty()) {
+            body.erase(pos(body.size()), 1);
+          }
+          break;
+        case 3:  // truncate
+          body.resize(pos(body.size() + 1));
+          break;
+        default:
+          body.insert(pos(body.size() + 1), kRuns[rng.NextBelow(std::size(kRuns))]);
+          break;
+      }
+    }
+    std::string frame = CrcFrame(body);
+    replwire::WireMessage msg;
+    const replwire::FrameParse parse = replwire::ConsumeFrame(&frame, &msg);
+    ASSERT_NE(parse, replwire::FrameParse::kNeedMore) << "iteration " << iter;
+    if (parse == replwire::FrameParse::kCorrupt) {
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(frame.empty()) << "iteration " << iter;
+    std::string once;
+    replwire::AppendFrame(msg, &once);
+    std::string copy = once;
+    replwire::WireMessage again;
+    ASSERT_EQ(replwire::ConsumeFrame(&copy, &again), replwire::FrameParse::kFrame)
+        << "iteration " << iter;
+    std::string twice;
+    replwire::AppendFrame(again, &twice);
+    ASSERT_EQ(Hex(twice), Hex(once)) << "iteration " << iter;
+  }
+  // The edits exercise both outcomes.
+  RecordProperty("accepted", accepted);
+  EXPECT_GT(accepted, kIterations / 20);
+  EXPECT_LT(accepted, kIterations - kIterations / 20);
+}
+
+// A stream of golden frames fed to the parser in random-sized pieces, as a
+// byte-stream transport delivers them: the parser answers kNeedMore until
+// each frame's last byte has arrived, and decodes the same sequence.
+TEST(ReplWireTest, TornStreamDecodesTheSameFrames) {
+  std::vector<std::string> frames;
+  for (const auto& [msg, hex] : GoldenCases()) {
+    frames.emplace_back();
+    replwire::AppendFrame(msg, &frames.back());
+  }
+  Rng rng(0x70a2);
+  for (int stream_no = 0; stream_no < 300; ++stream_no) {
+    std::string stream;
+    std::vector<size_t> ends;  // stream offset just past each frame
+    std::vector<std::string> sent;
+    for (uint64_t n = rng.NextInRange(1, 12); n > 0; --n) {
+      sent.push_back(frames[rng.NextBelow(frames.size())]);
+      stream += sent.back();
+      ends.push_back(stream.size());
+    }
+    std::string buffer;
+    std::vector<std::string> decoded;
+    size_t fed = 0;
+    while (fed < stream.size()) {
+      const size_t piece = std::min<size_t>(rng.NextInRange(1, 24), stream.size() - fed);
+      buffer.append(stream, fed, piece);
+      fed += piece;
+      replwire::WireMessage msg;
+      replwire::FrameParse parse;
+      while ((parse = replwire::ConsumeFrame(&buffer, &msg)) == replwire::FrameParse::kFrame) {
+        decoded.emplace_back();
+        replwire::AppendFrame(msg, &decoded.back());
+      }
+      ASSERT_EQ(parse, replwire::FrameParse::kNeedMore) << "stream " << stream_no;
+      const size_t complete = std::upper_bound(ends.begin(), ends.end(), fed) - ends.begin();
+      ASSERT_EQ(decoded.size(), complete) << "stream " << stream_no << " at byte " << fed;
+    }
+    EXPECT_TRUE(buffer.empty());
+    EXPECT_EQ(decoded, sent) << "stream " << stream_no;
+  }
 }
 
 // --- Hub ↔ replica protocol (no transport) -----------------------------------
