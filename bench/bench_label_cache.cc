@@ -1,8 +1,8 @@
 // Canonical-label benchmarks: the kernel flow-check cache on recurring
 // OKWS-shaped tuples (cold = uncached baseline, warm = cache hits), the
 // delivery contamination join of a ⋆-heavy send label into a small worker
-// label, the send-time effective send label of a read fan-out, and
-// store-recovery label memory with hash-consed dedup.
+// label, the send-time effective send label of a read fan-out, the general
+// ⊔ merge, and store-recovery label memory with hash-consed dedup.
 //
 // The acceptance bar for the cache is wall-clock only: warm-cache
 // CheckDeliveryAllowed on recurring tuples must be ≥5× faster than the
@@ -226,6 +226,29 @@ void BM_FanOutEffectiveSend(benchmark::State& state) {
       static_cast<double>(GetLabelMemStats().live_bytes - live_before);
 }
 BENCHMARK(BM_FanOutEffectiveSend);
+
+// --- The general merge --------------------------------------------------------
+
+// ⊔ of two N-entry labels with interleaved handles and no shortcut: every
+// entry of both sides is visited (§5.6, "linear in the size of their input
+// labels"). The guard that the survivor paths of the asymmetric merges do
+// not slow the ordinary one. Arg0: entries per label.
+void BM_Lub(benchmark::State& state) {
+  obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
+  const auto n = static_cast<uint64_t>(state.range(0));
+  Label a(Level::kL1);
+  Label b(Level::kL1);
+  for (uint64_t i = 0; i < n; ++i) {
+    a.Set(Handle::FromValue(1 + i * 7), Level::kL3);
+    b.Set(Handle::FromValue(4 + i * 7), Level::kL2);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Label::Lub(a, b));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["entries"] = static_cast<double>(n);
+}
+BENCHMARK(BM_Lub)->Arg(16)->Arg(1024)->Arg(16384);
 
 // --- Store recovery with hash-consed labels ---------------------------------
 

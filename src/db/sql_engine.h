@@ -80,7 +80,6 @@ class SqlDatabase {
   Result<QueryResult> ExecuteStmt(const SqlStatement& stmt);
 
   SqlTable* FindTable(const std::string& name);
-  bool HasTable(const std::string& name) const { return tables_.count(name) != 0; }
   // Total estimated storage, for memory accounting.
   uint64_t approx_bytes() const;
 

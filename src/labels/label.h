@@ -221,14 +221,6 @@ class Label {
 
   NonStarIter IterateNonStarEntries() const;
 
-  // Visits explicit entries in increasing handle order.
-  template <typename Fn>
-  void ForEachEntry(Fn&& fn) const {
-    for (const auto& [h, l] : Entries()) {
-      fn(h, l);
-    }
-  }
-
   // Heap bytes attributable to this label (rep + chunks, shared chunks
   // counted in full). The smallest label is roughly 300 bytes (§5.6).
   uint64_t heap_bytes() const;

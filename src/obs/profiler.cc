@@ -43,14 +43,6 @@ void CycleProfiler::Begin(const std::string& name) {
   frames_.push_back(std::move(f));
 }
 
-void CycleProfiler::BeginWithParent(const std::string& parent_ctx,
-                                    const std::string& name) {
-  Frame f;
-  f.stack = parent_ctx.empty() ? name : parent_ctx + ";" + name;
-  f.enter_cycles = GetCycleAccounting().now();
-  frames_.push_back(std::move(f));
-}
-
 void CycleProfiler::End() {
   if (frames_.empty()) {
     return;
@@ -63,15 +55,10 @@ void CycleProfiler::End() {
   st.self_cycles += self;
   st.total_cycles += total;
   st.count += 1;
-  // The enclosing LOCAL span paid these cycles too, whatever stack string
-  // this span recorded under (a cross-wire span still ran inside it).
+  // The enclosing span paid these cycles too.
   if (!frames_.empty()) {
     frames_.back().child_cycles += total;
   }
-}
-
-std::string CycleProfiler::current_stack() const {
-  return frames_.empty() ? std::string() : frames_.back().stack;
 }
 
 void CycleProfiler::AttributeSyscall(const std::string& process,

@@ -10,11 +10,10 @@
 // Alongside the tree it keeps a flat per-(process, syscall) table fed by
 // the kernel's dispatch table, exposed as obs.prof.* metrics.
 //
-// Spans can cross the replication wire: a frame producer stamps its current
-// stack string into WireMessage::prof_ctx, and the consumer opens its apply
-// span WITH that parent context, so a follower's "repl.apply" nests under
-// the primary's ship stack in one merged flamegraph even though the two
-// sides never share a C++ call stack.
+// Spans stay on their own machine: a follower's "repl.apply.*" span nests
+// under the follower's own "deliver.<process>" span. The event log's
+// trace_id, carried by every replication frame, is what correlates the
+// primary's ship with the follower's apply (src/obs/event_log.h).
 //
 // Like the event log (src/obs/event_log.h), the profiler is DISABLED
 // by default behind one global bool; every instrumented site pays one
@@ -41,16 +40,9 @@ class CycleProfiler {
 
   // Opens a span nested under the current innermost span (or at top level).
   void Begin(const std::string& name);
-  // Opens a span whose stack is `parent_ctx;name` regardless of the local
-  // stack — the cross-wire stitch. Empty parent_ctx = top level.
-  void BeginWithParent(const std::string& parent_ctx, const std::string& name);
-  // Closes the innermost span, folding its total into the enclosing local
-  // span's child time. No-op when no span is open.
+  // Closes the innermost span, folding its total into the enclosing span's
+  // child time. No-op when no span is open.
   void End();
-
-  // The innermost open span's full "a;b;c" stack ("" at top level) — what
-  // frame producers stamp into prof_ctx.
-  std::string current_stack() const;
 
   // Flat per-(process, syscall) cycle table, fed by Kernel::Dispatch.
   void AttributeSyscall(const std::string& process, const char* syscall,
@@ -112,11 +104,6 @@ class ProfSpan {
 
   void Begin(const std::string& name) {
     CycleProfiler::Get().Begin(name);
-    active_ = true;
-  }
-  void BeginWithParent(const std::string& parent_ctx,
-                       const std::string& name) {
-    CycleProfiler::Get().BeginWithParent(parent_ctx, name);
     active_ = true;
   }
 

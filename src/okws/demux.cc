@@ -5,7 +5,6 @@
 #include "src/obs/event_log.h"
 #include "src/okws/session_codec.h"
 #include "src/sim/costs.h"
-#include "src/sim/cycles.h"
 
 namespace asbestos {
 
@@ -51,28 +50,11 @@ std::string ServiceName(const std::string& path) {
 
 }  // namespace
 
-DemuxProcess::DemuxProcess(const DemuxOptions& options)
-    : session_ttl_cycles_(options.session_ttl_cycles) {
-  const uint64_t now = GetCycleAccounting().now();
-  const uint64_t ttl = session_ttl_cycles_;
-  std::vector<std::string> expired;
+DemuxProcess::DemuxProcess(const DurableOptions& options) {
   const auto recover = [&](const std::string& key, const StoreRecord& record) {
     Session s;
-    if (!okws_session::DecodeValue(record.value, &s.taint, &s.grant, &s.expires_at_cycles,
-                                   &s.password)) {
+    if (!okws_session::DecodeValue(record.value, &s.taint, &s.grant, &s.password)) {
       return;  // skip records this build cannot parse; never refuse to boot
-    }
-    // Expiry timestamps are absolute virtual time, and the virtual clock is
-    // process-local: a fresh OS process restarts it at 0, which would make
-    // every stale timestamp from a long-lived previous run look far in the
-    // future and resurrect long-expired sessions. Bound the other side too:
-    // a live session's expiry can never sit more than one TTL ahead of now
-    // (registration stamped now+ttl with registration ≤ now), so anything
-    // past that bound is a previous clock era and is equally expired.
-    if (okws_session::ExpiredAt(s.expires_at_cycles, now) ||
-        (s.expires_at_cycles != 0 && ttl != 0 && s.expires_at_cycles > now + ttl)) {
-      expired.push_back(key);  // died while the machine was down
-      return;
     }
     // uW is per-boot; the first connection of this session forks a fresh
     // event process at the service port and re-registers it.
@@ -80,9 +62,6 @@ DemuxProcess::DemuxProcess(const DemuxOptions& options)
     sessions_.emplace(key, std::move(s));
   };
   backing_ = DurableBacking("demux", options, recover);
-  for (const std::string& key : expired) {
-    backing_.Erase(key);
-  }
 }
 
 Label DemuxProcess::recovered_stars() const {
@@ -94,29 +73,13 @@ Label DemuxProcess::recovered_stars() const {
   return stars;
 }
 
-DemuxProcess::Session* DemuxProcess::FindLiveSession(const std::string& key) {
-  auto it = sessions_.find(key);
-  if (it == sessions_.end()) {
-    return nullptr;
-  }
-  // The SAME comparison a read-serving follower applies through
-  // okws_session::LivenessFilter() — see session_codec.h for why the two
-  // sides must share it verbatim.
-  if (okws_session::ExpiredAt(it->second.expires_at_cycles, GetCycleAccounting().now())) {
-    backing_.Erase(key);
-    sessions_.erase(it);
-    return nullptr;
-  }
-  return &it->second;
-}
-
 void DemuxProcess::PersistSession(const std::string& key, const Session& s) {
   if (!backing_.durable()) {
     return;
   }
   const Label secrecy({{s.taint, Level::kL3}}, Level::kStar);
   const Label integrity({{s.grant, Level::kL0}}, Level::kL3);
-  backing_.Put(key, okws_session::EncodeValue(s.taint, s.grant, s.expires_at_cycles, s.password),
+  backing_.Put(key, okws_session::EncodeValue(s.taint, s.grant, s.password),
                secrecy, integrity);
 }
 
@@ -227,10 +190,10 @@ void DemuxProcess::OnRequestParsed(ProcessContext& ctx, uint64_t cookie, ConnSta
     return;
   }
 
-  if (Session* session = FindLiveSession(SessionKey(conn.username, conn.service));
-      session != nullptr && session->password == conn.password) {
-    conn.taint = session->taint;
-    conn.grant = session->grant;
+  if (const auto sit = sessions_.find(SessionKey(conn.username, conn.service));
+      sit != sessions_.end() && sit->second.password == conn.password) {
+    conn.taint = sit->second.taint;
+    conn.grant = sit->second.grant;
     ForwardToWorker(ctx, cookie, conn);
     return;
   }
@@ -294,10 +257,10 @@ void DemuxProcess::ForwardToWorker(ProcessContext& ctx, uint64_t cookie, ConnSta
   // event process port uW; a fresh one — or a session recovered from the
   // durable store, whose uW died with the previous boot — goes to the
   // service port, forking a new event process.
-  Session* session = FindLiveSession(SessionKey(conn.username, conn.service));
-  const bool resumed =
-      session != nullptr && session->password == conn.password && session->uw.valid();
-  const Handle target = resumed ? session->uw : worker.service_port;
+  const auto sit = sessions_.find(SessionKey(conn.username, conn.service));
+  const bool resumed = sit != sessions_.end() && sit->second.password == conn.password &&
+                       sit->second.uw.valid();
+  const Handle target = resumed ? sit->second.uw : worker.service_port;
 
   Message fwd;
   fwd.type = MessageType::kConnForUser;
@@ -513,9 +476,6 @@ void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         s.taint = conn.taint;
         s.grant = conn.grant;
         s.password = conn.password;
-        if (session_ttl_cycles_ != 0) {
-          s.expires_at_cycles = GetCycleAccounting().now() + session_ttl_cycles_;
-        }
         const std::string key = SessionKey(conn.username, conn.service);
         PersistSession(key, s);
         // Read-your-writes token: the shard's WAL position right after this

@@ -13,7 +13,7 @@
 // go straight to the existing event process.
 //
 // Persistence (src/store): with a store directory configured, every session
-// (key → uT/uG + expiry + credential) is logged durably and recovered on
+// (key → uT/uG + credential) is logged durably and recovered on
 // restart, so a reboot is invisible to logged-in browsers: a follow-up
 // connection authenticates against the recovered session and skips idd
 // entirely. What does NOT survive is the worker event process — uW dies
@@ -38,25 +38,12 @@
 
 namespace asbestos {
 
-// The session store (store_dir empty = volatile session table, as in the
-// seed) plus the session lifetime. Replication attaches its listener with
-// demux's own verification label, which netd already accepts.
-struct DemuxOptions : DurableOptions {
-  // Sessions expire this many virtual cycles after registration; 0 = never.
-  // Expiry is evaluated lazily (at resume and at recovery) against the
-  // simulator's global cycle clock. The clock is process-local and not
-  // persisted, so TTL'd sessions survive in-simulation reboots (new world,
-  // same process, monotonic clock) but are conservatively dropped when
-  // recovery cannot place their timestamps in the current clock era (a
-  // genuine process restart): fail-closed — an expired session must never
-  // resurrect, even at the price of re-login after a real reboot. TTL 0
-  // (the default) has no timestamps to misread and survives both kinds.
-  uint64_t session_ttl_cycles = 0;
-};
-
 class DemuxProcess : public ProcessCode {
  public:
-  explicit DemuxProcess(const DemuxOptions& options = {});
+  // The session store: store_dir empty = volatile session table, as in the
+  // seed. Replication attaches its listener with demux's own verification
+  // label, which netd already accepts.
+  explicit DemuxProcess(const DurableOptions& options = {});
 
   void Start(ProcessContext& ctx) override;
   void HandleMessage(ProcessContext& ctx, const Message& msg) override;
@@ -103,7 +90,6 @@ class DemuxProcess : public ProcessCode {
     Handle taint;     // uT
     Handle grant;     // uG
     std::string password;  // credential the session was opened with
-    uint64_t expires_at_cycles = 0;  // absolute virtual time; 0 = never
     // Read-your-writes position: the session shard's WAL cursor at this
     // session's last durable write. In-memory only — NOT part of the
     // persisted value — so the on-disk session format is unchanged.
@@ -130,9 +116,6 @@ class DemuxProcess : public ProcessCode {
   void RejectConnection(ProcessContext& ctx, ConnState& conn, int status,
                         const std::string& reason);
   void CheckAllWorkersRegistered(ProcessContext& ctx);
-  // The live session for `key`, lazily erasing it (memory + store) when it
-  // has expired. nullptr when absent or expired.
-  Session* FindLiveSession(const std::string& key);
   void PersistSession(const std::string& key, const Session& s);
 
   Handle register_port_;  // public: worker registration
@@ -144,7 +127,6 @@ class DemuxProcess : public ProcessCode {
   Handle idd_login_;
   uint64_t self_verify_ = 0;
 
-  uint64_t session_ttl_cycles_ = 0;
   std::map<std::string, WorkerInfo> workers_;          // by service name
   std::map<uint64_t, ConnState> conns_;                // by cookie
   std::map<std::string, Session> sessions_;            // by user + "\x1f" + service

@@ -48,7 +48,7 @@ struct OkwsLauncherConfig {
   // Durable session table for ok-demux. Requires idd_options.store_dir on
   // the same boot: the ⋆ set demux needs for its recovered sessions comes
   // out of idd's recovered identity bindings via the launcher.
-  DemuxOptions demux_options;
+  DurableOptions demux_options;
   // Durable SQL tables (hidden USER_ID column and per-user label bindings
   // included) for ok-dbproxy.
   DurableOptions dbproxy_options;

@@ -6,28 +6,24 @@ namespace asbestos {
 
 OkwsWorld::OkwsWorld(OkwsWorldConfig config) : kernel_(config.boot_key) {
   // Boot the launcher first: it mints the verification handles, including
-  // the one netd uses to authenticate LISTEN requests from ok-demux.
-  OkwsLauncherConfig launcher_config;
-  launcher_config.tcp_port = config.tcp_port;
-  launcher_config.services = std::move(config.services);
-  launcher_config.users = std::move(config.users);
-  launcher_config.extra_tables = std::move(config.extra_tables);
-  launcher_config.idd_options = config.idd_options;
-  launcher_config.demux_options = config.demux_options;
-  launcher_config.dbproxy_options = config.dbproxy_options;
-  auto launcher_code = std::make_unique<LauncherProcess>(std::move(launcher_config));
+  // the one netd uses to authenticate LISTEN requests from ok-demux. The
+  // boot loader keeps its own copy of the two stores it reads below.
+  const DurableOptions idd_options = config.idd_options;
+  const DurableOptions dbproxy_options = config.dbproxy_options;
+  auto launcher_code =
+      std::make_unique<LauncherProcess>(std::move(static_cast<OkwsLauncherConfig&>(config)));
   launcher_ = launcher_code.get();
   SpawnArgs largs;
   largs.name = "launcher";
   largs.component = Component::kOther;
-  if (!config.idd_options.store_dir.empty()) {
+  if (!idd_options.store_dir.empty()) {
     // The boot loader seeds the launcher with ⋆ for every uT/uG recovered
     // from idd's durable cache, making it entitled to re-grant them at
     // spawn. This is the root of the durable trust chain: only the trusted
     // boot path may resurrect privilege, exactly as it assigns labels
     // verbatim at boot. (This transient open duplicates the recovery idd's
     // own constructor performs; boot-time only, and bounded by compaction.)
-    const Label stars = IddProcess::RecoveredStars(config.idd_options);
+    const Label stars = IddProcess::RecoveredStars(idd_options);
     for (Label::EntryIter it = stars.IterateEntries(); !it.done(); it.Advance()) {
       if (it.level() == Level::kStar) {
         largs.send_label.Set(it.handle(), Level::kStar);
@@ -55,8 +51,8 @@ OkwsWorld::OkwsWorld(OkwsWorldConfig config) : kernel_(config.boot_key) {
       nargs.env["repl_verify" + std::to_string(++repl_listeners)] = launcher_->verify_value(name);
     }
   };
-  authorize_listener(config.idd_options, "idd");
-  authorize_listener(config.dbproxy_options, "dbproxy");
+  authorize_listener(idd_options, "idd");
+  authorize_listener(dbproxy_options, "dbproxy");
   netd_pid_ = kernel_.CreateProcess(std::move(netd_code), std::move(nargs));
 
   // Tell the launcher where netd's control port is.

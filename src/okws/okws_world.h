@@ -16,21 +16,11 @@
 
 namespace asbestos {
 
-struct OkwsWorldConfig {
+// The launcher's configuration plus the kernel's boot key. Every launcher
+// field (services, users, the idd / demux / dbproxy stores) means what it
+// means in OkwsLauncherConfig.
+struct OkwsWorldConfig : OkwsLauncherConfig {
   uint64_t boot_key = 0x0451;
-  uint16_t tcp_port = 80;
-  std::vector<OkwsServiceSpec> services;
-  std::vector<UserCred> users;
-  std::vector<std::string> extra_tables;
-  // Durable identity cache: rebooting a world with the same boot key and the
-  // same store directory recovers every uT/uG binding idd had handed out.
-  DurableOptions idd_options;
-  // Durable demux session table: with both stores configured, a reboot is
-  // invisible to logged-in browsers (sessions resume without touching idd).
-  DemuxOptions demux_options;
-  // Durable ok-dbproxy tables: worker data (hidden USER_ID column included)
-  // and per-user label bindings survive reboots.
-  DurableOptions dbproxy_options;
 };
 
 class OkwsWorld {

@@ -1,6 +1,5 @@
 #include "src/okws/session_codec.h"
 
-#include "src/sim/cycles.h"
 #include "src/store/label_codec.h"
 
 namespace asbestos {
@@ -10,24 +9,21 @@ std::string Key(const std::string& user, const std::string& service) {
   return user + "\x1f" + service;
 }
 
-std::string EncodeValue(Handle taint, Handle grant, uint64_t expires_at,
-                        const std::string& password) {
+std::string EncodeValue(Handle taint, Handle grant, const std::string& password) {
   std::string out;
   codec::AppendVarint(taint.value(), &out);
   codec::AppendVarint(grant.value(), &out);
-  codec::AppendVarint(expires_at, &out);
   codec::AppendString(password, &out);
   return out;
 }
 
 bool DecodeValue(std::string_view value, Handle* taint, Handle* grant,
-                 uint64_t* expires_at, std::string* password) {
+                 std::string* password) {
   size_t pos = 0;
   uint64_t t = 0;
   uint64_t g = 0;
   std::string_view pw;
   if (!IsOk(codec::ReadVarint(value, &pos, &t)) || !IsOk(codec::ReadVarint(value, &pos, &g)) ||
-      !IsOk(codec::ReadVarint(value, &pos, expires_at)) ||
       !IsOk(codec::ReadString(value, &pos, &pw)) || pos != value.size() ||
       t == 0 || t > Handle::kMaxValue || g == 0 || g > Handle::kMaxValue) {
     return false;
@@ -36,24 +32,6 @@ bool DecodeValue(std::string_view value, Handle* taint, Handle* grant,
   *grant = Handle::FromValue(g);
   password->assign(pw);
   return true;
-}
-
-bool ExpiredAt(uint64_t expires_at_cycles, uint64_t now) {
-  return expires_at_cycles != 0 && expires_at_cycles <= now;
-}
-
-ReadLivenessFilter LivenessFilter() {
-  return [](const std::string& key, const StoreRecord& record) {
-    (void)key;
-    Handle taint;
-    Handle grant;
-    uint64_t expires_at = 0;
-    std::string password;
-    if (!DecodeValue(record.value, &taint, &grant, &expires_at, &password)) {
-      return false;
-    }
-    return !ExpiredAt(expires_at, GetCycleAccounting().now());
-  };
 }
 
 }  // namespace okws_session

@@ -1,25 +1,16 @@
-// Shared codec + liveness rule for the demux session table's durable
-// records.
+// Codec for the demux session table's durable records.
 //
-// The primary's demux and a read-serving follower must agree on two things
-// byte-for-byte: the session value format (the follower ships the primary's
-// WAL verbatim, so a format skew would misread every record) and the lazy
-// expiry comparison (FindLiveSession drops a session exactly when
-// `expires_at != 0 && expires_at <= now`; a follower answering reads over
-// the replicated session store must refuse by the SAME comparison, or a
-// read could resurrect a session the primary already considers dead).
-// Keeping the codec and the rule in one translation unit — used by demux on
-// the primary and handed to FollowerProcess::set_read_liveness_filter on
-// followers — makes the "identical" claim structural instead of aspirational.
+// The primary's demux and a read-serving follower must agree on the session
+// value format byte-for-byte: the follower ships the primary's WAL
+// verbatim, so a format skew would misread every record. Keeping the codec
+// in one translation unit makes that agreement structural.
 #ifndef SRC_OKWS_SESSION_CODEC_H_
 #define SRC_OKWS_SESSION_CODEC_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "src/labels/handle.h"
-#include "src/replication/read_gate.h"
 
 namespace asbestos {
 namespace okws_session {
@@ -28,24 +19,14 @@ namespace okws_session {
 // appear in a parsed username or service name, so the key is unambiguous.
 std::string Key(const std::string& user, const std::string& service);
 
-// Durable session record value: varint uT, varint uG, varint expiry,
-// length-prefixed password. uW is deliberately NOT stored — the worker
-// event process it names dies with the boot, and a recovered session's
-// first connection forks a fresh one.
-std::string EncodeValue(Handle taint, Handle grant, uint64_t expires_at,
-                        const std::string& password);
+// Durable session record value: varint uT, varint uG, length-prefixed
+// password. uW is deliberately NOT stored — the worker event process it
+// names dies with the boot, and a recovered session's first connection
+// forks a fresh one. A session lives until a password change invalidates
+// it (§7.3); the record carries no lifetime.
+std::string EncodeValue(Handle taint, Handle grant, const std::string& password);
 bool DecodeValue(std::string_view value, Handle* taint, Handle* grant,
-                 uint64_t* expires_at, std::string* password);
-
-// THE lazy-expiry comparison, shared verbatim by the primary's
-// FindLiveSession and the follower's read filter. 0 = never expires.
-bool ExpiredAt(uint64_t expires_at_cycles, uint64_t now);
-
-// Follower-side admission for reads over a replicated session store:
-// decode, then ExpiredAt against the follower's current virtual time.
-// Undecodable records are refused — fail closed, like recovery skipping
-// records this build cannot parse.
-ReadLivenessFilter LivenessFilter();
+                 std::string* password);
 
 }  // namespace okws_session
 }  // namespace asbestos

@@ -88,13 +88,6 @@ class FollowerProcess : public ProcessCode {
   uint64_t backoff_until_cycles() const { return backoff_until_cycles_; }
   uint64_t read_sessions_accepted() const { return read_sessions_accepted_; }
 
-  // Extra per-record admission applied to follower-served reads, on top of
-  // the label check — e.g. the demux session-expiry rule, so a follower
-  // refuses a stale session by the same comparison the primary uses.
-  void set_read_liveness_filter(ReadLivenessFilter filter) {
-    read_gate_->set_liveness_filter(std::move(filter));
-  }
-
  private:
   // One accepted read connection; keyed by the netd cookie we issue reads
   // with, so concurrent readers demux on the kReadR reply's cookie word.

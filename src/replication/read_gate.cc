@@ -56,8 +56,6 @@ const char* ReadStatusName(ReadStatus s) {
       return "refused_stale_lease";
     case ReadStatus::kRefusedCursorLag:
       return "refused_cursor_lag";
-    case ReadStatus::kRefusedExpired:
-      return "refused_expired";
   }
   return "unknown";
 }
@@ -166,19 +164,6 @@ ReadResult ReadGate::Serve(const std::string& key, const Label& clearance,
   }
   if (rec == nullptr) {
     r.status = ReadStatus::kNotFound;
-    StalenessHistogram().Record(r.staleness_cycles);
-    return r;
-  }
-  if (liveness_ && !liveness_(key, *rec)) {
-    r.status = ReadStatus::kRefusedExpired;
-    if (obs::EventLog::enabled()) {
-      // Gated by the record's secrecy: that the key EXISTS (expired or not)
-      // is as secret as its contents.
-      obs::EventLog::Get().Refusal(
-          "read_gate.expired", GateName(),
-          "record expired by the liveness filter", 0, Level::kStar,
-          Level::kStar, rec->secrecy, clearance, trace_id);
-    }
     StalenessHistogram().Record(r.staleness_cycles);
     return r;
   }

@@ -39,7 +39,6 @@
 #define SRC_REPLICATION_READ_GATE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/labels/label.h"
@@ -56,7 +55,8 @@ enum class ReadStatus : uint64_t {
   kAccessDenied = 2,       // admitted, but the flow check refused the reader
   kRefusedStaleLease = 3,  // lease expired: retry at the primary
   kRefusedCursorLag = 4,   // applied cursor trails the token: retry at primary
-  kRefusedExpired = 5,     // record exists but the liveness filter killed it
+  // 5 is unassigned (a retired verdict): no gate answers it, and
+  // ReadStatusName calls it "unknown".
 };
 
 const char* ReadStatusName(ReadStatus s);
@@ -73,13 +73,6 @@ struct ReadResult {
   replwire::ReadCursorToken applied;
 };
 
-// Domain-specific record liveness (satellite: the demux session table must
-// enforce expiry identically on follower and primary). Returns false when
-// the record must be treated as dead: the gate answers kRefusedExpired and
-// never leaks the stale bytes.
-using ReadLivenessFilter =
-    std::function<bool(const std::string& key, const StoreRecord& record)>;
-
 class ReadGate {
  public:
   // Follower mode: admission from the replica's lease and applied cursors;
@@ -91,9 +84,6 @@ class ReadGate {
   // covered by definition). Admission always passes; staleness is zero.
   ReadGate(const DurableStore* store, uint64_t source_id)
       : primary_(store), source_id_(source_id) {}
-
-  // Optional per-domain liveness hook (see ReadLivenessFilter).
-  void set_liveness_filter(ReadLivenessFilter f) { liveness_ = std::move(f); }
 
   // Decides and (when admitted) serves one labeled read. Charges the label
   // check exactly as the kernel IPC path would, plus the base serve cost.
@@ -119,7 +109,6 @@ class ReadGate {
   const ReplicaStore* replica_ = nullptr;  // follower mode
   const DurableStore* primary_ = nullptr;  // primary mode
   uint64_t source_id_ = 0;                 // primary mode
-  ReadLivenessFilter liveness_;
 };
 
 }  // namespace asbestos

@@ -150,12 +150,9 @@ Status ReplicaStore::HandleFrame(const WireMessage& msg, std::string* ack_out) {
         AppendAck(static_cast<uint32_t>(msg.shard), ack_out);
         return Status::kOk;
       }
-      // The apply span adopts the primary's ship stack as its parent (the
-      // frame carries it in prof_ctx), so one merged flamegraph nests this
-      // follower's apply work under the primary's pump/ship frames.
       obs::ProfSpan apply_span;
       if (obs::CycleProfiler::enabled()) {
-        apply_span.BeginWithParent(msg.prof_ctx, "repl.apply.batch");
+        apply_span.Begin("repl.apply.batch");
       }
       const Status s = replwire::ForEachWalRecord(
           msg.payload, [this, &msg](std::string_view record) {
@@ -191,7 +188,7 @@ Status ReplicaStore::HandleFrame(const WireMessage& msg, std::string* ack_out) {
       TrackLease(msg);
       obs::ProfSpan apply_span;
       if (obs::CycleProfiler::enabled()) {
-        apply_span.BeginWithParent(msg.prof_ctx, "repl.apply.snapshot");
+        apply_span.Begin("repl.apply.snapshot");
       }
       const Status s =
           store_->InstallShardSnapshot(static_cast<uint32_t>(msg.shard), msg.payload);

@@ -80,8 +80,6 @@ std::string FollowerSession::SessionHello() {
 
 void FollowerSession::ShipSnapshot(uint32_t shard, uint64_t lease_until,
                                    uint64_t successor_id, std::string* out, size_t* frames) {
-  // The ship span's stack rides the frame (prof_ctx) so the follower's
-  // apply span nests under it in the merged flamegraph.
   obs::ProfSpan ship_span;
   if (obs::CycleProfiler::enabled()) {
     ship_span.Begin("repl.ship.snapshot");
@@ -95,9 +93,6 @@ void FollowerSession::ShipSnapshot(uint32_t shard, uint64_t lease_until,
   m.lease_until = lease_until;
   m.successor_id = successor_id;
   m.trace_id = trace_id_;
-  if (obs::CycleProfiler::enabled()) {
-    m.prof_ctx = obs::CycleProfiler::Get().current_stack();
-  }
   std::string image;
   ASB_ASSERT(IsOk(hub_->store()->ExportShardSnapshot(shard, &image, &m.generation,
                                                      &m.offset)));
@@ -161,9 +156,6 @@ bool FollowerSession::ShipBatchSpan(uint32_t shard, uint64_t max_batch_bytes,
     m.lease_until = lease_until;
     m.successor_id = successor_id;
     m.trace_id = trace_id_;
-    if (obs::CycleProfiler::enabled()) {
-      m.prof_ctx = obs::CycleProfiler::Get().current_stack();
-    }
     m.payload = span.substr(0, take);
     c.shipped_off += take;
     stats_.batches_shipped += 1;

@@ -1,7 +1,5 @@
 #include "src/replication/wire.h"
 
-#include <cstring>
-
 #include "src/store/label_codec.h"
 #include "src/store/wal.h"
 
@@ -9,20 +7,6 @@ namespace asbestos {
 namespace replwire {
 
 namespace {
-
-constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc (WAL framing)
-
-uint32_t ReadU32Le(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void AppendU32Le(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(buf));
-}
 
 std::string EncodePayload(const WireMessage& msg) {
   std::string p;
@@ -84,7 +68,6 @@ std::string EncodePayload(const WireMessage& msg) {
   }
   // Every frame type ends with the same observational trailer.
   codec::AppendVarint(msg.trace_id, &p);
-  codec::AppendString(msg.prof_ctx, &p);
   return p;
 }
 
@@ -170,84 +153,54 @@ Status DecodePayload(std::string_view p, WireMessage* msg) {
     default:
       return Status::kInvalidArgs;  // unknown frame type: poison the session
   }
-  if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id)) ||
-      !IsOk(s = codec::ReadString(p, &pos, &bytes))) {
+  if (!IsOk(s = codec::ReadVarint(p, &pos, &msg->trace_id))) {
     return s;
   }
-  msg->prof_ctx.assign(bytes);
   return pos == p.size() ? Status::kOk : Status::kInvalidArgs;
 }
 
 }  // namespace
 
 void AppendFrame(const WireMessage& msg, std::string* out) {
-  const std::string payload = EncodePayload(msg);
-  AppendU32Le(static_cast<uint32_t>(payload.size()), out);
-  AppendU32Le(Crc32(payload), out);
-  out->append(payload);
+  AppendCrcFrame(EncodePayload(msg), out);
 }
 
 FrameParse ConsumeFrame(std::string* buffer, WireMessage* msg) {
-  if (buffer->size() < kFrameHeaderBytes) {
+  const FrameView f = ReadCrcFrame(*buffer, 0);
+  if (f.status == FrameRead::kTorn) {
     return FrameParse::kNeedMore;
   }
-  const uint32_t len = ReadU32Le(buffer->data());
-  const uint32_t crc = ReadU32Le(buffer->data() + 4);
-  if (buffer->size() - kFrameHeaderBytes < len) {
-    return FrameParse::kNeedMore;
-  }
-  const std::string_view payload(buffer->data() + kFrameHeaderBytes, len);
-  if (Crc32(payload) != crc) {
+  if (f.status == FrameRead::kCorrupt || !IsOk(DecodePayload(f.payload, msg))) {
     return FrameParse::kCorrupt;
   }
-  if (!IsOk(DecodePayload(payload, msg))) {
-    return FrameParse::kCorrupt;
-  }
-  buffer->erase(0, kFrameHeaderBytes + len);
+  buffer->erase(0, f.bytes);
   return FrameParse::kFrame;
 }
 
-uint64_t FirstWalFrameBytes(std::string_view span) {
-  if (span.size() < kFrameHeaderBytes) {
-    return 0;
-  }
-  return kFrameHeaderBytes + static_cast<uint64_t>(ReadU32Le(span.data()));
-}
+uint64_t FirstWalFrameBytes(std::string_view span) { return ReadCrcFrame(span, 0).bytes; }
 
 uint64_t WalFramePrefix(std::string_view span, uint64_t max_bytes) {
   uint64_t end = 0;
-  while (span.size() - end >= kFrameHeaderBytes) {
-    const uint32_t len = ReadU32Le(span.data() + end);
-    const uint64_t frame = kFrameHeaderBytes + static_cast<uint64_t>(len);
-    if (span.size() - end < frame || end + frame > max_bytes) {
-      break;
-    }
-    end += frame;
+  for (FrameView f = ReadCrcFrame(span, 0);
+       f.status == FrameRead::kFrame && end + f.bytes <= max_bytes;
+       f = ReadCrcFrame(span, end)) {
+    end += f.bytes;
   }
   return end;
 }
 
 Status ForEachWalRecord(std::string_view batch,
                         const std::function<Status(std::string_view)>& fn) {
-  size_t pos = 0;
-  while (pos < batch.size()) {
-    if (batch.size() - pos < kFrameHeaderBytes) {
+  for (size_t pos = 0; pos < batch.size();) {
+    const FrameView f = ReadCrcFrame(batch, pos);
+    if (f.status != FrameRead::kFrame) {
       return Status::kInvalidArgs;
     }
-    const uint32_t len = ReadU32Le(batch.data() + pos);
-    const uint32_t crc = ReadU32Le(batch.data() + pos + 4);
-    if (batch.size() - pos - kFrameHeaderBytes < len) {
-      return Status::kInvalidArgs;
-    }
-    const std::string_view payload(batch.data() + pos + kFrameHeaderBytes, len);
-    if (Crc32(payload) != crc) {
-      return Status::kInvalidArgs;
-    }
-    const Status s = fn(payload);
+    const Status s = fn(f.payload);
     if (!IsOk(s)) {
       return s;
     }
-    pos += kFrameHeaderBytes + len;
+    pos += f.bytes;
   }
   return Status::kOk;
 }

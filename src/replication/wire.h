@@ -17,7 +17,7 @@
 // so a torn TCP read is detected exactly like a torn log tail: the parser
 // waits for the rest of the frame, and a CRC mismatch poisons the session
 // (the follower re-syncs on reconnect). Frame payloads are codec varints,
-// and every type ends with the same trailer, trace_id + prof_ctx:
+// and every type ends with the same trailer, trace_id:
 //
 //   kHello     token, source_id, shard_count,   primary → follower, once
 //              lease_until
@@ -146,13 +146,6 @@ struct WireMessage {
   // followed end to end like an OKWS request. Carried by every frame type;
   // 0 means untraced. Purely observational: no protocol decision reads it.
   uint64_t trace_id = 0;
-  // Sender's cycle-profiler span stack at frame build time (src/obs/
-  // profiler.h), empty when profiling is off. The receiver opens its apply
-  // span WITH this parent context so one merged flamegraph nests follower
-  // work under the primary's ship stack. Carried by every frame type after
-  // trace_id (one length byte when empty); like trace_id it is purely
-  // observational.
-  std::string prof_ctx;
   // kBatch: raw WAL frames; kSnapshot: image. A refcounted buffer view
   // (src/kernel/payload.h): the hub's frame cache, each follower session's
   // outgoing batch, and the kernel queue entry all share one buffer, so a
@@ -177,9 +170,10 @@ enum class FrameParse {
 FrameParse ConsumeFrame(std::string* buffer, WireMessage* msg);
 
 // Splits a raw WAL byte span (as read by DurableStore::ReadShardWal) at
-// whole-frame boundaries: returns the largest prefix length ≤ max_bytes that
-// ends on a frame boundary (0 when even the first frame exceeds max_bytes —
-// the caller ships that one frame alone; WAL frames are never re-fragmented).
+// whole-frame boundaries: returns the length of the longest run of whole,
+// CRC-valid frames that fits in max_bytes (0 when even the first frame
+// exceeds max_bytes — the caller ships that one frame alone; WAL frames are
+// never re-fragmented).
 uint64_t WalFramePrefix(std::string_view span, uint64_t max_bytes);
 
 // Total byte length (header + payload) of the first WAL frame in `span`, as

@@ -12,8 +12,6 @@ namespace asbestos {
 
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
-
 uint32_t ReadU32Le(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));  // the simulator only targets little-endian hosts
@@ -79,6 +77,33 @@ uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+void AppendCrcFrame(std::string_view payload, std::string* out) {
+  AppendU32Le(static_cast<uint32_t>(payload.size()), out);
+  AppendU32Le(Crc32(payload), out);
+  out->append(payload.data(), payload.size());
+}
+
+FrameView ReadCrcFrame(std::string_view bytes, size_t pos) {
+  FrameView f;
+  if (bytes.size() - pos < kFrameHeaderBytes) {
+    return f;  // torn header
+  }
+  const uint32_t len = ReadU32Le(bytes.data() + pos);
+  const uint32_t crc = ReadU32Le(bytes.data() + pos + 4);
+  f.bytes = kFrameHeaderBytes + static_cast<uint64_t>(len);
+  if (bytes.size() - pos - kFrameHeaderBytes < len) {
+    return f;  // torn payload
+  }
+  const std::string_view payload = bytes.substr(pos + kFrameHeaderBytes, len);
+  if (Crc32(payload) != crc) {
+    f.status = FrameRead::kCorrupt;
+    return f;
+  }
+  f.status = FrameRead::kFrame;
+  f.payload = payload;
+  return f;
+}
+
 Wal::~Wal() { Close(); }
 
 void Wal::Close() {
@@ -118,24 +143,14 @@ Status Wal::Open(const std::string& path,
     }
   }
 
-  // Replay the valid prefix.
+  // Replay the valid prefix: stop at a clean EOF, a torn frame, or a
+  // corrupt one (dropping it and everything after).
   size_t pos = 0;
-  while (true) {
-    if (contents.size() - pos < kFrameHeaderBytes) {
-      break;  // clean EOF or torn header
-    }
-    const uint32_t len = ReadU32Le(contents.data() + pos);
-    const uint32_t crc = ReadU32Le(contents.data() + pos + 4);
-    if (contents.size() - pos - kFrameHeaderBytes < len) {
-      break;  // torn payload
-    }
-    const std::string_view payload(contents.data() + pos + kFrameHeaderBytes, len);
-    if (Crc32(payload) != crc) {
-      break;  // corrupt frame: stop here, drop it and everything after
-    }
-    on_record(payload);
+  for (FrameView f = ReadCrcFrame(contents, pos); f.status == FrameRead::kFrame;
+       f = ReadCrcFrame(contents, pos)) {
+    on_record(f.payload);
     ++recovered_records_;
-    pos += kFrameHeaderBytes + len;
+    pos += f.bytes;
   }
 
   dropped_tail_bytes_ = contents.size() - pos;
@@ -160,9 +175,7 @@ Status Wal::Append(std::string_view record) {
   }
   std::string frame;
   frame.reserve(kFrameHeaderBytes + record.size());
-  AppendU32Le(static_cast<uint32_t>(record.size()), &frame);
-  AppendU32Le(Crc32(record), &frame);
-  frame.append(record.data(), record.size());
+  AppendCrcFrame(record, &frame);
   const Status s = WriteAll(fd_, frame.data(), frame.size());
   if (!IsOk(s)) {
     // A partial write must not stay in the file: recovery stops at the first

@@ -17,6 +17,7 @@
 #ifndef SRC_STORE_WAL_H_
 #define SRC_STORE_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -28,6 +29,31 @@ namespace asbestos {
 
 // CRC-32 (reflected, polynomial 0xEDB88320 — the zlib/Ethernet polynomial).
 uint32_t Crc32(std::string_view data);
+
+// The frame codec of the layout above, shared by the WAL and the
+// replication wire (src/replication/wire.h), which ships WAL frames
+// verbatim and frames its own messages the same way.
+constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
+
+// Appends one frame carrying `payload` (at most UINT32_MAX bytes) to `out`.
+void AppendCrcFrame(std::string_view payload, std::string* out);
+
+enum class FrameRead {
+  kFrame,    // a whole frame whose CRC matches
+  kTorn,     // the bytes end inside the frame (its header or its payload)
+  kCorrupt,  // a whole frame whose CRC does not match
+};
+
+struct FrameView {
+  FrameRead status = FrameRead::kTorn;
+  // Header plus payload as the header names it (so also for a torn or
+  // corrupt frame); 0 when even the header is torn.
+  uint64_t bytes = 0;
+  std::string_view payload;  // kFrame only: a view into the read bytes
+};
+
+// Reads the frame that starts at byte `pos` of `bytes`.
+FrameView ReadCrcFrame(std::string_view bytes, size_t pos);
 
 class Wal {
  public:

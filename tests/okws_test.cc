@@ -8,6 +8,8 @@
 #include "src/okws/services.h"
 #include "src/okws/session_codec.h"
 #include "src/replication/link.h"
+#include "src/store/label_codec.h"
+#include "src/store/store.h"
 #include "tests/test_util.h"
 
 namespace asbestos {
@@ -428,46 +430,52 @@ TEST(OkwsPersistenceTest, DemuxSessionsSurviveReboot) {
     // Wrong credentials still fail: recovery must not weaken the check.
     EXPECT_EQ(FetchFrom(world, "/store", "alice", "wrong").status, 403);
   }
-}
 
-TEST(OkwsPersistenceTest, ExpiredSessionsDieAcrossReboot) {
-  asbestos::testing::TempDir dir;
-  OkwsWorldConfig config = BasicConfig();
-  config.idd_options.store_dir = dir.path() + "/idd";
-  config.demux_options.store_dir = dir.path() + "/demux";
-  config.demux_options.session_ttl_cycles = 1;  // expires on the next tick
-
-  {
-    OkwsWorld world(config);
-    world.PumpUntilReady();
-    EXPECT_EQ(FetchFrom(world, "/echo", "alice", "pw-a").status, 200);
-    DemuxProcess* demux = FindDemux(world);
-    ASSERT_NE(demux, nullptr);
-    EXPECT_EQ(demux->session_count(), 1u);
+  {  // --- between boots: alice's session rewritten in the retired layout ---
+    // (uT, uG, an expiry varint, password). It fails the strict decode.
+    StoreOptions opts;
+    opts.dir = config.demux_options.store_dir;
+    auto opened = DurableStore::Open(opts);
+    ASSERT_TRUE(opened.ok());
+    std::unique_ptr<DurableStore> store = opened.take();
+    const std::string key = okws_session::Key("alice", "store");
+    const StoreRecord* rec = store->Get(key);
+    ASSERT_NE(rec, nullptr);
+    Handle taint;
+    Handle grant;
+    std::string password;
+    ASSERT_TRUE(okws_session::DecodeValue(rec->value, &taint, &grant, &password));
+    std::string old_value;
+    codec::AppendVarint(taint.value(), &old_value);
+    codec::AppendVarint(grant.value(), &old_value);
+    codec::AppendVarint(0, &old_value);  // expires_at: never
+    codec::AppendString(password, &old_value);
+    const Label secrecy = rec->secrecy;
+    const Label integrity = rec->integrity;
+    ASSERT_EQ(store->Put(key, old_value, secrecy, integrity), Status::kOk);
+    ASSERT_EQ(store->Sync(), Status::kOk);
   }
 
-  {  // The virtual clock moved past the expiry: recovery drops the session.
+  {  // --- boot 3: the record is skipped, like any unparseable one ----------
     OkwsWorld world(config);
     world.PumpUntilReady();
     DemuxProcess* demux = FindDemux(world);
     ASSERT_NE(demux, nullptr);
-    EXPECT_EQ(demux->session_count(), 0u) << "expired sessions must not recover";
-    // The user is not locked out — the next request just logs in again.
-    EXPECT_EQ(FetchFrom(world, "/echo", "alice", "pw-a").status, 200);
+    EXPECT_EQ(demux->session_count(), 0u) << "an old-layout record must not recover";
+    // The user is not locked out: the next request logs in again.
+    EXPECT_EQ(FetchFrom(world, "/store", "alice", "pw-a").status, 200);
+    EXPECT_EQ(demux->session_count(), 1u);
   }
 }
 
 // --- Follower reads of the replicated session table --------------------------
 
-TEST(OkwsFollowerReadTest, ExpiredSessionRefusedIdenticallyOnFollower) {
+TEST(OkwsFollowerReadTest, FollowerServesTheReplicatedSession) {
   asbestos::testing::TempDir dir;
   OkwsWorldConfig config = BasicConfig();
   config.idd_options.store_dir = dir.path() + "/idd";
   config.demux_options.store_dir = dir.path() + "/demux";
-  // TTL sized so the session expires when the test says so, comfortably
-  // inside a lease long enough that the refusal below is unambiguously the
-  // session-expiry rule, not lease staleness.
-  config.demux_options.session_ttl_cycles = 200'000'000;
+  // A lease long enough that no read below is refused as stale.
   config.demux_options.replication.listen_tcp_port = 7101;
   config.demux_options.replication.lease_interval_cycles = 2'000'000'000;
   OkwsWorld world(config);
@@ -479,9 +487,6 @@ TEST(OkwsFollowerReadTest, ExpiredSessionRefusedIdenticallyOnFollower) {
   ReplicaOptions fopts;
   fopts.follower_id = 1;  // routable; the lease above never runs out, so no promote
   FollowerWorld follower(0x2222, 7201, replica_opts, fopts, /*read_tcp_port=*/7300);
-  // The demux session liveness rule, applied follower-side: the SAME
-  // comparison FindLiveSession uses on the primary (session_codec.h).
-  follower.follower()->set_read_liveness_filter(okws_session::LivenessFilter());
   ReplicationLink link(&world.net(), 7101, &follower.net(), 7201);
   const auto step = [&] {
     link.Step();
@@ -507,46 +512,20 @@ TEST(OkwsFollowerReadTest, ExpiredSessionRefusedIdenticallyOnFollower) {
   }
   ASSERT_TRUE(demux->replication()->hub()->AllFullySynced());
 
-  // The follower serves the live session record — honoring the token, so
-  // this read observes alice's own registration.
+  // The follower serves the session record — honoring the token, so this
+  // read observes alice's own registration, byte for byte.
   const std::string key = okws_session::Key("alice", "echo");
   ReadClient reader(&follower.net(), 7300, /*auth_token=*/0);
   ReadResult r;
   ASSERT_TRUE(reader.Read(key, Label::Top(), token, step, &r));
   EXPECT_EQ(r.status, ReadStatus::kOk);
-  EXPECT_FALSE(r.value.empty());
+  const StoreRecord* primary_record = demux->store()->Get(key);
+  ASSERT_NE(primary_record, nullptr);
+  EXPECT_EQ(r.value, primary_record->value);
 
   // The demux routes this session's reads somewhere (one eligible
   // follower), and its advisory choice is that follower's session.
   EXPECT_NE(demux->RouteSessionRead("alice", "echo"), nullptr);
-
-  // Time passes the TTL. The primary never touched the record (expiry is
-  // lazy), so the REPLICATED record still exists on the follower — and the
-  // follower must refuse it by the same rule the primary would.
-  GetCycleAccounting().Charge(Component::kOther, 250'000'000);
-  ASSERT_TRUE(reader.Read(key, Label::Top(), token, step, &r));
-  EXPECT_EQ(r.status, ReadStatus::kRefusedExpired);
-  EXPECT_TRUE(r.value.empty());
-
-  // The primary agrees: the next request re-logs-in (the expired session is
-  // lazily erased and a fresh one registered, with a NEW, later token).
-  EXPECT_EQ(FetchFrom(world, "/echo", "alice", "pw-a").status, 200);
-  ASSERT_EQ(demux->session_count(), 1u);
-  const replwire::ReadCursorToken token2 = demux->session_cursor("alice", "echo");
-  ASSERT_FALSE(token2.empty());
-  EXPECT_TRUE(token2.generation > token.generation ||
-              (token2.generation == token.generation && token2.offset > token.offset));
-
-  // Once the erase+re-registration ships, the follower serves the fresh
-  // session again — read-your-writes across the whole cycle.
-  for (int i = 0; i < 3000; ++i) {
-    step();
-    if (demux->replication()->hub()->AllFullySynced()) {
-      break;
-    }
-  }
-  ASSERT_TRUE(reader.Read(key, Label::Top(), token2, step, &r));
-  EXPECT_EQ(r.status, ReadStatus::kOk);
 }
 
 // §9.3 reply-capability release in a world whose service parks sessions:

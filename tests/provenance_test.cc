@@ -331,27 +331,6 @@ TEST_F(CycleProfilerTest, SpansNestAndSplitSelfFromChildTime) {
   EXPECT_EQ(prof.CollapsedStacks(), "outer 110\nouter;inner 40\n");
 }
 
-TEST_F(CycleProfilerTest, BeginWithParentStitchesAcrossTheWire) {
-  // The primary's ship span ends before the follower's apply span begins —
-  // the two sides never share a C++ call stack — yet prof_ctx stitches the
-  // apply under the ship stack in one merged flamegraph.
-  obs::CycleProfiler& prof = obs::CycleProfiler::Get();
-  prof.Begin("repl.ship.batch");
-  const std::string wire_ctx = prof.current_stack();  // → WireMessage::prof_ctx
-  EXPECT_EQ(wire_ctx, "repl.ship.batch");
-  Burn(5);
-  prof.End();
-
-  EXPECT_EQ(prof.current_stack(), "");
-  prof.BeginWithParent(wire_ctx, "repl.apply.batch");
-  EXPECT_EQ(prof.current_stack(), "repl.ship.batch;repl.apply.batch");
-  Burn(7);
-  prof.End();
-
-  ASSERT_EQ(prof.stacks().count("repl.ship.batch;repl.apply.batch"), 1u);
-  EXPECT_EQ(prof.stacks().at("repl.ship.batch;repl.apply.batch").self_cycles, 7u);
-}
-
 TEST_F(CycleProfilerTest, DisabledSitesBuildNoSpans) {
   obs::CycleProfiler::SetEnabled(false);
   {

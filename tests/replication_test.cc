@@ -20,6 +20,7 @@
 #include "src/net/client.h"
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profiler.h"
 #include "src/okws/idd.h"
 #include "src/okws/okws_world.h"
 #include "src/okws/services.h"
@@ -154,15 +155,14 @@ std::string Hex(std::string_view bytes) {
   return out;
 }
 
-// One populated frame of every message type, each with a trace id and a
-// non-empty profiler context, and its encoding in hex.
+// One populated frame of every message type, each with a trace id, and its
+// encoding in hex.
 std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   const Label label({{H(77), Level::kL3}}, Level::kStar);
   auto frame = [](replwire::MessageType type) {
     replwire::WireMessage m;
     m.type = type;
     m.trace_id = 0x1234;
-    m.prof_ctx = "ship;batch";
     return m;
   };
   std::vector<std::pair<replwire::WireMessage, std::string>> cases;
@@ -173,7 +173,7 @@ std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   hello.shard_count = 4;
   hello.lease_until = 1000000;
   cases.emplace_back(hello,
-                     "17000000aecf0bb101a501edbd0104c0843db4240a736869703b6261746368");
+                     "0c000000452bc32f01a501edbd0104c0843db424");
 
   replwire::WireMessage batch = frame(replwire::kBatch);
   batch.shard = 3;
@@ -183,8 +183,7 @@ std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   batch.successor_id = 9;
   batch.payload = std::string("wal\x00\x01", 5);
   cases.emplace_back(batch,
-                     "1c0000007fabfb0b0203078020c0c407090577616c0001b4240a736869703b62"
-                     "61746368");
+                     "110000006d1791d30203078020c0c407090577616c0001b424");
 
   replwire::WireMessage snapshot = frame(replwire::kSnapshot);
   snapshot.shard = 1;
@@ -194,8 +193,7 @@ std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   snapshot.successor_id = 4;
   snapshot.payload = std::string("ASBSTOR1image");
   cases.emplace_back(snapshot,
-                     "230000009087495f030102ac028827040d41534253544f5231696d616765b424"
-                     "0a736869703b6261746368");
+                     "1800000075b9c215030102ac028827040d41534253544f5231696d616765b424");
 
   replwire::WireMessage ack = frame(replwire::kAck);
   ack.token = 0xA5;
@@ -205,19 +203,18 @@ std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   ack.offset = 8192;
   ack.follower_id = 42;
   cases.emplace_back(ack,
-                     "1900000027d667ea04a50103ef9baf050780402ab4240a736869703b62617463"
-                     "68");
+                     "0e00000097c590d504a50103ef9baf050780402ab424");
 
   replwire::WireMessage hb = frame(replwire::kHeartbeat);
   hb.lease_until = 999;
   hb.successor_id = 42;
   cases.emplace_back(hb,
-                     "11000000f816f93605e7072ab4240a736869703b6261746368");
+                     "060000003d5f5c6f05e7072ab424");
 
   replwire::WireMessage busy = frame(replwire::kBusy);
   busy.retry_after = 2000000;
   cases.emplace_back(busy,
-                     "11000000dd1b24250680897ab4240a736869703b6261746368");
+                     "060000007669e0a30680897ab424");
 
   replwire::WireMessage req = frame(replwire::kReadReq);
   req.token = 0xA5;
@@ -226,8 +223,8 @@ std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   req.cursor = {0x5EED, 2, 1, 640};
   req.label = label;
   cases.emplace_back(req,
-                     "28000000d869773808a501110b6e6f7465732f616c696365edbd010201800500"
-                     "010c4db4240a736869703b6261746368");
+                     "1d000000864facd108a501110b6e6f7465732f616c696365edbd010201800500"
+                     "010c4db424");
 
   replwire::WireMessage resp = frame(replwire::kReadResp);
   resp.cookie = 17;
@@ -237,8 +234,7 @@ std::vector<std::pair<replwire::WireMessage, std::string>> GoldenCases() {
   resp.label = label;
   resp.payload = std::string("hello");
   cases.emplace_back(resp,
-                     "2300000087b93d85091100fa01edbd010201bc0500010c4d0568656c6c6fb424"
-                     "0a736869703b6261746368");
+                     "180000002d102a14091100fa01edbd010201bc0500010c4d0568656c6c6fb424");
   return cases;
 }
 
@@ -255,7 +251,6 @@ TEST(ReplWireTest, GoldenFrames) {
     EXPECT_TRUE(bytes.empty());
     EXPECT_EQ(out.type, msg.type);
     EXPECT_EQ(out.trace_id, msg.trace_id);
-    EXPECT_EQ(out.prof_ctx, msg.prof_ctx);
     std::string again;
     replwire::AppendFrame(out, &again);
     EXPECT_EQ(Hex(again), want) << "re-encoded type " << msg.type;
@@ -264,15 +259,15 @@ TEST(ReplWireTest, GoldenFrames) {
 
 // Type 7 is unassigned (it once named a compaction hand-off frame). A
 // well-framed payload carrying it is an unknown type: the session is
-// poisoned rather than the frame skipped.
+// poisoned rather than the frame skipped. Likewise for a frame with the
+// retired trailer.
 TEST(ReplWireTest, UnassignedTypeSevenIsCorrupt) {
-  // CRC-frames a payload of varints plus an empty profiler context.
+  // CRC-frames a payload of varints.
   auto framed = [](std::vector<uint64_t> varints) {
     std::string payload;
     for (uint64_t v : varints) {
       codec::AppendVarint(v, &payload);
     }
-    codec::AppendString("", &payload);
     return CrcFrame(payload);
   };
   // The helper frames exactly like the encoder: a heartbeat round-trips.
@@ -291,6 +286,11 @@ TEST(ReplWireTest, UnassignedTypeSevenIsCorrupt) {
   // lease_until, successor_id, trace_id) is an unknown type.
   std::string seven = framed({7, 1, 2, 300, 5000, 4, 0x1234});
   EXPECT_EQ(replwire::ConsumeFrame(&seven, &out), replwire::FrameParse::kCorrupt);
+  // The trailer is trace_id alone. A heartbeat with the retired two-field
+  // trailer (trace_id, then a length-prefixed profiler stack, here empty)
+  // has a byte left over, so it is corrupt, not misread.
+  std::string old_trailer = framed({replwire::kHeartbeat, 999, 42, 0x1234, 0});
+  EXPECT_EQ(replwire::ConsumeFrame(&old_trailer, &out), replwire::FrameParse::kCorrupt);
 }
 
 // Mutated frame bodies, re-framed with a correct length and CRC so every
@@ -624,6 +624,72 @@ TEST_F(ReplProtocolTest, CompactionForcesSnapshotCatchUp) {
   EXPECT_TRUE(session_->FullySynced());
   ExpectReplicaMatchesPrimary();
   EXPECT_GE(replica_->stats().snapshots_installed, 3u);
+}
+
+// Profiling never changes a byte on the replication wire: a session ships
+// the same snapshot and batch frames with the cycle profiler on and off.
+// Nothing here charges the virtual clock, so both runs stamp the same lease
+// deadlines; only the trace id differs, because every session mints a fresh
+// one, so it is zeroed before the frames are compared.
+TEST_F(ReplProtocolTest, FramesAreIdenticalWithTheProfilerOnAndOff) {
+  const Label secrecy({{H(77), Level::kL3}}, Level::kStar);
+  const auto ship = [&](const std::string& name, bool profile) {
+    obs::CycleProfiler::SetEnabled(profile);
+    StoreOptions opts;
+    opts.dir = dir_.path() + "/" + name;
+    opts.shards = 1;
+    auto opened = DurableStore::Open(opts);
+    EXPECT_TRUE(opened.ok());
+    std::unique_ptr<DurableStore> primary = opened.take();
+    const auto put = [&](const std::string& prefix) {
+      for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(primary->Put(prefix + std::to_string(i), "v", secrecy, Label::Top()),
+                  Status::kOk);
+      }
+    };
+    put("old");
+    EXPECT_EQ(primary->Compact(), Status::kOk);  // the follower needs an image
+    ReplicationHub hub(primary.get(), /*source_id=*/0x5EED);
+    FollowerSession* session = hub.OpenSession();
+    std::unique_ptr<ReplicaStore> replica = OpenNamedReplica(name + "-replica", 1, 0);
+    std::string shipped;
+    std::string acks;
+    const auto deliver = [&](std::string frames) {
+      for (replwire::WireMessage& m : Parse(std::move(frames))) {
+        EXPECT_EQ(replica->HandleFrame(m, &acks), Status::kOk);
+        m.trace_id = 0;
+        replwire::AppendFrame(m, &shipped);
+      }
+    };
+    const auto exchange = [&] {
+      for (int round = 0; round < 100; ++round) {
+        for (const replwire::WireMessage& a : Parse(std::move(acks))) {
+          session->HandleAck(a);
+        }
+        acks.clear();
+        std::string frames;
+        if (session->PollFrames(1 << 16, ~0ULL, &frames) == 0) {
+          break;
+        }
+        deliver(std::move(frames));
+      }
+    };
+    deliver(session->SessionHello());
+    exchange();  // the snapshot
+    put("new");
+    exchange();  // a batch
+    EXPECT_EQ(replica->stats().snapshots_installed, 1u);
+    EXPECT_GE(replica->stats().batches_applied, 1u);
+    obs::CycleProfiler::SetEnabled(false);
+    return shipped;
+  };
+  obs::CycleProfiler::Get().Clear();
+  const std::string profiled = ship("on", true);
+  EXPECT_EQ(obs::CycleProfiler::Get().stacks().count("repl.ship.batch"), 1u)
+      << "the profiled run must actually have opened ship spans";
+  obs::CycleProfiler::Get().Clear();
+  const std::string plain = ship("off", false);
+  EXPECT_EQ(Hex(profiled), Hex(plain));
 }
 
 TEST_F(ReplProtocolTest, PromoteRefusesFurtherFrames) {
