@@ -247,12 +247,13 @@ void BM_StorePutShardedRam(benchmark::State& state) {
 BENCHMARK(BM_StorePutShardedRam)->Arg(4)->UseRealTime();
 
 // Durable puts under group commit: every put appends, and every `batch`
-// puts one Sync() flushes the dirty shards (concurrently) — the exact
-// discipline the end-of-pump OnIdle flush applies (batch ≈ mutations per
-// pump iteration). Arg = batch size; batch 1 is the old per-mutation fsync
-// regime. The acceptance bar — batch 64 within 2× of non-durable at the
-// same shard count — is measured by the Ram pair, which isolates the
-// store's own work; the disk pair additionally pays the device's per-flush
+// puts one SyncPipelined() hands the dirty shards to the background
+// flusher, with one Sync() at the end — the exact discipline
+// DurableBacking::OnIdle applies (batch ≈ mutations per pump iteration).
+// Arg = batch size; batch 1 is the old per-mutation fsync regime. The
+// acceptance bar — batch 64 within 2× of non-durable at the same shard
+// count — is measured by the Ram pair, which isolates the store's own
+// work; the disk pair additionally pays the device's per-flush
 // floor (~200µs on virtualized disks, ~3µs/put at batch 64), which bounds
 // the disk ratio at ~2.5× no matter the software.
 void RunStorePutGroupCommit(benchmark::State& state, const std::string& dir) {
@@ -270,7 +271,7 @@ void RunStorePutGroupCommit(benchmark::State& state, const std::string& dir) {
     ASB_ASSERT(store.value()->Put("key" + std::to_string(i % 1000), value, secrecy,
                                   Label::Top()) == Status::kOk);
     if (++i % batch == 0) {
-      ASB_ASSERT(store.value()->Sync() == Status::kOk);
+      ASB_ASSERT(store.value()->SyncPipelined() == Status::kOk);
     }
   }
   ASB_ASSERT(store.value()->Sync() == Status::kOk);

@@ -8,7 +8,6 @@
 #include "src/kernel/bootstrap.h"
 #include "src/kernel/label_checks.h"
 #include "src/obs/event_log.h"
-#include "src/obs/metrics.h"
 #include "src/sim/costs.h"
 #include "src/store/label_codec.h"
 
@@ -354,7 +353,8 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
   const uint64_t cookie = msg.words.empty() ? 0 : msg.words[0];
   const uint64_t flags = msg.words.size() > 1 ? msg.words[1] : 0;
   const size_t nl = msg.data.find('\n');
-  if (nl == std::string::npos) {
+  // Only kFlagDeclassify is defined: an unknown bit is refused, never ignored.
+  if ((flags & ~dbproxy_proto::kFlagDeclassify) != 0 || nl == std::string::npos) {
     ReplyDone(ctx, msg.reply_port, cookie, Status::kInvalidArgs, 0);
     return;
   }
@@ -436,22 +436,6 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
 
   const bool is_write = !IsReadOnlySql(stmt);
   const bool declassify = (flags & dbproxy_proto::kFlagDeclassify) != 0;
-  if ((flags & dbproxy_proto::kFlagReadOnly) != 0 && is_write) {
-    // The read-only tag lied: the parsed statement mutates. Refuse rather
-    // than quietly run it — the tag is what routed this query, and a
-    // mutation must never ride the read plane.
-    static obs::Counter& violations =
-        obs::Registry::Get().counter("db.readonly_tag_violations");
-    violations.Add();
-    if (obs::EventLog::enabled()) {
-      obs::EventLog::Get().Refusal(
-          "dbproxy.readonly_tag", "dbproxy",
-          "read-only tagged query parses as a write", 0, Level::kStar,
-          Level::kStar, Label::Bottom(), Label::Bottom(), msg.trace_id);
-    }
-    ReplyDone(ctx, msg.reply_port, cookie, Status::kAccessDenied, 0);
-    return;
-  }
   if (is_write) {
     // §7.5: the verify label must be bounded by {uT 3, uG 0, 2} — the sender
     // is tainted by nothing except its own user's data and speaks for the

@@ -45,12 +45,9 @@ enum MessageType : uint64_t {
   kBindR = 5,  // words: [status]
 };
 constexpr uint64_t kFlagDeclassify = 1;  // write rows as public (needs V(uT) = ⋆)
-// Sender promises the statement does not mutate (SELECT only). The tag is
-// what read routing keys on, so dbproxy re-derives the truth from the parsed
-// statement and refuses a tag that lies (kAccessDenied + the
-// db.readonly_tag_violations counter) — a mutation can never hide in the
-// read plane behind a mislabeled flag.
-constexpr uint64_t kFlagReadOnly = 2;
+// 2 is unassigned (a retired flag). A query whose flags word holds any bit
+// but kFlagDeclassify is refused with kInvalidArgs, so an unknown bit never
+// comes to mean something new.
 }  // namespace dbproxy_proto
 
 // Row wire format: each field is "<type>:<len>:<bytes>" with type i/t/n.

@@ -311,9 +311,4 @@ bool IsReadOnlySql(const SqlStatement& stmt) {
   return std::holds_alternative<SelectStmt>(stmt);
 }
 
-bool ClassifyReadOnlySql(std::string_view sql) {
-  auto stmt = ParseSql(sql);
-  return stmt.ok() && IsReadOnlySql(stmt.value());
-}
-
 }  // namespace asbestos

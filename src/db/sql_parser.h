@@ -79,15 +79,8 @@ using SqlStatement =
 Result<SqlStatement> ParseSql(std::string_view sql);
 
 // True when the statement cannot mutate — exactly SELECT in this dialect.
-// This is the read/write split the follower-read plane routes on: OKWS tags
-// read-only db traffic (dbproxy_proto::kFlagReadOnly) and dbproxy rejects a
-// tag that lies.
+// dbproxy decides from it whether a query writes (and so must persist).
 bool IsReadOnlySql(const SqlStatement& stmt);
-
-// String-level classification for callers that don't keep the AST: parses
-// and reports IsReadOnlySql. Unparsable SQL classifies as a WRITE — fail
-// toward the primary, never toward a follower.
-bool ClassifyReadOnlySql(std::string_view sql);
 
 }  // namespace asbestos
 

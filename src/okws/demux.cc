@@ -83,21 +83,6 @@ void DemuxProcess::PersistSession(const std::string& key, const Session& s) {
                secrecy, integrity);
 }
 
-replwire::ReadCursorToken DemuxProcess::session_cursor(const std::string& user,
-                                                       const std::string& service) const {
-  const auto it = sessions_.find(SessionKey(user, service));
-  return it == sessions_.end() ? replwire::ReadCursorToken{} : it->second.cursor;
-}
-
-FollowerSession* DemuxProcess::RouteSessionRead(const std::string& user,
-                                                const std::string& service) const {
-  const ReplicationEndpoint* repl = backing_.replication();
-  if (repl == nullptr || repl->hub() == nullptr) {
-    return nullptr;
-  }
-  return repl->hub()->RouteRead(SessionKey(user, service), session_cursor(user, service));
-}
-
 void DemuxProcess::Start(ProcessContext& ctx) {
   register_port_ = ctx.NewPort(Label::Top());
   ASB_ASSERT(ctx.SetPortLabel(register_port_, Label::Top()) == Status::kOk);
@@ -478,20 +463,6 @@ void DemuxProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         s.password = conn.password;
         const std::string key = SessionKey(conn.username, conn.service);
         PersistSession(key, s);
-        // Read-your-writes token: the shard's WAL position right after this
-        // registration's append — the cursor a follower must have applied
-        // before it may answer reads for this session. In-memory only: the
-        // durable value format (and thus fig-level byte identity) is
-        // untouched, and a reboot re-stamps at the next write.
-        const ReplicationEndpoint* repl = backing_.replication();
-        if (repl != nullptr && repl->hub() != nullptr) {
-          const DurableStore* store = backing_.store();
-          const uint32_t shard = store->ShardIndexOf(key);
-          s.cursor.source_id = repl->hub()->source_id();
-          s.cursor.shard = shard;
-          s.cursor.generation = store->shard_wal_generation(shard);
-          s.cursor.offset = store->shard_wal_offset(shard);
-        }
         // §7.3: the session table holds one user-worker pair per entry;
         // paper Figure 9 attributes part of the label growth to these. A
         // re-registration (park/resume cycle, post-reboot recovery) reuses

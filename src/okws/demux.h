@@ -63,20 +63,6 @@ class DemuxProcess : public ProcessCode {
   const DurableStore* store() const { return backing_.store(); }
   const ReplicationEndpoint* replication() const { return backing_.replication(); }
 
-  // The session's read-your-writes token (empty when the session never
-  // wrote, is unknown, or replication is off). Read routing attaches this
-  // to every follower read so the gate can hold the contract.
-  replwire::ReadCursorToken session_cursor(const std::string& user,
-                                           const std::string& service) const;
-
-  // Advisory read routing: the hub's rendezvous choice among followers
-  // fresh enough for this session's token (sticky per user, so one
-  // follower's flow-check verdict cache stays hot for the session).
-  // nullptr = no eligible follower, read at the primary. Advisory only —
-  // the chosen follower's own gate re-decides with the same rule.
-  FollowerSession* RouteSessionRead(const std::string& user,
-                                    const std::string& service) const;
-
  private:
   struct WorkerInfo {
     std::string service;
@@ -90,10 +76,6 @@ class DemuxProcess : public ProcessCode {
     Handle taint;     // uT
     Handle grant;     // uG
     std::string password;  // credential the session was opened with
-    // Read-your-writes position: the session shard's WAL cursor at this
-    // session's last durable write. In-memory only — NOT part of the
-    // persisted value — so the on-disk session format is unchanged.
-    replwire::ReadCursorToken cursor;
   };
 
   struct ConnState {

@@ -32,8 +32,7 @@ class OkwsWorld {
   NetdProcess* netd() { return netd_; }
   ProcessId netd_pid() const { return netd_pid_; }
   LauncherProcess* launcher() { return launcher_; }
-  // The demux the launcher spawned (nullptr before PumpUntilReady). Read
-  // routing hangs off it: session cursors and the hub's follower choice.
+  // The demux the launcher spawned (nullptr before PumpUntilReady).
   DemuxProcess* demux();
 
   // One machine iteration: NIC interrupt into netd, then run to idle.

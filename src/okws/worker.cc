@@ -4,7 +4,6 @@
 
 #include "src/base/strings.h"
 #include "src/db/dbproxy.h"
-#include "src/db/sql_parser.h"
 #include "src/kernel/memstats.h"
 #include "src/net/netd.h"
 #include "src/obs/event_log.h"
@@ -423,12 +422,6 @@ uint64_t ServiceContext::connection_port_value() const {
 uint64_t ServiceContext::DbQuery(const std::string& sql, uint64_t flags) {
   WorkerProcess::InFlight& rq = *worker_->Current(ep_);
   const uint64_t qid = rq.next_qid++;
-  // Tag read-only statements so routing can tell follower-eligible traffic
-  // from mutations. Classification parses the SQL: unparsable or mutating
-  // statements stay untagged (dbproxy re-checks and refuses a lying tag).
-  if (ClassifyReadOnlySql(sql)) {
-    flags |= dbproxy_proto::kFlagReadOnly;
-  }
   Message q;
   q.type = dbproxy_proto::kQuery;
   q.words = {qid, flags};

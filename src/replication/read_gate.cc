@@ -33,13 +33,29 @@ obs::CycleHistogram& StalenessHistogram() {
   return h;
 }
 
-// Per-follower breakout of the same scoreboard (satellite: DebugStatus
-// forensics without grepping traces). Keyed by the follower's configured
-// id; the primary's gate does not contribute (its refusal modes cannot
-// fire). Cold enough that the registry's map lookup per bump is fine.
+// Per-follower breakout of the same scoreboard (DebugStatus forensics
+// without grepping traces). Keyed by the follower's configured id. Cold
+// enough that the registry's map lookup per bump is fine.
 obs::Counter& FollowerCounter(uint64_t follower_id, const char* field) {
   return obs::Registry::Get().counter("repl.follower" +
                                       std::to_string(follower_id) + "." + field);
+}
+
+// Whether a follower whose applied cursor is `applied` may answer a read
+// carrying `token` (see ReadCursorToken).
+bool CursorCovers(const replwire::ReadCursorToken& applied,
+                  const replwire::ReadCursorToken& token) {
+  if (token.empty()) {
+    return true;  // the client never wrote: nothing to wait for
+  }
+  if (applied.source_id != token.source_id) {
+    return false;  // a different (or no) history: the token means nothing here
+  }
+  // A follower's generation only advances by installing a snapshot, and an
+  // image of a later generation holds every record of the earlier ones, so
+  // a later generation covers every earlier token outright.
+  return applied.generation > token.generation ||
+         (applied.generation == token.generation && applied.offset >= token.offset);
 }
 
 }  // namespace
@@ -60,85 +76,51 @@ const char* ReadStatusName(ReadStatus s) {
   return "unknown";
 }
 
-bool ReadGate::CursorCovers(const replwire::ReadCursorToken& applied,
-                            const replwire::ReadCursorToken& token) {
-  if (token.empty()) {
-    return true;  // the session never wrote: nothing to wait for
-  }
-  if (applied.source_id != token.source_id) {
-    return false;  // a different (or no) history: the token means nothing here
-  }
-  // A follower's generation only advances by installing a snapshot, and an
-  // image of a later generation holds every record of the earlier ones, so
-  // a later generation covers every earlier token outright.
-  return applied.generation > token.generation ||
-         (applied.generation == token.generation && applied.offset >= token.offset);
-}
-
 std::string ReadGate::GateName() const {
-  return replica_ != nullptr
-             ? "follower" + std::to_string(replica_->follower_id())
-             : std::string("primary");
+  return "follower" + std::to_string(replica_->follower_id());
 }
 
 ReadResult ReadGate::Admit(const replwire::ReadCursorToken& token,
                            uint64_t trace_id) const {
   ReadResult r;
-  if (replica_ != nullptr) {
-    const uint64_t now = GetCycleAccounting().now();
-    const uint64_t heard = replica_->last_heard_cycles();
-    r.staleness_cycles = heard == 0 ? now : now - heard;
-    const uint32_t shard =
-        token.empty() ? 0 : static_cast<uint32_t>(token.shard);
-    if (shard < replica_->store()->shard_count()) {
-      r.applied = replica_->applied_cursor(shard);
+  const uint64_t now = GetCycleAccounting().now();
+  const uint64_t heard = replica_->last_heard_cycles();
+  r.staleness_cycles = heard == 0 ? now : now - heard;
+  const uint32_t shard = token.empty() ? 0 : static_cast<uint32_t>(token.shard);
+  if (shard < replica_->store()->shard_count()) {
+    r.applied = replica_->applied_cursor(shard);
+  }
+  // Lease freshness bounds ALL reads, token or not: an expired (or never
+  // granted) lease means unbounded staleness, which the contract forbids.
+  if (replica_->lease_until() == 0 || replica_->LeaseExpired(now)) {
+    r.status = ReadStatus::kRefusedStaleLease;
+    RefusedStaleLease().Add();
+    FollowerCounter(replica_->follower_id(), "reads_refused_stale_lease").Add();
+    if (obs::EventLog::enabled()) {
+      obs::EventLog::Get().Refusal(
+          "read_gate.stale_lease", GateName(),
+          "lease expired: staleness " + std::to_string(r.staleness_cycles) +
+              " cycles, retry at primary",
+          0, Level::kStar, Level::kStar, Label::Bottom(), Label::Bottom(),
+          trace_id);
     }
-    // Lease freshness bounds ALL reads, token or not: an expired (or never
-    // granted) lease means unbounded staleness, which the contract forbids.
-    if (replica_->lease_until() == 0 || replica_->LeaseExpired(now)) {
-      r.status = ReadStatus::kRefusedStaleLease;
-      RefusedStaleLease().Add();
-      FollowerCounter(replica_->follower_id(), "reads_refused_stale_lease")
-          .Add();
-      if (obs::EventLog::enabled()) {
-        obs::EventLog::Get().Refusal(
-            "read_gate.stale_lease", GateName(),
-            "lease expired: staleness " + std::to_string(r.staleness_cycles) +
-                " cycles, retry at primary",
-            0, Level::kStar, Level::kStar, Label::Bottom(), Label::Bottom(),
-            trace_id);
-      }
-      return r;
+    return r;
+  }
+  if (!CursorCovers(r.applied, token)) {
+    r.status = ReadStatus::kRefusedCursorLag;
+    RefusedCursorLag().Add();
+    FollowerCounter(replica_->follower_id(), "reads_refused_cursor_lag").Add();
+    if (obs::EventLog::enabled()) {
+      obs::EventLog::Get().Refusal(
+          "read_gate.cursor_lag", GateName(),
+          "applied cursor gen " + std::to_string(r.applied.generation) +
+              " off " + std::to_string(r.applied.offset) +
+              " trails token gen " + std::to_string(token.generation) +
+              " off " + std::to_string(token.offset),
+          0, Level::kStar, Level::kStar, Label::Bottom(), Label::Bottom(),
+          trace_id);
     }
-    if (!CursorCovers(r.applied, token)) {
-      r.status = ReadStatus::kRefusedCursorLag;
-      RefusedCursorLag().Add();
-      FollowerCounter(replica_->follower_id(), "reads_refused_cursor_lag")
-          .Add();
-      if (obs::EventLog::enabled()) {
-        obs::EventLog::Get().Refusal(
-            "read_gate.cursor_lag", GateName(),
-            "applied cursor gen " + std::to_string(r.applied.generation) +
-                " off " + std::to_string(r.applied.offset) +
-                " trails token gen " + std::to_string(token.generation) +
-                " off " + std::to_string(token.offset),
-            0, Level::kStar, Level::kStar, Label::Bottom(), Label::Bottom(),
-            trace_id);
-      }
-      return r;
-    }
-  } else {
-    // Primary mode: the primary minted every token it will ever see, and
-    // its tail is by definition at or past all of them. Reads here are the
-    // K=1 baseline; staleness is identically zero.
-    r.staleness_cycles = 0;
-    r.applied.source_id = source_id_;
-    if (!token.empty() && token.shard < primary_->shard_count()) {
-      const uint32_t shard = static_cast<uint32_t>(token.shard);
-      r.applied.shard = shard;
-      r.applied.generation = primary_->shard_wal_generation(shard);
-      r.applied.offset = primary_->shard_wal_offset(shard);
-    }
+    return r;
   }
   r.status = ReadStatus::kOk;
   return r;
@@ -152,16 +134,11 @@ ReadResult ReadGate::Serve(const std::string& key, const Label& clearance,
   if (r.status != ReadStatus::kOk) {
     return r;
   }
-  const StoreRecord* rec = nullptr;
-  if (replica_ != nullptr) {
-    // The epoch-pinned view makes the no-race property checkable: if an
-    // apply ever interleaved here, the view's Get would assert instead of
-    // returning a half-applied record.
-    const ReplicaStore::ReadView view = replica_->read_view();
-    rec = view.Get(key);
-  } else {
-    rec = primary_->Get(key);
-  }
+  // The epoch-pinned view makes the no-race property checkable: if an
+  // apply ever interleaved here, the view's Get would assert instead of
+  // returning a half-applied record.
+  const ReplicaStore::ReadView view = replica_->read_view();
+  const StoreRecord* rec = view.Get(key);
   if (rec == nullptr) {
     r.status = ReadStatus::kNotFound;
     StalenessHistogram().Record(r.staleness_cycles);
@@ -182,9 +159,7 @@ ReadResult ReadGate::Serve(const std::string& key, const Label& clearance,
            fused_work * costs::kLabelEntryCycles + costs::kLabelOpBaseCycles);
   if (!ok) {
     r.status = ReadStatus::kAccessDenied;
-    if (replica_ != nullptr) {
-      FollowerCounter(replica_->follower_id(), "reads_access_denied").Add();
-    }
+    FollowerCounter(replica_->follower_id(), "reads_access_denied").Add();
     if (obs::EventLog::enabled()) {
       const DeliveryRefusal why =
           ExplainDeliveryRefusal(rec->secrecy, clearance, Label::Bottom(),
@@ -203,9 +178,7 @@ ReadResult ReadGate::Serve(const std::string& key, const Label& clearance,
   r.value = rec->value;
   r.secrecy = rec->secrecy;
   ReadsServed().Add();
-  if (replica_ != nullptr) {
-    FollowerCounter(replica_->follower_id(), "reads_served").Add();
-  }
+  FollowerCounter(replica_->follower_id(), "reads_served").Add();
   StalenessHistogram().Record(r.staleness_cycles);
   return r;
 }

@@ -12,14 +12,15 @@
 //      bound: a served read is never staler than one lease interval plus
 //      apply lag.
 //
-//   2. Read-your-writes — the request carries the session's cursor token
-//      (the primary (generation, offset) ack position stamped into the
-//      session at its last write). A follower whose applied cursor for the
-//      token's shard trails the token refuses (kRefusedCursorLag) with its
-//      applied position as the retry-at-primary hint. A follower's
-//      generation only advances by installing a snapshot, and an image of
-//      a later generation holds every record of the earlier ones, so
-//      `applied.generation > token.generation` always covers the token.
+//   2. Read-your-writes — the client brings its own cursor token: the
+//      primary's (generation, offset) position for the key's shard, read
+//      after the client's write (src/replication/wire.h). A follower whose
+//      applied cursor for the token's shard trails the token refuses
+//      (kRefusedCursorLag) with its applied position as the retry-at-primary
+//      hint. A follower's generation only advances by installing a
+//      snapshot, and an image of a later generation holds every record of
+//      the earlier ones, so `applied.generation > token.generation` always
+//      covers the token.
 //
 // Admitted reads are label-checked with the SAME fused flow check the
 // kernel's IPC delivery path runs — CheckDeliveryAllowed with the record's
@@ -30,11 +31,6 @@
 // label cycles to the primary answering the same request. The verdict cache
 // and interned labels make the repeated-session hot path a table probe on
 // both sides.
-//
-// The gate also runs in PRIMARY mode (a DurableStore instead of a replica):
-// the primary is the source of all tokens, so admission always passes and
-// staleness is zero — this is the K=1 baseline the fan-out bench compares
-// against, and it keeps routing inert when no followers exist.
 #ifndef SRC_REPLICATION_READ_GATE_H_
 #define SRC_REPLICATION_READ_GATE_H_
 
@@ -44,7 +40,6 @@
 #include "src/labels/label.h"
 #include "src/replication/replica.h"
 #include "src/replication/wire.h"
-#include "src/store/store.h"
 
 namespace asbestos {
 
@@ -65,25 +60,20 @@ struct ReadResult {
   ReadStatus status = ReadStatus::kNotFound;
   std::string value;                     // kOk only
   Label secrecy = Label(Level::kStar);   // kOk only: the record's compartment
-  // Cycles since the serving store last heard from the primary (0 on the
-  // primary itself) — the realized staleness of this answer.
+  // Cycles since the serving replica last heard from the primary — the
+  // realized staleness of this answer.
   uint64_t staleness_cycles = 0;
-  // The serving store's applied cursor for the token's shard: the
+  // The serving replica's applied cursor for the token's shard: the
   // retry-at-primary hint on refusal, the covered proof on success.
   replwire::ReadCursorToken applied;
 };
 
 class ReadGate {
  public:
-  // Follower mode: admission from the replica's lease and applied cursors;
-  // serving goes through the replica's epoch-pinned read view so a serve
-  // never races ApplyReplicatedRecord.
+  // Admission from the replica's lease and applied cursors; serving goes
+  // through the replica's epoch-pinned read view so a serve never races
+  // ApplyReplicatedRecord.
   explicit ReadGate(const ReplicaStore* replica) : replica_(replica) {}
-
-  // Primary mode: `source_id` is the hub's source id (tokens it minted are
-  // covered by definition). Admission always passes; staleness is zero.
-  ReadGate(const DurableStore* store, uint64_t source_id)
-      : primary_(store), source_id_(source_id) {}
 
   // Decides and (when admitted) serves one labeled read. Charges the label
   // check exactly as the kernel IPC path would, plus the base serve cost.
@@ -93,22 +83,13 @@ class ReadGate {
                    const replwire::ReadCursorToken& token,
                    uint64_t trace_id = 0) const;
 
-  // Admission alone (no lookup, no label check, no cycle charges): the
-  // demux router uses this shape against ack-reported cursors to pick a
-  // follower *likely* to answer; the follower's own gate re-decides
-  // authoritatively.
-  static bool CursorCovers(const replwire::ReadCursorToken& applied,
-                           const replwire::ReadCursorToken& token);
-
  private:
   ReadResult Admit(const replwire::ReadCursorToken& token,
                    uint64_t trace_id) const;
-  // "follower<id>" or "primary": the refusal subject and counter scope.
+  // "follower<id>": the refusal subject and counter scope.
   std::string GateName() const;
 
-  const ReplicaStore* replica_ = nullptr;  // follower mode
-  const DurableStore* primary_ = nullptr;  // primary mode
-  uint64_t source_id_ = 0;                 // primary mode
+  const ReplicaStore* replica_;
 };
 
 }  // namespace asbestos

@@ -121,8 +121,7 @@ class ReplicaStore {
 
   // --- Follower reads (src/replication/read_gate.h) --------------------------
   // The applied position for one shard, in cursor-token form: what the read
-  // gate compares a session's token against, and what acks already carry to
-  // the primary for routing.
+  // gate compares a client's token against.
   replwire::ReadCursorToken applied_cursor(uint32_t shard) const {
     replwire::ReadCursorToken t;
     const Cursor& c = cursors_[shard];

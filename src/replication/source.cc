@@ -6,7 +6,6 @@
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/replication/read_gate.h"
 #include "src/sim/cycles.h"
 
 namespace asbestos {
@@ -484,45 +483,6 @@ uint64_t ReplicationHub::SuccessorId() const {
       best = it->id;
     }
     ++it;
-  }
-  return best;
-}
-
-FollowerSession* ReplicationHub::RouteRead(const std::string& routing_key,
-                                           const replwire::ReadCursorToken& token) const {
-  FollowerSession* best = nullptr;
-  uint64_t best_score = 0;
-  for (const auto& s : sessions_) {
-    if (s->follower_id() == 0 || s->LeaseRemainingCycles() == 0) {
-      continue;  // anonymous mirror, or its lease stamp already ran out
-    }
-    if (!token.empty()) {
-      if (token.shard >= s->cursors_.size()) {
-        continue;
-      }
-      const FollowerSession::Cursor& c = s->cursors_[token.shard];
-      replwire::ReadCursorToken acked;
-      acked.source_id = c.await_resume ? 0 : source_id_;
-      acked.shard = token.shard;
-      acked.generation = c.acked_gen;
-      acked.offset = c.acked_off;
-      if (!ReadGate::CursorCovers(acked, token)) {
-        continue;  // this follower would refuse with cursor-lag anyway
-      }
-    }
-    // Rendezvous (highest-random-weight) hash: FNV-1a over the routing key,
-    // folded with the follower id. Deterministic, no shared table, and a
-    // membership change only remaps the keys that scored highest on the
-    // changed node.
-    uint64_t h = 1469598103934665603ULL;
-    for (const char ch : routing_key) {
-      h = (h ^ static_cast<uint8_t>(ch)) * 1099511628211ULL;
-    }
-    h = (h ^ s->follower_id()) * 1099511628211ULL;
-    if (best == nullptr || h > best_score) {
-      best = s.get();
-      best_score = h;
-    }
   }
   return best;
 }

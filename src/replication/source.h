@@ -271,18 +271,6 @@ class ReplicationHub {
   // among caught-up sessions; 0 when no session qualifies.
   uint64_t SuccessorId() const;
 
-  // Advisory read routing: the session whose follower should serve a read
-  // for `routing_key` under `token`'s read-your-writes bound, or nullptr
-  // when no follower qualifies (serve at the primary). Eligible sessions
-  // hold an unexpired lease stamp and an acked cursor covering the token;
-  // among them the pick is rendezvous-hashed on (routing_key, follower_id),
-  // so one user's session reads stick to one follower (its flow-check
-  // verdict cache stays hot) while users spread across the fleet, and a
-  // follower joining or leaving only moves the keys that hashed to it.
-  // Advisory only: the follower's own ReadGate re-decides authoritatively.
-  FollowerSession* RouteRead(const std::string& routing_key,
-                             const replwire::ReadCursorToken& token) const;
-
   // Shared WAL read path: serves (shard, generation, offset, ≤max_bytes)
   // from the frame cache, falling back to DurableStore::ReadShardWal and
   // caching the result. `generation` must be the shard's CURRENT generation

@@ -138,7 +138,7 @@ struct WireMessage {
   uint64_t cookie = 0;       // kReadReq/kReadResp: request id, echoed verbatim
   uint64_t read_status = 0;  // kReadResp: ReadStatus (src/replication/read_gate.h)
   uint64_t staleness = 0;    // kReadResp: cycles since the follower last heard
-  ReadCursorToken cursor;    // kReadReq: the session token; kReadResp: applied
+  ReadCursorToken cursor;    // kReadReq: the client's token; kReadResp: applied
   Label label = Label::Bottom();  // kReadReq: clearance; kReadResp: value secrecy
   std::string key;           // kReadReq: the store key to read
   // Flow-trace id of the session (src/obs/event_log.h), minted at hello and

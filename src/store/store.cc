@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -565,56 +564,12 @@ Status DurableStore::Sync() {
   syncs.Add();
   wal_syncs.Add(dirty.size());
   Status result = Status::kOk;
-  const auto start = std::chrono::steady_clock::now();
-  const bool concurrent =
-      dirty.size() > 1 && flush_cost_ns_ >= kConcurrentFlushThresholdNs;
-  if (!concurrent) {
-    // Cheap flushes (tmpfs, NVMe with a fast cache) or a single shard:
-    // thread create/join (~20µs each) would cost more than it hides.
-    for (Shard* shard : dirty) {
-      const Status s = shard->wal.Sync();
-      if (!IsOk(s)) {
-        result = s;
-      }
-    }
-  } else {
-    // Expensive flushes: each one waits on the storage device's cache
-    // flush (~hundreds of µs on virtualized disks), so issuing them
-    // serially multiplies that latency by the shard count while the device
-    // could have absorbed one combined flush. All threads join before
-    // returning, so the durability point — "everything appended before
-    // this Sync" — is exactly what the serial loop gives.
-    std::vector<Status> results(dirty.size(), Status::kOk);
-    std::vector<std::thread> flushers;
-    flushers.reserve(dirty.size() - 1);
-    for (size_t i = 1; i < dirty.size(); ++i) {
-      flushers.emplace_back(
-          [&results, &dirty, i]() { results[i] = dirty[i]->wal.Sync(); });
-    }
-    results[0] = dirty[0]->wal.Sync();
-    for (std::thread& t : flushers) {
-      t.join();
-    }
-    for (const Status s : results) {
-      if (!IsOk(s)) {
-        result = s;
-      }
+  for (Shard* shard : dirty) {
+    const Status s = shard->wal.Sync();
+    if (!IsOk(s)) {
+      result = s;
     }
   }
-  // Track the observed per-shard flush cost (3/4-weighted moving average)
-  // to pick the dispatch mode next time. The first Sync after Open always
-  // runs serially (cost 0) and seeds the estimate with real hardware.
-  // Concurrent rounds overlap their flushes, so the whole elapsed wall time
-  // approximates ONE device flush — dividing it by the shard count there
-  // would understate the cost ~N× and flip the mode back to serial, making
-  // the dispatch oscillate between a fast and a stalling regime.
-  const uint64_t elapsed_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           start)
-          .count());
-  const uint64_t per_shard_ns = concurrent ? elapsed_ns : elapsed_ns / dirty.size();
-  flush_cost_ns_ =
-      flush_cost_ns_ == 0 ? per_shard_ns : (flush_cost_ns_ * 3 + per_shard_ns) / 4;
   return result;
 }
 

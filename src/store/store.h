@@ -27,12 +27,12 @@
 // data regardless of what shard count callers pass later.
 //
 // Durability is group-committed: Put/Erase append to the shard's log and
-// mark it dirty, and Sync() fsyncs each dirty shard exactly once. Servers
-// call Sync() at the end of each kernel pump iteration (ProcessCode::OnIdle)
-// — one fsync per shard per batch instead of per mutation. A crash loses
-// only the suffix appended since the last Sync(); it never corrupts, and
-// recovery still replays each shard's valid log prefix and repairs its torn
-// tail independently.
+// mark it dirty, and a flush syncs each dirty shard exactly once. Servers
+// flush at the end of each kernel pump iteration (ProcessCode::OnIdle, via
+// SyncPipelined) — one fsync per shard per batch instead of per mutation.
+// A crash loses only the suffix appended since the last flush; it never
+// corrupts, and recovery still replays each shard's valid log prefix and
+// repairs its torn tail independently.
 //
 // Labels are pickled with the binary codec (src/store/label_codec.h), so
 // secrecy and integrity survive bit-exactly — the property the file
@@ -132,12 +132,10 @@ class DurableStore {
   // Writes a fresh snapshot per shard (atomically, via rename) and
   // truncates each shard's log.
   Status Compact();
-  // Group commit: fsyncs every dirty shard's log exactly once and clears
-  // the dirty marks. A no-op (and no syscalls) when nothing is dirty.
-  // Multiple dirty shards flush concurrently when the observed per-shard
-  // flush cost is high enough (device cache flush dominated) to repay the
-  // thread churn; cheap flushes stay on a serial loop. Drains any pipelined
-  // flush first, so on return EVERYTHING ever appended is durable.
+  // Group commit: drains any pipelined flush, then fsyncs every dirty
+  // shard's log exactly once, one after another, and clears the dirty
+  // marks. On return EVERYTHING ever appended is durable. A no-op (and no
+  // syscalls) when nothing is dirty.
   Status Sync();
 
   // Pipelined group commit: hands the dirty shards to a background flusher
@@ -267,14 +265,9 @@ class DurableStore {
   Status CompactShard(Shard& shard);
   void MaybeAutoCompact(Shard& shard);
 
-  // Concurrent flushes pay ~20µs of thread create/join per shard; below
-  // this observed per-shard flush cost the serial loop is cheaper.
-  static constexpr uint64_t kConcurrentFlushThresholdNs = 50'000;
-
   StoreOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable uint64_t wal_read_calls_ = 0;  // ReadShardWal invocations (see accessor)
-  uint64_t flush_cost_ns_ = 0;  // moving average per-shard; 0 = unmeasured
   std::unique_ptr<InflightFlush> inflight_;
   // Outcome of the newest completed pipelined flush, reported (and reset) by
   // the next SyncPipelined()/Sync() — the one-call-deferred acknowledgement.

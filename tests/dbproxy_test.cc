@@ -315,6 +315,31 @@ TEST_F(DbproxyTest, DeclassifyRequiresStarInVerify) {
   EXPECT_EQ(row[0].AsText(), "public-profile");
 }
 
+TEST_F(DbproxyTest, UnknownQueryFlagsAreRefused) {
+  // Only kFlagDeclassify is defined. Any other bit — including the retired
+  // bit 2 — is refused before parsing, so no bit gains a meaning unnoticed.
+  const uint64_t invalid = static_cast<uint64_t>(-static_cast<int>(Status::kInvalidArgs));
+  const ProcessId wa = MakeWorker("worker-alice", alice_);
+  for (const uint64_t flags :
+       {uint64_t{2}, uint64_t{4}, uint64_t{4} | dbproxy_proto::kFlagDeclassify}) {
+    WorkerQuery(wa, alice_, "alice", "SELECT text FROM notes", flags);
+    ASSERT_EQ(received_.size(), 1u) << "flags " << flags;
+    EXPECT_EQ(received_.back().msg.type, MessageType::kDone);
+    EXPECT_EQ(received_.back().msg.words[1], invalid) << "flags " << flags;
+    received_.clear();
+    WorkerQuery(wa, alice_, "alice", "INSERT INTO notes (text) VALUES ('flagged')", flags);
+    EXPECT_EQ(received_.back().msg.words[1], invalid) << "flags " << flags;
+    received_.clear();
+  }
+  // Nothing was written, and the same queries without the bits succeed.
+  WorkerQuery(wa, alice_, "alice", "SELECT text FROM notes");
+  ASSERT_EQ(received_.size(), 1u) << "no rows: every flagged INSERT was refused";
+  EXPECT_EQ(received_.back().msg.words[1], 0u);
+  received_.clear();
+  WorkerQuery(wa, alice_, "alice", "INSERT INTO notes (text) VALUES ('plain')");
+  EXPECT_EQ(received_.back().msg.words[1], 0u);
+}
+
 // --- Row codec: byte identity, totality, seeded mutation --------------------
 
 constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();

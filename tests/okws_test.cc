@@ -485,7 +485,7 @@ TEST(OkwsFollowerReadTest, FollowerServesTheReplicatedSession) {
   replica_opts.dir = dir.path() + "/demux-replica";
   replica_opts.shards = 4;
   ReplicaOptions fopts;
-  fopts.follower_id = 1;  // routable; the lease above never runs out, so no promote
+  fopts.follower_id = 1;  // identified; the lease above never runs out, so no promote
   FollowerWorld follower(0x2222, 7201, replica_opts, fopts, /*read_tcp_port=*/7300);
   ReplicationLink link(&world.net(), 7101, &follower.net(), 7201);
   const auto step = [&] {
@@ -494,14 +494,22 @@ TEST(OkwsFollowerReadTest, FollowerServesTheReplicatedSession) {
     follower.Pump();
   };
 
-  // A login registers (and persists) alice's session, stamping its
-  // read-your-writes token from the session shard's WAL tail.
+  // A login registers (and persists) alice's session. The client's
+  // read-your-writes token is the primary's position in the session's
+  // shard right after that write.
   EXPECT_EQ(FetchFrom(world, "/echo", "alice", "pw-a").status, 200);
   DemuxProcess* demux = FindDemux(world);
   ASSERT_NE(demux, nullptr);
   ASSERT_EQ(demux->session_count(), 1u);
-  const replwire::ReadCursorToken token = demux->session_cursor("alice", "echo");
+  const std::string key = okws_session::Key("alice", "echo");
+  const DurableStore* store = demux->store();
+  replwire::ReadCursorToken token;
+  token.source_id = demux->replication()->hub()->source_id();
+  token.shard = store->ShardIndexOf(key);
+  token.generation = store->shard_wal_generation(static_cast<uint32_t>(token.shard));
+  token.offset = store->shard_wal_offset(static_cast<uint32_t>(token.shard));
   ASSERT_FALSE(token.empty());
+  ASSERT_GT(token.offset, 0u);
 
   for (int i = 0; i < 3000; ++i) {
     step();
@@ -514,18 +522,13 @@ TEST(OkwsFollowerReadTest, FollowerServesTheReplicatedSession) {
 
   // The follower serves the session record — honoring the token, so this
   // read observes alice's own registration, byte for byte.
-  const std::string key = okws_session::Key("alice", "echo");
   ReadClient reader(&follower.net(), 7300, /*auth_token=*/0);
   ReadResult r;
   ASSERT_TRUE(reader.Read(key, Label::Top(), token, step, &r));
   EXPECT_EQ(r.status, ReadStatus::kOk);
-  const StoreRecord* primary_record = demux->store()->Get(key);
+  const StoreRecord* primary_record = store->Get(key);
   ASSERT_NE(primary_record, nullptr);
   EXPECT_EQ(r.value, primary_record->value);
-
-  // The demux routes this session's reads somewhere (one eligible
-  // follower), and its advisory choice is that follower's session.
-  EXPECT_NE(demux->RouteSessionRead("alice", "echo"), nullptr);
 }
 
 // §9.3 reply-capability release in a world whose service parks sessions:

@@ -430,7 +430,7 @@ class ReplProtocolTest : public ::testing::Test {
     replica_ = replica.take();
   }
 
-  // A replica in its own directory, for multi-follower routing tests.
+  // A replica in its own directory, for multi-follower tests.
   std::unique_ptr<ReplicaStore> OpenNamedReplica(const std::string& name, uint32_t shards,
                                                  uint64_t follower_id) {
     StoreOptions opts;
@@ -1134,7 +1134,7 @@ TEST_F(ReplProtocolTest, ReadGateEnforcesLeaseCursorAndLabels) {
   EXPECT_TRUE(r.secrecy.Equals(secrecy));
 
   // Insufficient clearance (no H(7) grant): the delivery check refuses —
-  // same verdict a primary-side read would produce, same charged formula.
+  // the kernel IPC delivery check's verdict, charged by the same formula.
   EXPECT_EQ(gate.Serve("doc", Label(Level::kL0), no_token).status,
             ReadStatus::kAccessDenied);
   EXPECT_EQ(gate.Serve("missing", Label::Top(), no_token).status,
@@ -1158,59 +1158,6 @@ TEST_F(ReplProtocolTest, ReadGateEnforcesLeaseCursorAndLabels) {
   foreign.source_id = 0xDEAD;
   EXPECT_EQ(gate.Serve("doc2", Label::Top(), foreign).status,
             ReadStatus::kRefusedCursorLag);
-
-  // Primary-mode gate (the K=1 baseline): always admits its own tokens,
-  // staleness identically zero.
-  ReadGate pgate(primary_.get(), /*source_id=*/0x5EED);
-  r = pgate.Serve("doc2", Label::Top(), token);
-  EXPECT_EQ(r.status, ReadStatus::kOk);
-  EXPECT_EQ(r.staleness_cycles, 0u);
-  EXPECT_EQ(pgate.Serve("doc", Label(Level::kL0), no_token).status,
-            ReadStatus::kAccessDenied);
-}
-
-TEST_F(ReplProtocolTest, RouteReadPrefersCoveredFollowersAndSticksPerKey) {
-  OpenPrimary(1);
-  // Two identified followers, one anonymous mirror (never routable).
-  FollowerSession* a = session_;
-  FollowerSession* b = hub_->OpenSession();
-  FollowerSession* mirror = hub_->OpenSession();
-  auto replica_a = OpenNamedReplica("ra", 1, 1);
-  auto replica_b = OpenNamedReplica("rb", 1, 2);
-  auto replica_m = OpenNamedReplica("rm", 1, 0);
-  ASSERT_EQ(primary_->Put("k", "v", Label::Bottom(), Label::Top()), Status::kOk);
-  SyncPair(a, replica_a.get());
-  SyncPair(b, replica_b.get());
-  SyncPair(mirror, replica_m.get());
-
-  const replwire::ReadCursorToken no_token;
-  // Sticky: the same key routes to the same follower every time.
-  FollowerSession* first = hub_->RouteRead("user-alpha", no_token);
-  ASSERT_NE(first, nullptr);
-  EXPECT_NE(first, mirror) << "anonymous mirrors are not read targets";
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(hub_->RouteRead("user-alpha", no_token), first);
-  }
-  // Spread: across many keys, both identified followers get traffic.
-  bool saw_a = false;
-  bool saw_b = false;
-  for (int i = 0; i < 64; ++i) {
-    FollowerSession* s = hub_->RouteRead("user" + std::to_string(i), no_token);
-    saw_a |= s == a;
-    saw_b |= s == b;
-  }
-  EXPECT_TRUE(saw_a && saw_b);
-
-  // A token only one follower covers steers routing to that follower.
-  ASSERT_EQ(primary_->Put("k2", "v2", Label::Bottom(), Label::Top()), Status::kOk);
-  SyncPair(a, replica_a.get());  // a catches up; b stays behind
-  replwire::ReadCursorToken token;
-  token.source_id = 0x5EED;
-  token.generation = primary_->shard_wal_generation(0);
-  token.offset = primary_->shard_wal_offset(0);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(hub_->RouteRead("user" + std::to_string(i), token), a);
-  }
 }
 
 // --- End to end over simnet/netd ---------------------------------------------
@@ -1563,8 +1510,9 @@ TEST_F(ReplEndToEndTest, ReadYourWritesRefusesLaggingFollower) {
   EXPECT_EQ(r.value, want->value);
 
   // Pause the wire and write at the primary: the follower now lags the
-  // session's token, and the gate must refuse rather than serve the old
-  // bytes — never a read below the token.
+  // client's token, and the gate must refuse rather than serve the old
+  // bytes — never a read below the token. The client builds its token from
+  // the primary's shard position after its write.
   fleet_->link(0)->set_paused(true);
   FsRequest(fs_proto::kCreate, "late", {1, 0, 0, 0, 0});
   FsWrite("late", "written after the pause");
@@ -1576,9 +1524,6 @@ TEST_F(ReplEndToEndTest, ReadYourWritesRefusesLaggingFollower) {
   ASSERT_TRUE(reader.Read("late", Label::Top(), token, pump, &r));
   EXPECT_EQ(r.status, ReadStatus::kRefusedCursorLag);
   EXPECT_TRUE(r.value.empty());
-  // The hub's router agrees: no follower covers this token, read at the
-  // primary instead.
-  EXPECT_EQ(hub->RouteRead("late", token), nullptr);
   // A token-less read of OLD data is still fine: staleness is bounded by
   // the lease, and this reader never wrote.
   ASSERT_TRUE(reader.Read("pub1", Label::Top(), {}, pump, &r));
@@ -1591,7 +1536,6 @@ TEST_F(ReplEndToEndTest, ReadYourWritesRefusesLaggingFollower) {
   ASSERT_TRUE(reader.Read("late", Label::Top(), token, pump, &r));
   EXPECT_EQ(r.status, ReadStatus::kOk);
   EXPECT_EQ(r.value, "written after the pause");
-  EXPECT_EQ(hub->RouteRead("late", token), hub->sessions()[0].get());
 
   // Label enforcement crossed the wire too: the private files refuse a
   // clearance-less reader and serve a cleared one, exactly like the
