@@ -1,6 +1,7 @@
 #include "src/db/dbproxy.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 
 #include "src/base/panic.h"
@@ -39,8 +40,10 @@ void AddHiddenUserIdColumn(CreateTableStmt* create) {
   create->columns.push_back(std::move(uid));
 }
 
-// Appends the first `columns` fields of `row`, each "<type>:<len>:<bytes>".
-void AppendDbRow(const std::vector<SqlValue>& row, size_t columns, std::string* out) {
+// Appends the first `columns` fields of `row` (a table row or a SELECT's
+// SqlRowRef), each "<type>:<len>:<bytes>".
+template <typename Row>
+void AppendDbRow(const Row& row, size_t columns, std::string* out) {
   for (size_t c = 0; c < columns; ++c) {
     const SqlValue& v = row[c];
     SqlValue::IntText buf;
@@ -390,11 +393,15 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
     }
     PersistAfterExecute(stmt, sql);
     ChargeQuery(ctx, result.value());
-    for (const auto& row : result.value().rows) {
+    const QueryResult& rows = result.value();
+    for (size_t i = 0; i < rows.row_count(); ++i) {
+      const SqlRowRef row = rows.row(i);
+      std::string data;
+      AppendDbRow(row, row.size(), &data);
       Message r;
       r.type = MessageType::kRow;
       r.words = {cookie};
-      r.data = EncodeDbRow(row);
+      r.data = std::move(data);
       ctx.Send(msg.reply_port, std::move(r));
     }
     ReplyDone(ctx, msg.reply_port, cookie, Status::kOk, result.value().rows_affected);
@@ -522,19 +529,28 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
   PersistAfterExecute(stmt, sql);
   ChargeQuery(ctx, result.value());
 
-  if (const auto* sel = std::get_if<SelectStmt>(&stmt)) {
-    (void)sel;
-    for (const auto& row : result.value().rows) {
+  if (std::holds_alternative<SelectStmt>(stmt)) {
+    // Owners' taints, looked up once per SELECT into a direct-mapped cache
+    // (owner 0 never enters it; an invalid handle marks an unknown owner).
+    std::array<std::pair<int64_t, Handle>, 256> taint_of{};
+    const QueryResult& rows = result.value();
+    for (size_t i = 0; i < rows.row_count(); ++i) {
+      const SqlRowRef row = rows.row(i);
       const int64_t owner = row.back().AsInt();
       SendArgs args;
       if (owner != 0) {
-        const Binding* owner_binding = bindings_.FindById(owner);
-        if (owner_binding == nullptr) {
+        auto& [cached_owner, taint] = taint_of[static_cast<uint64_t>(owner) % taint_of.size()];
+        if (cached_owner != owner) {
+          const Binding* owner_binding = bindings_.FindById(owner);
+          cached_owner = owner;
+          taint = owner_binding == nullptr ? Handle() : owner_binding->taint;
+        }
+        if (!taint.valid()) {
           continue;  // unknown owner: fail closed
         }
         // Each row is a separate message with the owner's taint (§7.5);
         // the kernel drops rows the receiver may not see.
-        args.contaminate = Label({{owner_binding->taint, Level::kL3}}, Level::kStar);
+        args.contaminate = Label({{taint, Level::kL3}}, Level::kStar);
       }
       std::string data;
       AppendDbRow(row, row.size() - 1, &data);  // strip the hidden column

@@ -165,14 +165,15 @@ const SqlTable::HostIndex& SqlTable::HostIndexFor(int column) const {
   return it->second;
 }
 
-std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& where,
-                                            QueryResult* stats) const {
+std::vector<SqlTable::Rows::const_iterator> SqlTable::Scan(
+    const std::vector<SqlPredicate>& where, QueryResult* stats) const {
   // Column names resolve once per statement, not once per row visited.
   std::vector<ResolvedPredicate> resolved;
   resolved.reserve(where.size());
   for (const SqlPredicate& p : where) {
     resolved.push_back({ColumnIndex(p.column), p.op, &p.literal});
   }
+  std::vector<Rows::const_iterator> out;
   // Pick an indexed equality predicate if one exists; otherwise full scan.
   for (const ResolvedPredicate& p : resolved) {
     if (p.op != SqlCompare::kEq) {
@@ -183,13 +184,12 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
       continue;
     }
     stats->index_probes += 1;
-    std::vector<RowId> out;
     auto [lo, hi] = idx->second.equal_range(p.literal->AsText());
     for (auto it = lo; it != hi; ++it) {
       stats->rows_visited += 1;
-      const auto& row = rows_.at(it->second);
-      if (RowMatches(row, resolved)) {
-        out.push_back(it->second);
+      const auto row = rows_.find(it->second);
+      if (RowMatches(row->second, resolved)) {
+        out.push_back(row);
       }
     }
     return out;
@@ -197,7 +197,6 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
   // An equality on an undeclared column: the host index finds the candidate
   // rows, RowMatches re-checks each (hashes collide, and NULL hashes like
   // ''), and the charge stays a full scan.
-  std::vector<RowId> out;
   for (const ResolvedPredicate& p : resolved) {
     if (p.op != SqlCompare::kEq || p.column < 0) {
       continue;
@@ -205,17 +204,19 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
     stats->rows_visited += rows_.size();
     auto [lo, hi] = HostIndexFor(p.column).equal_range(p.literal->TextHash());
     for (auto it = lo; it != hi; ++it) {
-      if (RowMatches(rows_.at(it->second), resolved)) {
-        out.push_back(it->second);
+      const auto row = rows_.find(it->second);
+      if (RowMatches(row->second, resolved)) {
+        out.push_back(row);
       }
     }
-    std::sort(out.begin(), out.end());
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a->first < b->first; });
     return out;
   }
-  for (const auto& [rid, row] : rows_) {
+  for (auto row = rows_.begin(); row != rows_.end(); ++row) {
     stats->rows_visited += 1;
-    if (RowMatches(row, resolved)) {
-      out.push_back(rid);
+    if (RowMatches(row->second, resolved)) {
+      out.push_back(row);
     }
   }
   return out;
@@ -318,7 +319,7 @@ Result<QueryResult> SqlDatabase::DoSelect(const SelectStmt& stmt) {
     return Status::kNotFound;
   }
   QueryResult result;
-  std::vector<int> out_cols;
+  std::vector<int>& out_cols = result.projection_;
   if (stmt.star) {
     for (size_t i = 0; i < t->columns().size(); ++i) {
       out_cols.push_back(static_cast<int>(i));
@@ -340,29 +341,24 @@ Result<QueryResult> SqlDatabase::DoSelect(const SelectStmt& stmt) {
     }
   }
 
-  std::vector<SqlTable::RowId> ids = t->Scan(stmt.where, &result);
+  auto rows = t->Scan(stmt.where, &result);
   if (!stmt.order_by.empty()) {
     const int oc = t->ColumnIndex(stmt.order_by);
     if (oc < 0) {
       return Status::kNotFound;
     }
-    std::stable_sort(ids.begin(), ids.end(), [&](SqlTable::RowId a, SqlTable::RowId b) {
-      const int cmp = t->rows_.at(a)[static_cast<size_t>(oc)].Compare(
-          t->rows_.at(b)[static_cast<size_t>(oc)]);
+    std::stable_sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
+      const int cmp =
+          a->second[static_cast<size_t>(oc)].Compare(b->second[static_cast<size_t>(oc)]);
       return stmt.order_desc ? cmp > 0 : cmp < 0;
     });
   }
-  for (SqlTable::RowId rid : ids) {
-    if (stmt.limit >= 0 && static_cast<int64_t>(result.rows.size()) >= stmt.limit) {
-      break;
-    }
-    const auto& row = t->rows_.at(rid);
-    std::vector<SqlValue> out;
-    out.reserve(out_cols.size());
-    for (int ci : out_cols) {
-      out.push_back(row[static_cast<size_t>(ci)]);
-    }
-    result.rows.push_back(std::move(out));
+  if (stmt.limit >= 0 && static_cast<uint64_t>(stmt.limit) < rows.size()) {
+    rows.resize(static_cast<size_t>(stmt.limit));
+  }
+  result.rows_.reserve(rows.size());
+  for (const auto& row : rows) {
+    result.rows_.push_back(&row->second);
   }
   return result;
 }
@@ -381,22 +377,22 @@ Result<QueryResult> SqlDatabase::DoUpdate(const UpdateStmt& stmt) {
     sets.emplace_back(ci, v);
   }
   QueryResult result;
-  const std::vector<SqlTable::RowId> ids = t->Scan(stmt.where, &result);
+  const auto rows = t->Scan(stmt.where, &result);
   // Every target row takes the same new key, so a primary-key assignment is
   // refused, before any row is written, unless it leaves the key unique.
   for (const auto& [ci, v] : sets) {
-    if (ids.empty() || !t->columns()[static_cast<size_t>(ci)].primary_key) {
+    if (rows.empty() || !t->columns()[static_cast<size_t>(ci)].primary_key) {
       continue;
     }
     auto [lo, hi] = t->indexes_.at(ci).equal_range(v.AsText());
-    if (ids.size() > 1 ||
-        std::any_of(lo, hi, [&](const auto& entry) { return entry.second != ids[0]; })) {
+    if (rows.size() > 1 ||
+        std::any_of(lo, hi, [&](const auto& entry) { return entry.second != rows[0]->first; })) {
       return Status::kAlreadyExists;
     }
   }
-  for (SqlTable::RowId rid : ids) {
+  for (const auto& row : rows) {
     for (const auto& [ci, v] : sets) {
-      t->SetCell(rid, ci, v);
+      t->SetCell(row->first, ci, v);
     }
     result.rows_affected += 1;
   }
@@ -409,8 +405,8 @@ Result<QueryResult> SqlDatabase::DoDelete(const DeleteStmt& stmt) {
     return Status::kNotFound;
   }
   QueryResult result;
-  for (SqlTable::RowId rid : t->Scan(stmt.where, &result)) {
-    t->EraseRow(rid);
+  for (const auto& row : t->Scan(stmt.where, &result)) {
+    t->EraseRow(row->first);  // erasing a row leaves the other iterators valid
     result.rows_affected += 1;
   }
   return result;

@@ -16,12 +16,40 @@
 
 namespace asbestos {
 
+// One row of a SELECT's output: a table row read through the statement's
+// projection, without a copy.
+class SqlRowRef {
+ public:
+  SqlRowRef(const std::vector<SqlValue>& row, const std::vector<int>& projection)
+      : row_(&row), projection_(&projection) {}
+
+  size_t size() const { return projection_->size(); }
+  const SqlValue& operator[](size_t i) const {
+    return (*row_)[static_cast<size_t>((*projection_)[i])];
+  }
+  const SqlValue& back() const { return (*this)[size() - 1]; }
+
+ private:
+  const std::vector<SqlValue>* row_;
+  const std::vector<int>* projection_;
+};
+
 struct QueryResult {
   std::vector<std::string> columns;
-  std::vector<std::vector<SqlValue>> rows;  // SELECT output
-  uint64_t rows_affected = 0;               // INSERT/UPDATE/DELETE
-  uint64_t rows_visited = 0;                // executor work (cost accounting)
+  uint64_t rows_affected = 0;  // INSERT/UPDATE/DELETE
+  uint64_t rows_visited = 0;   // executor work (cost accounting)
   uint64_t index_probes = 0;
+
+  // SELECT output, by reference into the table: valid until the next
+  // statement executes on the database.
+  size_t row_count() const { return rows_.size(); }
+  SqlRowRef row(size_t i) const { return SqlRowRef(*rows_[i], projection_); }
+
+ private:
+  friend class SqlDatabase;
+
+  std::vector<int> projection_;                    // table position per output column
+  std::vector<const std::vector<SqlValue>*> rows_;  // the table rows, in output order
 };
 
 class SqlTable {
@@ -49,6 +77,7 @@ class SqlTable {
   friend class SqlDatabase;
 
   using RowId = uint64_t;
+  using Rows = std::map<RowId, std::vector<SqlValue>>;
 
   using HostIndex = std::unordered_multimap<size_t, RowId>;  // TextHash -> row ids
 
@@ -56,12 +85,13 @@ class SqlTable {
   // row[column] = v, keeping every index in sync.
   void SetCell(RowId rid, int column, SqlValue v);
   void EraseRow(RowId rid);
-  // Row ids matching the predicates, using an index when one applies.
-  std::vector<RowId> Scan(const std::vector<SqlPredicate>& where, QueryResult* stats) const;
+  // The rows matching the predicates, using an index when one applies.
+  std::vector<Rows::const_iterator> Scan(const std::vector<SqlPredicate>& where,
+                                         QueryResult* stats) const;
   const HostIndex& HostIndexFor(int column) const;
 
   std::vector<SqlColumnDef> columns_;
-  std::map<RowId, std::vector<SqlValue>> rows_;
+  Rows rows_;
   RowId next_row_id_ = 1;
   // column index -> (value text form -> row ids). Equality probes only.
   std::map<int, std::multimap<std::string, RowId>> indexes_;

@@ -129,8 +129,10 @@ HttpRequestParser::State HttpRequestParser::TryParse() {
   if (!cl.empty() && !ParseUint64(cl, &content_length)) {
     return State::kError;
   }
+  // Compared as what remains, so a declared length near 2^64 cannot wrap
+  // the sum and complete the request early.
   const size_t body_start = header_end + 4;
-  if (buffer_.size() < body_start + content_length) {
+  if (content_length > buffer_.size() - body_start) {
     return State::kIncomplete;
   }
   request_.body = buffer_.substr(body_start, content_length);
@@ -188,9 +190,10 @@ HttpResponseReader::State HttpResponseReader::Feed(std::string_view bytes) {
       }
     }
   }
-  if (buffer_.size() >= header_end + 4 + content_length) {
+  const size_t body_start = header_end + 4;
+  if (content_length <= buffer_.size() - body_start) {  // as in the request parser
     status_ = static_cast<int>(code);
-    body_ = buffer_.substr(header_end + 4, content_length);
+    body_ = buffer_.substr(body_start, content_length);
     state_ = State::kComplete;
   }
   return state_;

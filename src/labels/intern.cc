@@ -1,7 +1,6 @@
 #include "src/labels/intern.h"
 
-#include <unordered_map>
-#include <vector>
+#include <memory>
 
 #include "src/base/panic.h"
 #include "src/obs/metrics.h"
@@ -12,9 +11,83 @@ namespace {
 
 LabelInternStats g_intern;
 
-// hash → live canonical reps with that structural hash (collision chain;
-// almost always a single element). Weak pointers: reps unregister on free.
-using InternTable = std::unordered_map<uint64_t, std::vector<internal::LabelRep*>>;
+// The live canonical reps, in one open-addressing array of (structural hash,
+// rep) slots: linear probing from slot `hash & mask`, growth to twice the
+// slots when an insert would pass half full, and backward-shift erase, so a
+// probe run never holds a tombstone and insert and erase allocate nothing.
+// Weak pointers: reps unregister on free.
+class InternTable {
+ public:
+  internal::LabelRep* Find(uint64_t hash, internal::InternMatchFn match, const void* ctx) const {
+    for (size_t i = Home(hash); slots_[i].rep != nullptr; i = Next(i)) {
+      if (slots_[i].hash == hash && match(slots_[i].rep, ctx)) {
+        return slots_[i].rep;
+      }
+    }
+    return nullptr;
+  }
+
+  void Insert(uint64_t hash, internal::LabelRep* rep) {
+    if (2 * (live_ + 1) > mask_ + 1) {
+      Grow();
+    }
+    Place({hash, rep});
+    ++live_;
+  }
+
+  void Erase(uint64_t hash, const internal::LabelRep* rep) {
+    size_t i = Home(hash);
+    for (; slots_[i].rep != rep; i = Next(i)) {
+      ASB_ASSERT(slots_[i].rep != nullptr && "canonical rep missing from intern table");
+    }
+    // Backward shift: pull each later slot of the run into the hole when its
+    // home does not lie strictly between the hole and it, so every entry
+    // stays reachable from its home without a tombstone.
+    for (size_t j = Next(i); slots_[j].rep != nullptr; j = Next(j)) {
+      if (((j - Home(slots_[j].hash)) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i] = Slot();
+    --live_;
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    internal::LabelRep* rep = nullptr;  // nullptr: empty
+  };
+
+  static constexpr size_t kInitialSlots = 256;
+
+  size_t Home(uint64_t hash) const { return static_cast<size_t>(hash) & mask_; }
+  size_t Next(size_t i) const { return (i + 1) & mask_; }
+
+  void Place(Slot slot) {
+    size_t i = Home(slot.hash);
+    while (slots_[i].rep != nullptr) {
+      i = Next(i);
+    }
+    slots_[i] = slot;
+  }
+
+  void Grow() {
+    std::unique_ptr<Slot[]> old = std::move(slots_);
+    const size_t old_count = mask_ + 1;
+    mask_ = 2 * old_count - 1;
+    slots_ = std::make_unique<Slot[]>(mask_ + 1);
+    for (size_t i = 0; i < old_count; ++i) {
+      if (old[i].rep != nullptr) {
+        Place(old[i]);
+      }
+    }
+  }
+
+  std::unique_ptr<Slot[]> slots_ = std::make_unique<Slot[]>(kInitialSlots);
+  size_t mask_ = kInitialSlots - 1;
+  size_t live_ = 0;
+};
 
 InternTable& Table() {
   static InternTable* table = new InternTable();  // never destroyed: reps may
@@ -61,40 +134,18 @@ uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, siz
 
 LabelRep* InternLookup(uint64_t hash, InternMatchFn match, const void* ctx) {
   g_intern.probes += 1;
-  auto it = Table().find(hash);
-  if (it == Table().end()) {
-    return nullptr;
-  }
-  for (LabelRep* rep : it->second) {
-    if (match(rep, ctx)) {
-      return rep;
-    }
-  }
-  return nullptr;
+  return Table().Find(hash, match, ctx);
 }
 
 void InternInsert(uint64_t hash, LabelRep* rep) {
-  Table()[hash].push_back(rep);
+  Table().Insert(hash, rep);
   g_intern.misses += 1;
   g_intern.live_canonical += 1;
 }
 
 void InternErase(uint64_t hash, const LabelRep* rep) {
-  auto it = Table().find(hash);
-  ASB_ASSERT(it != Table().end() && "canonical rep missing from intern table");
-  std::vector<LabelRep*>& chain = it->second;
-  for (size_t i = 0; i < chain.size(); ++i) {
-    if (chain[i] == rep) {
-      chain[i] = chain.back();
-      chain.pop_back();
-      if (chain.empty()) {
-        Table().erase(it);
-      }
-      g_intern.live_canonical -= 1;
-      return;
-    }
-  }
-  ASB_PANIC("canonical rep missing from its intern bucket");
+  Table().Erase(hash, rep);
+  g_intern.live_canonical -= 1;
 }
 
 void InternNoteDedup(uint64_t bytes_saved) {

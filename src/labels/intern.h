@@ -26,6 +26,22 @@
 // overhead is accounted separately (KernelMemReport) from the label heap the
 // reps themselves occupy (LabelMemStats).
 //
+// The table is one open-addressing array of (structural hash, rep) slots:
+// linear probing from slot `hash & (slots - 1)`, doubling when an insert
+// would pass half full, and backward-shift erase (no tombstones), so
+// registering and unregistering a rep allocate nothing. Its host bytes are
+// not the modelled index bytes (kLabelInternEntryBytes per live rep).
+//
+// Lub memo: the asymmetric small ⊔ big with a one-entry small side (every
+// send's ES = PS ⊔ {uT 3, ⋆}) is remembered in a constant-size,
+// direct-mapped memo keyed by (big rep id, small default, small entry). A
+// hit re-finds the result's live canonical rep through InternLookup and
+// replays the work and dedup charges the uncached path would make, so
+// LabelWorkStats and LabelInternStats are the same with and without it. The
+// rule that keeps `label_bytes` honest: the memo never pins a rep. It holds
+// ids and hashes only; when the remembered rep has died, the probe finds no
+// twin and the merge is built and charged as if the memo were empty.
+//
 // Cost accounting: the intern machinery itself (hashing, probing, table
 // upkeep) is invisible to the work counters (LabelWorkStats) — it is an
 // implementation artifact the paper's linear cost model must not see. Note
@@ -101,6 +117,9 @@ void InternInsert(uint64_t hash, LabelRep* rep);
 void InternErase(uint64_t hash, const LabelRep* rep);
 // Records a dedup hit and the heap bytes it avoided allocating.
 void InternNoteDedup(uint64_t bytes_saved);
+
+// Empties the Lub memo (defined in label.cc; obs::ResetAll calls it).
+void ResetLubMemo();
 
 }  // namespace internal
 }  // namespace asbestos

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 
 #include "src/base/panic.h"
@@ -695,24 +696,82 @@ struct AsymmetricLub {
            internal::SameEntries(lub->big, lub->changes, candidate);
   }
 
-  // Charges what building the result with one Get and one Set per small
-  // entry charges: 1 per Get, and 1 + the chunk's size per overwrite.
-  // Returns the heap the build's rep and chunk clones would have taken.
-  uint64_t ChargeBuild(size_t small_count) const {
-    g_work.entries_visited += small_count;
-    uint64_t clone_bytes = internal::kRepBytes;
+  // What building the result with one Get and one Set per small entry
+  // charges (1 per Get, and 1 + the chunk's size per overwrite), and the
+  // heap the build's rep and chunk clones would have taken.
+  struct BuildCost {
+    uint64_t entries_visited = 0;
+    uint64_t clone_bytes = 0;
+  };
+  BuildCost CostOfBuild(size_t small_count) const {
+    BuildCost cost{small_count, internal::kRepBytes};
     for (size_t k = 0; k < changes.count; ++k) {
       const Chunk* c = big->chunks[changes.chunk[k]];
-      g_work.entries_visited += 1 + c->size;
+      cost.entries_visited += 1 + c->size;
       if (k == 0 || changes.chunk[k - 1] != changes.chunk[k]) {
-        clone_bytes += internal::ChunkBytes(c->capacity);
+        cost.clone_bytes += internal::ChunkBytes(c->capacity);
       }
     }
-    return clone_bytes;
+    return cost;
+  }
+};
+
+// The weak memo of the asymmetric ⊔ with a one-entry small side (intern.h):
+// a direct-mapped array keyed by (big rep id, small default, small entry).
+// A rep id names one content and one chunk layout forever, so a key that
+// matches means Collect would find the same all-overwrite change, with the
+// same result hash and build cost. The result is remembered by id only,
+// never by reference: the memo pins no rep, and a hit re-finds the live
+// twin through the intern table.
+struct LubMemoEntry {
+  uint64_t big_id = 0;  // 0: empty (no rep has id 0)
+  uint64_t small_entry = 0;
+  uint64_t result_id = 0;
+  uint64_t result_hash = 0;
+  uint64_t build_visited = 0;
+  uint32_t build_bytes = 0;
+  uint8_t small_default = 0;
+
+  bool Holds(const LabelRep* big, uint8_t default_ordinal, uint64_t entry) const {
+    return big_id == big->id && small_entry == entry && small_default == default_ordinal;
+  }
+};
+static_assert(sizeof(LubMemoEntry) == 48, "memo slot size is part of the RSS budget");
+
+constexpr size_t kLubMemoSlots = 1024;  // 48 KiB
+LubMemoEntry g_lub_memo[kLubMemoSlots];
+
+// The memo's twin probe: the remembered id, or (when that rep died and
+// another canonical rep took its content) the structural match, collected
+// only if a candidate with the result's hash but another id turns up.
+struct MemoProbe {
+  MemoProbe(uint64_t id, const LabelRep* big_rep, const LabelRep* small_rep)
+      : result_id(id), big(big_rep), small(small_rep) {}
+
+  uint64_t result_id;
+  const LabelRep* big;
+  const LabelRep* small;
+  mutable AsymmetricLub lub;  // default-initialized: Collect fills it
+  mutable bool collected = false;
+
+  static bool Matches(const LabelRep* candidate, const void* self) {
+    const auto* probe = static_cast<const MemoProbe*>(self);
+    if (candidate->id == probe->result_id) {
+      return true;
+    }
+    if (!probe->collected) {
+      probe->lub.Collect(probe->big, probe->small);
+      probe->collected = true;
+    }
+    return AsymmetricLub::Matches(candidate, &probe->lub);
   }
 };
 
 }  // namespace
+
+namespace internal {
+void ResetLubMemo() { std::fill(std::begin(g_lub_memo), std::end(g_lub_memo), LubMemoEntry()); }
+}  // namespace internal
 
 Level Label::Get(Handle h) const {
   g_work.entries_visited += 1;
@@ -943,21 +1002,57 @@ Label Label::Lub(const Label& a, const Label& b) {
   // A result that differs from the big side is canonical. When it only
   // overwrites big entries, a live twin is found before anything is built,
   // so the sends of one owner (ES = PS ⊔ CS, dbproxy's row fan-out) share one
-  // rep and one id while any of them is queued.
+  // rep and one id while any of them is queued. With a one-entry small side
+  // the memo skips even the description: a hit re-finds the twin by id and
+  // replays the charges the description would have made.
   {
     const Label& small = a.entry_count() <= b.entry_count() ? a : b;
     const Label& big = a.entry_count() <= b.entry_count() ? b : a;
     if (AsymmetricShapes(small.entry_count(), big.entry_count()) &&
         LevelLeq(small.default_level(), big.min_level())) {
       g_work.entries_visited += big.entry_count() + small.entry_count();
-      AsymmetricLub lub;
-      if (lub.Collect(big.rep_.get(), small.rep_.get()) && lub.changes.count > 0) {
-        LabelRep* twin = internal::InternLookup(lub.struct_hash, AsymmetricLub::Matches, &lub);
-        if (twin != nullptr) {
-          internal::InternNoteDedup(lub.ChargeBuild(small.entry_count()));
-          ++twin->refcount;
-          return Label(LabelRepRef(twin));
+      const LabelRep* big_rep = big.rep_.get();
+      const LabelRep* small_rep = small.rep_.get();
+      // A one-entry small side (a send's C_S = {uT 3, ⋆}) goes through the
+      // memo; `memo` stays set only while the result is an all-overwrite
+      // change, the shape the memo remembers.
+      const uint8_t small_default = LevelOrdinal(small_rep->default_level);
+      uint64_t small_entry = 0;
+      LubMemoEntry* memo = nullptr;
+      if (small.entry_count() == 1) {
+        small_entry = internal::Cursor(small_rep).entry();
+        memo = &g_lub_memo[HashMix64(big_rep->id, small_entry) & (kLubMemoSlots - 1)];
+      }
+      AsymmetricLub::BuildCost cost;
+      uint64_t result_hash = 0;
+      LabelRep* twin = nullptr;
+      if (memo != nullptr && memo->Holds(big_rep, small_default, small_entry)) {
+        cost = {memo->build_visited, memo->build_bytes};
+        result_hash = memo->result_hash;
+        const MemoProbe probe{memo->result_id, big_rep, small_rep};
+        twin = internal::InternLookup(result_hash, MemoProbe::Matches, &probe);
+      } else {
+        AsymmetricLub lub;
+        if (lub.Collect(big_rep, small_rep) && lub.changes.count > 0) {
+          cost = lub.CostOfBuild(small.entry_count());
+          result_hash = lub.struct_hash;
+          twin = internal::InternLookup(result_hash, AsymmetricLub::Matches, &lub);
+        } else {
+          memo = nullptr;
         }
+      }
+      const auto remember = [&](uint64_t result_id) {
+        if (memo != nullptr) {
+          *memo = {big_rep->id,         small_entry, result_id, result_hash,
+                   cost.entries_visited, static_cast<uint32_t>(cost.clone_bytes), small_default};
+        }
+      };
+      if (twin != nullptr) {
+        g_work.entries_visited += cost.entries_visited;
+        internal::InternNoteDedup(cost.clone_bytes);
+        remember(twin->id);
+        ++twin->refcount;
+        return Label(LabelRepRef(twin));
       }
       Label result = big;
       for (Label::EntryIter it = small.IterateEntries(); !it.done(); it.Advance()) {
@@ -965,9 +1060,10 @@ Label Label::Lub(const Label& a, const Label& b) {
       }
       // No change leaves the big side's own rep, possibly a process's
       // mutable label: canonicalizing it would freeze that label.
-      if (result.rep_.get() != big.rep_.get()) {
+      if (result.rep_.get() != big_rep) {
         result.Canonicalize();
       }
+      remember(result.rep_id());
       return result;
     }
   }

@@ -515,6 +515,71 @@ TEST(DbRowCodecTest, SeededMutation) {
   EXPECT_GT(rejected, kIterations / 20);
 }
 
+// The list fan-out encodes each row through the SELECT's projection and
+// looks each owner's taint up once per statement. Its bytes are pinned: a
+// reader cleared for both users' taints receives every sent row, and each
+// payload is the reference encoding of the projected row, hidden column
+// stripped. A row of an unbound owner is never sent.
+TEST_F(DbproxyTest, ListFanOutSendsTheProjectedRowsOncePerOwnerRow) {
+  PrivExec("CREATE TABLE items (name TEXT, qty INTEGER)");
+  const ProcessId wa = MakeWorker("worker-alice", alice_);
+  WorkerQuery(wa, alice_, "alice", "INSERT INTO items (name, qty) VALUES ('apple', 3)");
+  WorkerQuery(wa, alice_, "alice", "INSERT INTO items (name, qty) VALUES ('pear', 12)");
+  const ProcessId wb = MakeWorker("worker-bob", bob_);
+  WorkerQuery(wb, bob_, "bob", "INSERT INTO items (name, qty) VALUES ('fig', 7)");
+  PrivExec("INSERT INTO items (name, qty, user_id) VALUES ('public', 1, 0)");
+  PrivExec("INSERT INTO items (name, qty, user_id) VALUES ('orphan', 5, 99)");
+  WorkerQuery(wb, bob_, "bob", "INSERT INTO items (name) VALUES ('kiwi')");
+  received_.clear();
+
+  // Each list runs from a fresh worker for bob that is also cleared for
+  // alice's taint, so the kernel drops nothing.
+  const auto fan_out = [&](const std::string& sql) {
+    const ProcessId reader = MakeWorker("reader-bob", bob_);
+    kernel_.WithProcessContext(idd_, [&](ProcessContext& ctx) {
+      Message m;
+      m.type = 998;
+      SendArgs args;
+      args.decont_receive = Label({{alice_.taint, Level::kL3}}, Level::kStar);
+      EXPECT_EQ(ctx.Send(worker_port_, std::move(m), args), Status::kOk);
+    });
+    kernel_.RunUntilIdle();
+    received_.clear();
+    const uint64_t sends = kernel_.stats().sends;
+    WorkerQuery(reader, bob_, "bob", sql);
+    std::vector<std::string> rows;
+    for (const auto& r : received_) {
+      if (r.msg.type == MessageType::kRow) {
+        rows.push_back(r.msg.data.str());
+      }
+    }
+    EXPECT_EQ(kernel_.stats().sends - sends, rows.size() + 2) << sql << ": query, rows, done";
+    EXPECT_TRUE(!received_.empty() && received_.back().msg.type == MessageType::kDone) << sql;
+    received_.clear();
+    return rows;
+  };
+  const auto encoded = [](std::vector<SqlValue> row) { return ReferenceEncodeDbRow(row); };
+  const auto text = [](const char* t) { return SqlValue(std::string(t)); };
+  const auto num = [](int64_t n) { return SqlValue(n); };
+
+  EXPECT_EQ(fan_out("SELECT * FROM items"),
+            (std::vector<std::string>{
+                encoded({text("apple"), num(3)}), encoded({text("pear"), num(12)}),
+                encoded({text("fig"), num(7)}), encoded({text("public"), num(1)}),
+                encoded({text("kiwi"), SqlValue()})}));
+  // LIMIT counts the orphan (qty 5) before the fan-out skips it.
+  EXPECT_EQ(fan_out("SELECT qty, name FROM items WHERE qty > 2 ORDER BY qty DESC LIMIT 3"),
+            (std::vector<std::string>{encoded({num(12), text("pear")}),
+                                      encoded({num(7), text("fig")})}));
+  const std::vector<std::string> names = fan_out("SELECT name FROM items ORDER BY name");
+  size_t bytes = 0;
+  for (const std::string& row : names) {
+    bytes += row.size();
+  }
+  EXPECT_EQ(names.size(), 5u) << "the orphan row is never sent";
+  EXPECT_EQ(bytes, 5u * 4 + 5 + 4 + 3 + 6 + 4) << "5 × \"t:N:\" plus the names";
+}
+
 // --- Reboot: durable tables, hidden USER_ID column, label bindings -----------
 
 // A minimal one-boot world around a (possibly persistent) dbproxy: a
@@ -737,8 +802,13 @@ std::string LegacyTableImage(const SqlDatabase& db, const std::string& table) {
   auto result = copy.Execute("SELECT * FROM " + table);
   EXPECT_TRUE(result.ok());
   std::string out;
-  codec::AppendVarint(result.value().rows.size(), &out);
-  for (const auto& row : result.value().rows) {
+  codec::AppendVarint(result.value().row_count(), &out);
+  for (size_t i = 0; i < result.value().row_count(); ++i) {
+    const SqlRowRef ref = result.value().row(i);
+    std::vector<SqlValue> row;
+    for (size_t c = 0; c < ref.size(); ++c) {
+      row.push_back(ref[c]);
+    }
     codec::AppendString(ReferenceEncodeDbRow(row), &out);
   }
   return out;

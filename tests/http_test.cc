@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/base/rng.h"
+
 namespace asbestos {
 namespace {
 
@@ -108,6 +115,250 @@ TEST(HttpResponseReaderTest, PaperSizedResponse) {
   reader.Feed(r);
   EXPECT_EQ(reader.state(), HttpResponseReader::State::kComplete);
   EXPECT_EQ(reader.body().size(), 11u);
+}
+
+// A declared length near 2^64 used to wrap `body start + length` and
+// complete at once with whatever bytes had arrived (and, for a request, a
+// consumed_bytes() short of its own headers). Found by the mutation loops
+// below.
+TEST(HttpRequestParserTest, ContentLengthNearTwoToTheSixtyFourStaysIncomplete) {
+  HttpRequestParser p;
+  EXPECT_EQ(p.Feed("POST /x HTTP/1.0\r\nContent-Length: 18446744073709551615\r\n\r\nab"),
+            HttpRequestParser::State::kIncomplete);
+  EXPECT_EQ(p.consumed_bytes(), 0u);
+}
+
+TEST(HttpResponseReaderTest, ContentLengthNearTwoToTheSixtyFourStaysIncomplete) {
+  HttpResponseReader reader;
+  EXPECT_EQ(reader.Feed("HTTP/1.0 200 OK\r\nContent-Length: 18446744073709551600\r\n\r\nab"),
+            HttpResponseReader::State::kIncomplete);
+  EXPECT_EQ(reader.body(), "");
+}
+
+// --- Seeded mutation: encode∘decode identity and "reject, never crash" ------
+//
+// Requests and responses are generated, encoded, and read back whole and fed
+// in two parts split at a random byte. Mutated encodings must leave both
+// feeds in the same state; a completed read must stay inside its input and
+// carry exactly the body its Content-Length declares. Seeds and budgets are
+// fixed so a failure replays exactly.
+
+// Draws a URL-safe component and its decoded form: plain characters, "%20"
+// and "+" (both decode to a space).
+std::pair<std::string, std::string> RandomComponent(Rng& rng, size_t max_len) {
+  static constexpr char kPlain[] = "abcxyz019-_.";
+  std::pair<std::string, std::string> out;
+  for (uint64_t n = rng.NextInRange(1, max_len); n > 0; --n) {
+    switch (rng.NextBelow(8)) {
+      case 0:
+        out.first += "%20";
+        out.second += ' ';
+        break;
+      case 1:
+        out.first += '+';
+        out.second += ' ';
+        break;
+      default: {
+        const char c = kPlain[rng.NextBelow(sizeof(kPlain) - 1)];
+        out.first += c;
+        out.second += c;
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+struct GeneratedRequest {
+  std::string bytes;
+  HttpRequest want;
+};
+
+GeneratedRequest RandomRequest(Rng& rng) {
+  static const char* const kMethods[] = {"GET", "POST", "PUT", "DELETE"};
+  static const char* const kHeaders[] = {"Host", "Cookie", "X-Okws-User", "accept", "User-Agent"};
+  GeneratedRequest g;
+  HttpRequest& r = g.want;
+  r.method = kMethods[rng.NextBelow(4)];
+  r.version = rng.NextBool() ? "HTTP/1.0" : "HTTP/1.1";
+  const auto [path, decoded_path] = RandomComponent(rng, 12);
+  r.path = "/" + decoded_path;
+  std::string target = "/" + path;
+  for (uint64_t q = rng.NextBelow(4); q > 0; --q) {
+    const auto [key, decoded_key] = RandomComponent(rng, 5);
+    const auto [value, decoded_value] = RandomComponent(rng, 8);
+    target += (target.find('?') == std::string::npos ? "?" : "&") + key + "=" + value;
+    r.query[decoded_key] = decoded_value;
+  }
+  g.bytes = r.method + " " + target + " " + r.version + "\r\n";
+  for (uint64_t h = rng.NextBelow(4); h > 0; --h) {
+    const std::string name = kHeaders[rng.NextBelow(5)];
+    const std::string value = RandomComponent(rng, 10).first;
+    g.bytes += name + ": " + value + "\r\n";
+    std::string lower = name;
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    r.headers[lower] = value;
+  }
+  r.body.assign(rng.NextBelow(3) == 0 ? 0 : rng.NextBelow(40), 'b');
+  for (char& c : r.body) {
+    c = static_cast<char>(rng.Next());
+  }
+  if (!r.body.empty() || rng.NextBool()) {
+    g.bytes += "Content-Length: " + std::to_string(r.body.size()) + "\r\n";
+    r.headers["content-length"] = std::to_string(r.body.size());
+  }
+  g.bytes += "\r\n" + r.body;
+  return g;
+}
+
+// One to four edits: random bytes, or the protocol's own delimiters and an
+// overflowing Content-Length spliced in.
+std::string MutateHttp(std::string s, Rng& rng) {
+  static const char* const kSplices[] = {"\r\n",
+                                         "\r\n\r\n",
+                                         ":",
+                                         " ",
+                                         "Content-Length: 18446744073709551615\r\n",
+                                         "Content-Length: 18446744073709551600\r\n",
+                                         "Content-Length: 99999999999999999999\r\n",
+                                         "content-length: 3\r\n",
+                                         "%",
+                                         "?&="};
+  const auto pos = [&](size_t limit) { return static_cast<size_t>(rng.NextBelow(limit)); };
+  for (uint64_t edits = rng.NextInRange(1, 4); edits > 0; --edits) {
+    switch (rng.NextBelow(5)) {
+      case 0:
+        if (!s.empty()) {
+          s[pos(s.size())] = static_cast<char>(rng.Next());
+        }
+        break;
+      case 1:
+        if (!s.empty()) {
+          s.erase(pos(s.size()), 1);
+        }
+        break;
+      case 2:
+        s.resize(pos(s.size() + 1));
+        break;
+      default:
+        s.insert(pos(s.size() + 1), kSplices[rng.NextBelow(10)]);
+        break;
+    }
+  }
+  return s;
+}
+
+// Feeds `bytes` in two parts split at `split`.
+template <typename Reader>
+Reader FeedInTwo(std::string_view bytes, size_t split) {
+  Reader reader;
+  reader.Feed(bytes.substr(0, split));
+  reader.Feed(bytes.substr(split));
+  return reader;
+}
+
+void ExpectSameRequest(const HttpRequest& got, const HttpRequest& want, int iter) {
+  EXPECT_EQ(got.method, want.method) << "iteration " << iter;
+  EXPECT_EQ(got.path, want.path) << "iteration " << iter;
+  EXPECT_EQ(got.version, want.version) << "iteration " << iter;
+  EXPECT_EQ(got.query, want.query) << "iteration " << iter;
+  EXPECT_EQ(got.headers, want.headers) << "iteration " << iter;
+  EXPECT_EQ(got.body, want.body) << "iteration " << iter;
+}
+
+TEST(HttpRequestParserTest, SeededMutation) {
+  constexpr int kIterations = 20000;
+  Rng rng(0x4774'7031);
+  int complete = 0;
+  int errors = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const GeneratedRequest g = RandomRequest(rng);
+    const size_t split = rng.NextBelow(g.bytes.size() + 1);
+    HttpRequestParser whole;
+    ASSERT_EQ(whole.Feed(g.bytes), HttpRequestParser::State::kComplete) << g.bytes;
+    ExpectSameRequest(whole.request(), g.want, iter);
+    EXPECT_EQ(whole.consumed_bytes(), g.bytes.size()) << "iteration " << iter;
+    const auto parts = FeedInTwo<HttpRequestParser>(g.bytes, split);
+    ASSERT_EQ(parts.state(), HttpRequestParser::State::kComplete) << "iteration " << iter;
+    ExpectSameRequest(parts.request(), g.want, iter);
+
+    const std::string mutated = MutateHttp(g.bytes, rng);
+    HttpRequestParser m;
+    const HttpRequestParser::State state = m.Feed(mutated);
+    const auto m_parts =
+        FeedInTwo<HttpRequestParser>(mutated, rng.NextBelow(mutated.size() + 1));
+    ASSERT_EQ(m_parts.state(), state) << "iteration " << iter;
+    if (state == HttpRequestParser::State::kError) {
+      ++errors;
+      continue;
+    }
+    if (state != HttpRequestParser::State::kComplete) {
+      continue;
+    }
+    ++complete;
+    ExpectSameRequest(m_parts.request(), m.request(), iter);
+    const HttpRequest& r = m.request();
+    // The request ends inside the input, after its headers, and its body is
+    // exactly the declared length.
+    ASSERT_LE(m.consumed_bytes(), mutated.size()) << "iteration " << iter;
+    ASSERT_EQ(m.consumed_bytes(), mutated.find("\r\n\r\n") + 4 + r.body.size())
+        << "iteration " << iter;
+    const std::string declared = r.Header("content-length");
+    ASSERT_EQ(r.body.size(), declared.empty() ? 0 : std::stoull(declared))
+        << "iteration " << iter;
+  }
+  EXPECT_GT(complete, kIterations / 20);
+  EXPECT_GT(errors, kIterations / 20);
+}
+
+TEST(HttpResponseReaderTest, SeededMutation) {
+  constexpr int kIterations = 20000;
+  Rng rng(0x4774'7052);
+  int complete = 0;
+  int errors = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const int status = static_cast<int>(rng.NextInRange(100, 599));
+    std::vector<std::pair<std::string, std::string>> headers;
+    for (uint64_t h = rng.NextBelow(3); h > 0; --h) {
+      headers.emplace_back("X-H" + std::to_string(h), RandomComponent(rng, 6).first);
+    }
+    std::string body(rng.NextBelow(60), '\0');
+    for (char& c : body) {
+      c = static_cast<char>(rng.Next());
+    }
+    const std::string bytes = BuildHttpResponse(status, "Reason", headers, body);
+    for (const HttpResponseReader& reader :
+         {FeedInTwo<HttpResponseReader>(bytes, bytes.size()),
+          FeedInTwo<HttpResponseReader>(bytes, rng.NextBelow(bytes.size() + 1))}) {
+      ASSERT_EQ(reader.state(), HttpResponseReader::State::kComplete) << "iteration " << iter;
+      EXPECT_EQ(reader.status(), status) << "iteration " << iter;
+      EXPECT_EQ(reader.body(), body) << "iteration " << iter;
+    }
+
+    const std::string mutated = MutateHttp(bytes, rng);
+    HttpResponseReader m;
+    const HttpResponseReader::State state = m.Feed(mutated);
+    const auto m_parts =
+        FeedInTwo<HttpResponseReader>(mutated, rng.NextBelow(mutated.size() + 1));
+    ASSERT_EQ(m_parts.state(), state) << "iteration " << iter;
+    if (state == HttpResponseReader::State::kError) {
+      ++errors;
+      continue;
+    }
+    if (state != HttpResponseReader::State::kComplete) {
+      continue;
+    }
+    ++complete;
+    EXPECT_EQ(m_parts.status(), m.status()) << "iteration " << iter;
+    EXPECT_EQ(m_parts.body(), m.body()) << "iteration " << iter;
+    // The body lies inside the input, after the headers.
+    ASSERT_LE(mutated.find("\r\n\r\n") + 4 + m.body().size(), mutated.size())
+        << "iteration " << iter;
+  }
+  EXPECT_GT(complete, kIterations / 20);
+  EXPECT_GT(errors, kIterations / 50);
 }
 
 }  // namespace

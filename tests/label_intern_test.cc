@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -592,6 +593,301 @@ TEST(LabelInternTest, CanonicalizeRegistersAPrivateRepWithoutCopying) {
   EXPECT_TRUE(l.rep_canonical());
   l.CheckRep();
   mutated.CheckRep();
+}
+
+// --- The intern table itself -------------------------------------------------
+//
+// InternInsert/InternLookup/InternErase driven with chosen hashes. The reps
+// are stand-in addresses the table never dereferences (only the match
+// function sees them). The table's slot count is a power of two of at most
+// 2^20 here, so hashes equal modulo 2^20 share a home slot, and a hash of
+// 2^20 - 1 has its home in the last slot: its run wraps to slot 0.
+class InternTableTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kModulus = uint64_t{1} << 20;
+
+  internal::LabelRep* Fake(size_t i) {
+    return reinterpret_cast<internal::LabelRep*>(&storage_[i]);
+  }
+
+  static bool SamePointer(const internal::LabelRep* candidate, const void* want) {
+    return candidate == want;
+  }
+
+  static bool Found(uint64_t hash, internal::LabelRep* rep) {
+    return internal::InternLookup(hash, SamePointer, rep) == rep;
+  }
+
+  void Insert(uint64_t hash, size_t i) {
+    internal::InternInsert(hash, Fake(i));
+    live_.emplace_back(hash, i);
+  }
+
+  // Erases the nth live entry; it must be gone, and (when `check_rest`)
+  // every other entry still found.
+  void Erase(size_t nth, bool check_rest = true) {
+    const auto [hash, i] = live_[nth];
+    internal::InternErase(hash, Fake(i));
+    live_.erase(live_.begin() + static_cast<ptrdiff_t>(nth));
+    ASSERT_FALSE(Found(hash, Fake(i))) << "erased entry " << i << " still found";
+    if (check_rest) {
+      ExpectAllLiveFound();
+    }
+  }
+
+  void ExpectAllLiveFound() {
+    for (const auto& [hash, i] : live_) {
+      EXPECT_TRUE(Found(hash, Fake(i))) << "entry " << i << " lost";
+    }
+  }
+
+  void TearDown() override {
+    while (!live_.empty()) {
+      Erase(live_.size() - 1, /*check_rest=*/live_.size() < 64);
+    }
+    EXPECT_EQ(GetLabelInternStats().live_canonical, live_at_start_);
+  }
+
+  const int64_t live_at_start_ = GetLabelInternStats().live_canonical;
+  uint64_t storage_[8192] = {};
+  std::vector<std::pair<uint64_t, size_t>> live_;  // (hash, fake index)
+};
+
+TEST_F(InternTableTest, EqualHashesShareARunAndEraseFromEachEnd) {
+  const uint64_t h = 0x5eed'0000'0000'0123;
+  for (size_t i = 0; i < 6; ++i) {
+    Insert(h, i);
+  }
+  EXPECT_EQ(GetLabelInternStats().live_canonical, live_at_start_ + 6);
+  ExpectAllLiveFound();
+  Erase(0);  // start of the run
+  Erase(2);  // middle
+  Erase(live_.size() - 1);  // end
+  EXPECT_EQ(GetLabelInternStats().live_canonical, live_at_start_ + 3);
+}
+
+TEST_F(InternTableTest, HashesEqualModuloTheSlotCountInterleave) {
+  // Three homes, interleaved: a hole left by an erase must be filled only
+  // by an entry whose home does not lie between the hole and it.
+  const uint64_t base = 0x4000'0000'0000'0777 % kModulus;
+  for (size_t i = 0; i < 12; ++i) {
+    Insert(base + (i % 3) + kModulus * (i + 1), i);
+  }
+  ExpectAllLiveFound();
+  for (const size_t nth : {1, 0, 4, 5, 2}) {
+    Erase(nth);
+  }
+  for (size_t i = 12; i < 16; ++i) {
+    Insert(base + (i % 3) + kModulus * (i + 1), i);
+  }
+  ExpectAllLiveFound();
+}
+
+TEST_F(InternTableTest, ARunWrapsTheArrayEnd) {
+  // Homes in the last two slots and in slot 0: the run wraps.
+  for (size_t i = 0; i < 10; ++i) {
+    Insert(kModulus - 2 + (i % 3) + kModulus * (i + 5), i);
+  }
+  ExpectAllLiveFound();
+  Erase(0);                 // from the end of the array, before the wrap
+  Erase(live_.size() / 2);  // past the wrap
+  Erase(live_.size() - 1);
+  Insert(kModulus - 1, 10);
+  Insert(0, 11);
+  ExpectAllLiveFound();
+}
+
+TEST_F(InternTableTest, GrowsWithLiveEntries) {
+  // Enough entries to double the table more than once, with one long run
+  // of a shared home among spread homes; every entry survives each growth
+  // and the erases.
+  Rng rng(0x7ab1e);
+  for (size_t i = 0; i < 3000; ++i) {
+    const uint64_t hash = i % 32 == 0 ? 0x1234 + kModulus * i : rng.Next();
+    Insert(hash, i);
+  }
+  ExpectAllLiveFound();
+  for (int k = 1; k <= 1500; ++k) {
+    Erase(rng.NextBelow(live_.size()), /*check_rest=*/k % 100 == 0);
+  }
+  EXPECT_EQ(GetLabelInternStats().live_canonical, live_at_start_ + 1500);
+}
+
+// --- The Lub memo --------------------------------------------------------------
+//
+// The memo of the one-entry asymmetric ⊔ must be invisible to every counter:
+// over random (big, one-entry small) pairs, a schedule run with the memo
+// warm and the same schedule run with the memo emptied before every call
+// charge the same LabelWorkStats and LabelInternStats deltas call by call,
+// and return the same rep (told apart by which earlier live result, if any,
+// it is).
+struct InternDelta {
+  uint64_t probes;
+  uint64_t hits;
+  uint64_t misses;
+  uint64_t bytes_saved;
+  int64_t live_canonical;
+  bool operator==(const InternDelta& o) const {
+    return probes == o.probes && hits == o.hits && misses == o.misses &&
+           bytes_saved == o.bytes_saved && live_canonical == o.live_canonical;
+  }
+};
+
+InternDelta InternSince(const LabelInternStats& before) {
+  const LabelInternStats& now = GetLabelInternStats();
+  return {now.probes - before.probes, now.hits - before.hits, now.misses - before.misses,
+          now.bytes_saved - before.bytes_saved, now.live_canonical - before.live_canonical};
+}
+
+struct MemoCall {
+  LabelWorkStats work;
+  InternDelta intern;
+  int same_as_held;  // index of the held result it shares a rep with, or -1
+  bool canonical;
+};
+
+TEST(LubMemoTest, WarmMemoChargesAndReturnsWhatAnEmptyOneDoes) {
+  Rng rng(0x3e30);
+  // Big sides: ⋆-rich, default 1, on handles 3, 6, 9, ...; some canonical,
+  // some private (a process's send label mid-life).
+  std::vector<Label> bigs;
+  for (int b = 0; b < 6; ++b) {
+    LabelBuilder builder(Level::kL1);
+    const uint64_t n = rng.NextInRange(200, 500);
+    for (uint64_t i = 1; i <= n; ++i) {
+      builder.Append(Handle::FromValue(3 * i), rng.NextBelow(4) == 0 ? Level::kL0 : Level::kStar);
+    }
+    bigs.push_back(builder.Build());
+    if (b % 2 == 1) {
+      bigs.back().Set(Handle::FromValue(3 * rng.NextInRange(1, n)), Level::kL2);
+    }
+  }
+  // One-entry small sides {h l, ⋆}: overwrites (the memo's shape), inserts,
+  // raises to the default, and no-ops.
+  struct Call {
+    size_t big;
+    uint64_t handle;
+    Level level;
+    bool hold;     // keep the result alive
+    int drop;      // drop the held result at this index first (-1: none)
+  };
+  std::vector<Call> schedule;
+  for (int c = 0; c < 600; ++c) {
+    Call call;
+    call.big = rng.NextBelow(bigs.size());
+    call.handle = 3 * rng.NextInRange(1, 40) + (rng.NextBelow(5) == 0 ? 1 : 0);
+    call.level = static_cast<Level>(rng.NextInRange(1, 4));
+    call.hold = rng.NextBool();
+    call.drop = rng.NextBelow(3) == 0 ? static_cast<int>(rng.NextBelow(16)) : -1;
+    schedule.push_back(call);
+  }
+
+  const auto run = [&](bool empty_before_each) {
+    internal::ResetLubMemo();
+    std::vector<Label> held;
+    std::vector<MemoCall> out;
+    for (const Call& call : schedule) {
+      if (call.drop >= 0 && static_cast<size_t>(call.drop) < held.size()) {
+        held.erase(held.begin() + call.drop);
+      }
+      const Label small({{Handle::FromValue(call.handle), call.level}}, Level::kStar);
+      if (empty_before_each) {
+        internal::ResetLubMemo();
+      }
+      const LabelWorkStats work_before = GetLabelWorkStats();
+      const LabelInternStats intern_before = GetLabelInternStats();
+      const Label result = Label::Lub(small, bigs[call.big]);
+      MemoCall got{WorkSince(work_before), InternSince(intern_before), -1,
+                   result.rep_canonical()};
+      for (size_t i = 0; i < held.size(); ++i) {
+        if (held[i].rep_id() == result.rep_id()) {
+          got.same_as_held = static_cast<int>(i);
+          break;
+        }
+      }
+      EXPECT_EQ(result.Get(Handle::FromValue(call.handle)),
+                LevelMax(bigs[call.big].Get(Handle::FromValue(call.handle)), call.level));
+      out.push_back(got);
+      if (call.hold) {
+        held.push_back(result);
+      }
+    }
+    return out;
+  };
+
+  const std::vector<MemoCall> cold = run(/*empty_before_each=*/true);
+  const std::vector<MemoCall> warm = run(/*empty_before_each=*/false);
+  ASSERT_EQ(cold.size(), warm.size());
+  int shared = 0;
+  for (size_t c = 0; c < cold.size(); ++c) {
+    ExpectSameWork(warm[c].work, cold[c].work);
+    EXPECT_TRUE(warm[c].intern == cold[c].intern) << "call " << c;
+    EXPECT_EQ(warm[c].same_as_held, cold[c].same_as_held) << "call " << c;
+    EXPECT_EQ(warm[c].canonical, cold[c].canonical) << "call " << c;
+    shared += cold[c].same_as_held >= 0 ? 1 : 0;
+  }
+  EXPECT_GT(shared, 50) << "the schedule must revisit live results";
+}
+
+TEST(LubMemoTest, AMemoEntryWhoseResultDiedRebuildsAndChargesTheBuildPath) {
+  const auto build_big = [] {
+    LabelBuilder builder(Level::kL1);
+    for (uint64_t i = 1; i <= 300; ++i) {
+      builder.Append(Handle::FromValue(3 * i), Level::kStar);
+    }
+    return builder.Build();
+  };
+  const Label big = build_big();
+  const Label small({{Handle::FromValue(30), Level::kL3}}, Level::kStar);
+  const auto delta = [&](bool empty_memo) {
+    if (empty_memo) {
+      internal::ResetLubMemo();
+    }
+    const LabelWorkStats work_before = GetLabelWorkStats();
+    const LabelInternStats intern_before = GetLabelInternStats();
+    const uint64_t id_before = internal::InternNextRepId();
+    const Label result = Label::Lub(small, big);
+    EXPECT_EQ(result.Get(Handle::FromValue(30)), Level::kL3);
+    EXPECT_TRUE(result.rep_canonical());
+    return std::make_tuple(WorkSince(work_before), InternSince(intern_before),
+                           internal::InternNextRepId() - id_before);
+  };
+
+  // The first merge builds and is remembered; its result dies with it.
+  internal::ResetLubMemo();
+  const auto first = delta(/*empty_memo=*/false);
+  // The memo now names a dead rep: the merge is built again, charged as the
+  // uncached build (no dedup hit), and registers a fresh canonical rep.
+  const auto again = delta(/*empty_memo=*/false);
+  const auto cold = delta(/*empty_memo=*/true);
+  ExpectSameWork(std::get<0>(again), std::get<0>(cold));
+  EXPECT_TRUE(std::get<1>(again) == std::get<1>(cold));
+  EXPECT_TRUE(std::get<1>(again) == std::get<1>(first));
+  EXPECT_EQ(std::get<1>(again).hits, 0u);
+  EXPECT_EQ(std::get<1>(again).misses, 1u);
+  EXPECT_GT(std::get<2>(again), 1u) << "a dead memo entry must not skip the build";
+
+  // A twin built by another path after the remembered rep died is found by
+  // content, exactly as without the memo.
+  (void)delta(/*empty_memo=*/false);  // remember a result, let it die
+  LabelBuilder twin_builder(Level::kL1);
+  for (uint64_t i = 1; i <= 300; ++i) {
+    twin_builder.Append(Handle::FromValue(3 * i), i == 10 ? Level::kL3 : Level::kStar);
+  }
+  const Label twin = twin_builder.Build();
+  const LabelWorkStats work_before = GetLabelWorkStats();
+  const LabelInternStats intern_before = GetLabelInternStats();
+  const Label found = Label::Lub(small, big);
+  const LabelWorkStats warm_work = WorkSince(work_before);
+  const InternDelta warm_intern = InternSince(intern_before);
+  EXPECT_EQ(found.rep_id(), twin.rep_id());
+  internal::ResetLubMemo();
+  const LabelWorkStats cold_before = GetLabelWorkStats();
+  const LabelInternStats cold_intern_before = GetLabelInternStats();
+  EXPECT_EQ(Label::Lub(small, big).rep_id(), twin.rep_id());
+  ExpectSameWork(warm_work, WorkSince(cold_before));
+  EXPECT_TRUE(warm_intern == InternSince(cold_intern_before));
+  EXPECT_EQ(warm_intern.hits, 1u);
 }
 
 }  // namespace

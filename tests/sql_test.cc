@@ -4,6 +4,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/db/sql_engine.h"
@@ -196,47 +197,47 @@ class SqlEngineTest : public ::testing::Test {
 TEST_F(SqlEngineTest, SelectAll) {
   auto r = db_.Execute("SELECT * FROM t");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows.size(), 4u);
+  EXPECT_EQ(r->row_count(), 4u);
   EXPECT_EQ(r->columns.size(), 2u);
 }
 
 TEST_F(SqlEngineTest, SelectWhereEquality) {
   auto r = db_.Execute("SELECT score FROM t WHERE name = 'bob'");
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_EQ(r->rows[0][0].AsInt(), 20);
-  EXPECT_EQ(r->rows[1][0].AsInt(), 25);
+  ASSERT_EQ(r->row_count(), 2u);
+  EXPECT_EQ(r->row(0)[0].AsInt(), 20);
+  EXPECT_EQ(r->row(1)[0].AsInt(), 25);
 }
 
 TEST_F(SqlEngineTest, SelectComparisons) {
-  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score > 20")->rows.size(), 2u);
-  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score >= 20")->rows.size(), 3u);
-  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score < 20")->rows.size(), 1u);
-  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score != 10")->rows.size(), 3u);
-  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score > 10 AND score < 30")->rows.size(),
+  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score > 20")->row_count(), 2u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score >= 20")->row_count(), 3u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score < 20")->row_count(), 1u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score != 10")->row_count(), 3u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM t WHERE score > 10 AND score < 30")->row_count(),
             2u);
 }
 
 TEST_F(SqlEngineTest, OrderByAndLimit) {
   auto r = db_.Execute("SELECT name FROM t ORDER BY score DESC LIMIT 2");
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_EQ(r->rows[0][0].AsText(), "carol");
-  EXPECT_EQ(r->rows[1][0].AsText(), "bob");
+  ASSERT_EQ(r->row_count(), 2u);
+  EXPECT_EQ(r->row(0)[0].AsText(), "carol");
+  EXPECT_EQ(r->row(1)[0].AsText(), "bob");
 }
 
 TEST_F(SqlEngineTest, Update) {
   auto r = db_.Execute("UPDATE t SET score = 99 WHERE name = 'alice'");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows_affected, 1u);
-  EXPECT_EQ(db_.Execute("SELECT score FROM t WHERE name = 'alice'")->rows[0][0].AsInt(), 99);
+  EXPECT_EQ(db_.Execute("SELECT score FROM t WHERE name = 'alice'")->row(0)[0].AsInt(), 99);
 }
 
 TEST_F(SqlEngineTest, Delete) {
   auto r = db_.Execute("DELETE FROM t WHERE name = 'bob'");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows_affected, 2u);
-  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows.size(), 2u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->row_count(), 2u);
 }
 
 TEST_F(SqlEngineTest, FullScanCountsEveryRow) {
@@ -249,7 +250,7 @@ TEST_F(SqlEngineTest, IndexNarrowsScan) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
   auto r = db_.Execute("SELECT score FROM t WHERE name = 'bob'");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->row_count(), 2u);
   EXPECT_EQ(r->rows_visited, 2u) << "index probe touches only matching rows";
   EXPECT_EQ(r->index_probes, 1u);
 }
@@ -264,7 +265,7 @@ TEST_F(SqlEngineTest, FullScanCountsEveryRowWhateverThePredicates) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
   auto r = db_.Execute("SELECT * FROM t WHERE name > 'b'");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows.size(), 3u);
+  EXPECT_EQ(r->row_count(), 3u);
   EXPECT_EQ(r->rows_visited, 4u) << "only equality predicates use an index";
   EXPECT_EQ(r->index_probes, 0u);
 }
@@ -273,7 +274,7 @@ TEST_F(SqlEngineTest, IndexedEqualityCountsOnlyTheMatches) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
   auto r = db_.Execute("SELECT * FROM t WHERE score > 10 AND name = 'bob'");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->row_count(), 2u);
   EXPECT_EQ(r->rows_visited, 2u);
   EXPECT_EQ(r->index_probes, 1u);
   auto none = db_.Execute("SELECT * FROM t WHERE name = 'nobody'");
@@ -285,13 +286,13 @@ TEST_F(SqlEngineTest, IndexedEqualityCountsOnlyTheMatches) {
 TEST_F(SqlEngineTest, MixedTypeEqualityMatchesByTextWithOrWithoutAnIndex) {
   auto scan = db_.Execute("SELECT name FROM t WHERE score = '20'");
   ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->rows.size(), 1u);
-  EXPECT_EQ(scan->rows[0][0].AsText(), "bob");
+  ASSERT_EQ(scan->row_count(), 1u);
+  EXPECT_EQ(scan->row(0)[0].AsText(), "bob");
   EXPECT_EQ(scan->rows_visited, 4u);
   ASSERT_TRUE(db_.Execute("CREATE INDEX byscore ON t (score)").ok());
   auto probe = db_.Execute("SELECT name FROM t WHERE score = '20'");
   ASSERT_TRUE(probe.ok());
-  ASSERT_EQ(probe->rows.size(), 1u);
+  ASSERT_EQ(probe->row_count(), 1u);
   EXPECT_EQ(probe->rows_visited, 1u);
 }
 
@@ -313,16 +314,99 @@ TEST_F(SqlEngineTest, UnknownWhereColumnVisitsEveryRowAndAffectsNone) {
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both->rows_affected, 0u);
   EXPECT_EQ(both->rows_visited, 2u);
-  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows.size(), 4u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->row_count(), 4u);
 }
 
 TEST_F(SqlEngineTest, IndexMaintainedAcrossMutations) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
   ASSERT_TRUE(db_.Execute("UPDATE t SET name = 'bobby' WHERE score = 20").ok());
-  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'bob'")->rows.size(), 1u);
-  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'bobby'")->rows.size(), 1u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'bob'")->row_count(), 1u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'bobby'")->row_count(), 1u);
   ASSERT_TRUE(db_.Execute("DELETE FROM t WHERE name = 'bobby'").ok());
-  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'bobby'")->rows.size(), 0u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t WHERE name = 'bobby'")->row_count(), 0u);
+}
+
+// SELECT hands rows out by reference: each output row is a view of a table
+// row through the statement's projection. The rows, their order, and the
+// executor work the OKDB cost model charges (rows_visited, index_probes)
+// are pinned to the values the copying executor produced.
+struct PinnedSelect {
+  const char* sql;
+  const char* rows;  // each row's literals, comma-joined, each row ';'-ended
+  uint64_t rows_visited;
+  uint64_t index_probes;
+};
+
+std::string RenderRows(const QueryResult& r) {
+  std::string out;
+  for (size_t i = 0; i < r.row_count(); ++i) {
+    const SqlRowRef row = r.row(i);
+    for (size_t c = 0; c < row.size(); ++c) {
+      out += (c == 0 ? "" : ",") + row[c].ToLiteral();
+    }
+    out += ";";
+  }
+  return out;
+}
+
+class SqlSelectByReferenceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE notes (owner INTEGER, text TEXT, n INTEGER)").ok());
+    ASSERT_TRUE(db_.Execute("INSERT INTO notes (owner, text, n) VALUES (1, 'a', 5), (2, 'b', 3), "
+                            "(1, 'c', 7), (3, 'b', 1), (2, 'd', 9), (1, 'e', 2), (3, 'f', 6), "
+                            "(2, 'g', 4)")
+                    .ok());
+    ASSERT_TRUE(db_.Execute("INSERT INTO notes (owner, n) VALUES (1, 8)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE INDEX byowner ON notes (owner)").ok());
+  }
+  SqlDatabase db_;
+};
+
+TEST_F(SqlSelectByReferenceTest, RowsAndChargedWorkMatchTheCopyingExecutor) {
+  const PinnedSelect kPinned[] = {
+      {"SELECT * FROM notes",
+       "1,'a',5;2,'b',3;1,'c',7;3,'b',1;2,'d',9;1,'e',2;3,'f',6;2,'g',4;1,NULL,8;", 9, 0},
+      {"SELECT text FROM notes WHERE owner = 2", "'b';'d';'g';", 3, 1},
+      {"SELECT text, n FROM notes WHERE n > 3 ORDER BY n DESC",
+       "'d',9;NULL,8;'c',7;'f',6;'a',5;'g',4;", 9, 0},
+      {"SELECT n, text FROM notes WHERE owner = 1 ORDER BY text LIMIT 2", "8,NULL;5,'a';", 4, 1},
+      {"SELECT owner FROM notes WHERE text = 'b'", "2;3;", 9, 0},
+      {"SELECT * FROM notes ORDER BY n LIMIT 0", "", 9, 0},
+      {"SELECT text FROM notes LIMIT 100", "'a';'b';'c';'b';'d';'e';'f';'g';NULL;", 9, 0},
+      {"SELECT n FROM notes WHERE owner = 3 AND n < 5", "1;", 2, 1},
+      {"SELECT text, owner FROM notes WHERE owner != 2 ORDER BY owner DESC LIMIT 3",
+       "'b',3;'f',3;'a',1;", 9, 0},
+  };
+  for (const PinnedSelect& want : kPinned) {
+    auto r = db_.Execute(want.sql);
+    ASSERT_TRUE(r.ok()) << want.sql;
+    EXPECT_EQ(RenderRows(r.value()), want.rows) << want.sql;
+    EXPECT_EQ(r->rows_visited, want.rows_visited) << want.sql;
+    EXPECT_EQ(r->index_probes, want.index_probes) << want.sql;
+  }
+}
+
+TEST_F(SqlSelectByReferenceTest, RowsAreViewsOfTheTableThroughTheProjection) {
+  auto r = db_.Execute("SELECT n, owner FROM notes WHERE owner = 3");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->row_count(), 2u);
+  ASSERT_EQ(r->columns, (std::vector<std::string>{"N", "OWNER"}));  // names fold to upper case
+  // No copy: each output cell is the table's own cell, in projection order.
+  std::vector<const std::vector<SqlValue>*> owned_by_3;
+  db_.FindTable("NOTES")->ForEachRow([&](const std::vector<SqlValue>& row) {
+    if (row[0].AsInt() == 3) {
+      owned_by_3.push_back(&row);
+    }
+  });
+  ASSERT_EQ(owned_by_3.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const SqlRowRef row = r->row(i);
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_EQ(&row[0], &(*owned_by_3[i])[2]);
+    EXPECT_EQ(&row[1], &(*owned_by_3[i])[0]);
+    EXPECT_EQ(&row.back(), &row[1]);
+  }
 }
 
 TEST_F(SqlEngineTest, PrimaryKeyUniqueness) {
@@ -344,18 +428,18 @@ TEST_F(SqlEngineTest, UpdateCannotDuplicateAPrimaryKey) {
   // Refused statements write nothing.
   auto one = db_.Execute("SELECT name FROM pk WHERE id = 1");
   ASSERT_TRUE(one.ok());
-  ASSERT_EQ(one->rows.size(), 1u);
-  EXPECT_EQ(one->rows[0][0].AsText(), "a");
+  ASSERT_EQ(one->row_count(), 1u);
+  EXPECT_EQ(one->row(0)[0].AsText(), "a");
   auto two = db_.Execute("SELECT name FROM pk WHERE id = 2");
   ASSERT_TRUE(two.ok());
-  ASSERT_EQ(two->rows.size(), 1u);
-  EXPECT_EQ(two->rows[0][0].AsText(), "b");
-  EXPECT_EQ(db_.Execute("SELECT * FROM pk WHERE name = 'c'")->rows.size(), 0u);
+  ASSERT_EQ(two->row_count(), 1u);
+  EXPECT_EQ(two->row(0)[0].AsText(), "b");
+  EXPECT_EQ(db_.Execute("SELECT * FROM pk WHERE name = 'c'")->row_count(), 0u);
   // A row may keep its own key, or move to a free one.
   EXPECT_EQ(db_.Execute("UPDATE pk SET id = 2 WHERE name = 'b'")->rows_affected, 1u);
   EXPECT_EQ(db_.Execute("UPDATE pk SET id = 3 WHERE name = 'b'")->rows_affected, 1u);
-  EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 3")->rows.size(), 1u);
-  EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 2")->rows.size(), 0u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 3")->row_count(), 1u);
+  EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 2")->row_count(), 0u);
 }
 
 // An equality on an undeclared column is found through a host-only index,
@@ -381,9 +465,9 @@ class HostIndexTest : public ::testing::Test {
     auto scan = scan_db_.Execute(stmt + " v >= " + literal + " AND v <= " + literal);
     ASSERT_TRUE(eq.ok() && scan.ok()) << stmt << literal;
     EXPECT_EQ(eq->rows_affected, scan->rows_affected) << stmt << literal;
-    ASSERT_EQ(eq->rows.size(), scan->rows.size()) << stmt << literal;
-    for (size_t i = 0; i < eq->rows.size(); ++i) {
-      EXPECT_EQ(eq->rows[i][0].AsInt(), scan->rows[i][0].AsInt()) << stmt << literal;
+    ASSERT_EQ(eq->row_count(), scan->row_count()) << stmt << literal;
+    for (size_t i = 0; i < eq->row_count(); ++i) {
+      EXPECT_EQ(eq->row(i)[0].AsInt(), scan->row(i)[0].AsInt()) << stmt << literal;
     }
     EXPECT_EQ(eq->rows_visited, scan->rows_visited) << "the index is uncharged";
     EXPECT_EQ(eq->index_probes, 0u);
@@ -405,14 +489,14 @@ TEST_F(HostIndexTest, SelectMatchesTheFullScanAndChargesEveryRow) {
   ExpectSelectsAgree();
   auto r = db_.Execute("SELECT tag FROM t WHERE v = '10'");
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 3u) << "10 and '10' compare equal by text; '010' does not";
-  EXPECT_EQ(r->rows[0][0].AsInt(), 1);
-  EXPECT_EQ(r->rows[1][0].AsInt(), 2);
-  EXPECT_EQ(r->rows[2][0].AsInt(), 7);
+  ASSERT_EQ(r->row_count(), 3u) << "10 and '10' compare equal by text; '010' does not";
+  EXPECT_EQ(r->row(0)[0].AsInt(), 1);
+  EXPECT_EQ(r->row(1)[0].AsInt(), 2);
+  EXPECT_EQ(r->row(2)[0].AsInt(), 7);
   EXPECT_EQ(r->rows_visited, db_.FindTable("T")->row_count());
-  EXPECT_EQ(db_.Execute("SELECT tag FROM t WHERE v = NULL")->rows.size(), 2u)
+  EXPECT_EQ(db_.Execute("SELECT tag FROM t WHERE v = NULL")->row_count(), 2u)
       << "NULL matches only NULL, not ''";
-  EXPECT_EQ(db_.Execute("SELECT tag FROM t WHERE v = ''")->rows.size(), 2u);
+  EXPECT_EQ(db_.Execute("SELECT tag FROM t WHERE v = ''")->row_count(), 2u);
 }
 
 TEST_F(HostIndexTest, StaysCorrectAcrossUpdatesAndDeletesOfTheFilteredColumn) {
@@ -431,8 +515,8 @@ TEST_F(HostIndexTest, StaysCorrectAcrossUpdatesAndDeletesOfTheFilteredColumn) {
     ASSERT_TRUE(db->Execute("INSERT INTO t (tag, v) VALUES (12, 10), (13, NULL)").ok());
   }
   ExpectSelectsAgree();
-  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows.size(),
-            scan_db_.Execute("SELECT * FROM t")->rows.size());
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->row_count(),
+            scan_db_.Execute("SELECT * FROM t")->row_count());
 }
 
 TEST_F(HostIndexTest, ADeclaredIndexTakesOverAndIsCharged) {
@@ -440,7 +524,7 @@ TEST_F(HostIndexTest, ADeclaredIndexTakesOverAndIsCharged) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX byv ON t (v)").ok());
   auto r = db_.Execute("SELECT tag FROM t WHERE v = '10'");
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 3u);
+  ASSERT_EQ(r->row_count(), 3u);
   EXPECT_EQ(r->rows_visited, 3u);
   EXPECT_EQ(r->index_probes, 1u);
 }
@@ -456,7 +540,7 @@ TEST_F(SqlEngineTest, NullHandling) {
   ASSERT_TRUE(db_.Execute("INSERT INTO t (name, score) VALUES ('dave', NULL)").ok());
   auto r = db_.Execute("SELECT score FROM t WHERE name = 'dave'");
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->rows[0][0].is_null());
+  EXPECT_TRUE(r->row(0)[0].is_null());
 }
 
 TEST(SqlValueTest, CompareSemantics) {
