@@ -99,7 +99,10 @@ BENCHMARK(BM_SendDeliverContaminating)->Range(1, 1 << 13);
 void BM_SendDeliverSmallWords(benchmark::State& state) {
   obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
   PingPongWorld world(0);
-  const std::vector<uint64_t> words(static_cast<size_t>(state.range(0)), 0x51u);
+  MessageWords words;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    words.push_back(0x51u);
+  }
   for (auto _ : state) {
     world.kernel.WithProcessContext(world.tx, [&](ProcessContext& ctx) {
       Message m;

@@ -1,6 +1,7 @@
 // Durable-store microbenchmarks: label pickle/unpickle throughput, CRC-32
 // and WAL append rate, sharded put/group-commit throughput, dbproxy's
-// whole-table image write, and recovery time versus record count. These
+// whole-table image write and label-filtered list fan-out, and recovery
+// time versus record count. These
 // bound the cost of the durability layer that backs the file server and
 // idd — the paper's performance story (Figures 7-9) assumes
 // storage is not the bottleneck, and this bench is where we check that
@@ -15,12 +16,14 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/base/panic.h"
 #include "src/db/dbproxy.h"
+#include "src/kernel/kernel.h"
 #include "src/obs/metrics.h"
 #include "src/obs/reset.h"
 #include "src/labels/label.h"
@@ -169,6 +172,119 @@ void BM_DbproxyTableImage(benchmark::State& state) {
   RemoveTree(dir);
 }
 BENCHMARK(BM_DbproxyTableImage)->Arg(2000);
+
+// --- dbproxy list fan-out --------------------------------------------------
+
+// Counts the rows a reader is delivered.
+class RowSink : public ProcessCode {
+ public:
+  explicit RowSink(uint64_t* rows) : rows_(rows) {}
+  void HandleMessage(ProcessContext& ctx, const Message& msg) override {
+    (void)ctx;
+    *rows_ += msg.type == dbproxy_proto::kRow ? 1 : 0;
+  }
+
+ private:
+  uint64_t* rows_;
+};
+
+// One worker's `SELECT text FROM notes` over a 2,000-row table whose rows
+// belong to 250 bound users (8 each), the OKDB list of §7.5: the proxy sends
+// every row as its own message tainted {uT 3, ⋆} for the row's owner, and
+// the kernel drops the 1,992 the reader, cleared for its own user only, may
+// not see. Time is per SELECT, pump included; `ns_per_row` is the loop's
+// steady-clock time divided by the rows sent.
+void BM_DbproxyListFanOut(benchmark::State& state) {
+  obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
+  constexpr int64_t kOwners = 250;
+  Kernel kernel(0xfa40);
+  auto code = std::make_unique<DbproxyProcess>();
+  DbproxyProcess* proxy = code.get();
+  SpawnArgs args;
+  args.name = "dbproxy";
+  args.component = Component::kOkdb;
+  const ProcessId pid = kernel.CreateProcess(std::move(code), args);
+  // The proxy holds its own priv port's capability, so it can send itself
+  // privileged statements and bindings; with no reply port nothing comes
+  // back.
+  const auto self_send = [&](Message m, const SendArgs& send_args) {
+    kernel.WithProcessContext(pid, [&](ProcessContext& ctx) {
+      ASB_ASSERT(ctx.Send(proxy->priv_port(), std::move(m), send_args) == Status::kOk);
+    });
+    kernel.RunUntilIdle();
+  };
+  const auto exec = [&](const std::string& sql) {
+    Message q;
+    q.type = dbproxy_proto::kQuery;
+    q.words = {1, 0};
+    q.data = "\n" + sql;
+    self_send(std::move(q), SendArgs());
+  };
+  exec("CREATE TABLE notes (text TEXT)");
+  std::vector<Handle> taints;
+  for (int64_t uid = 1; uid <= kOwners; ++uid) {
+    Handle taint;
+    Handle grant;
+    kernel.WithProcessContext(pid, [&](ProcessContext& ctx) {
+      taint = ctx.NewHandle();
+      grant = ctx.NewHandle();
+    });
+    Message bind;
+    bind.type = dbproxy_proto::kBind;
+    bind.data = "user" + std::to_string(uid);
+    bind.words = {taint.value(), grant.value(), static_cast<uint64_t>(uid)};
+    SendArgs bind_args;
+    bind_args.decont_receive = Label({{taint, Level::kL3}}, Level::kStar);
+    self_send(std::move(bind), bind_args);
+    taints.push_back(taint);
+  }
+  std::string insert = "INSERT INTO notes (text, USER_ID) VALUES ";
+  for (int64_t row = 0; row < 2000; ++row) {
+    insert += (row == 0 ? "('note " : ", ('note ") + std::to_string(row) + "', " +
+              std::to_string(row % kOwners + 1) + ")";
+  }
+  exec(insert);
+
+  // The reader acts for user1: tainted uT 3 and cleared to receive uT 3.
+  uint64_t delivered = 0;
+  SpawnArgs rargs;
+  rargs.name = "worker-user1";
+  rargs.send_label.Set(taints[0], Level::kL3);
+  rargs.recv_label.Set(taints[0], Level::kL3);
+  const ProcessId reader = kernel.CreateProcess(std::make_unique<RowSink>(&delivered), rargs);
+  Handle reply;
+  kernel.WithProcessContext(reader, [&](ProcessContext& ctx) {
+    reply = ctx.NewPort(Label::Top());
+    ASB_ASSERT(ctx.SetPortLabel(reply, Label::Top()) == Status::kOk);
+  });
+  const KernelStats before = kernel.stats();
+  std::chrono::steady_clock::duration elapsed{};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    kernel.WithProcessContext(reader, [&](ProcessContext& ctx) {
+      Message q;
+      q.type = dbproxy_proto::kQuery;
+      q.words = {1, 0};
+      q.data = "user1\nSELECT text FROM notes";
+      q.reply_port = reply;
+      ASB_ASSERT(ctx.Send(proxy->query_port(), std::move(q)) == Status::kOk);
+    });
+    kernel.RunUntilIdle();
+    elapsed += std::chrono::steady_clock::now() - start;
+  }
+  const auto selects = static_cast<double>(state.iterations());
+  const KernelStats& after = kernel.stats();
+  const double sent = static_cast<double>(after.sends - before.sends) / selects - 2;  // query, done
+  state.counters["rows_sent"] = sent;
+  state.counters["rows_dropped"] =
+      static_cast<double>(after.drops_label_check - before.drops_label_check) / selects;
+  state.counters["rows_delivered"] = static_cast<double>(delivered) / selects;
+  state.counters["ns_per_row"] =
+      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
+      (sent * selects);
+  state.SetItemsProcessed(static_cast<int64_t>(sent * selects));
+}
+BENCHMARK(BM_DbproxyListFanOut);
 
 // --- WAL append rate -------------------------------------------------------
 

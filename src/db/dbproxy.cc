@@ -40,8 +40,8 @@ void AddHiddenUserIdColumn(CreateTableStmt* create) {
   create->columns.push_back(std::move(uid));
 }
 
-// Appends the first `columns` fields of `row` (a table row or a SELECT's
-// SqlRowRef), each "<type>:<len>:<bytes>".
+// Appends the first `columns` fields of `row` (a SqlRowView, a SELECT's
+// SqlRowRef, or a vector of values), each "<type>:<len>:<bytes>".
 template <typename Row>
 void AppendDbRow(const Row& row, size_t columns, std::string* out) {
   for (size_t c = 0; c < columns; ++c) {
@@ -199,7 +199,7 @@ void DbproxyProcess::PersistTable(const std::string& table) {
   std::string image;
   std::string row_bytes;
   codec::AppendVarint(t->row_count(), &image);
-  t->ForEachRow([&](const std::vector<SqlValue>& row) {
+  t->ForEachRow([&](const SqlRowView row) {
     row_bytes.clear();
     AppendDbRow(row, row.size(), &row_bytes);
     codec::AppendString(row_bytes, &image);

@@ -1,6 +1,7 @@
 #include "src/db/sql_engine.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/base/panic.h"
 
@@ -32,12 +33,12 @@ struct ResolvedPredicate {
   const SqlValue* literal;
 };
 
-bool RowMatches(const std::vector<SqlValue>& row, const std::vector<ResolvedPredicate>& where) {
+bool RowMatches(const SqlValue* row, const std::vector<ResolvedPredicate>& where) {
   for (const ResolvedPredicate& p : where) {
     if (p.column < 0) {
       return false;
     }
-    if (!CompareMatches(row[static_cast<size_t>(p.column)].Compare(*p.literal), p.op)) {
+    if (!CompareMatches(row[p.column].Compare(*p.literal), p.op)) {
       return false;
     }
   }
@@ -56,10 +57,10 @@ void EraseIndexEntry(Index& index, const Key& key, uint64_t rid) {
   }
 }
 
-uint64_t RowBytes(const std::vector<SqlValue>& row) {
+uint64_t RowBytes(const SqlValue* row, size_t width) {
   uint64_t bytes = 24;  // per-row bookkeeping
-  for (const SqlValue& v : row) {
-    bytes += 16 + v.AsText().size();
+  for (size_t c = 0; c < width; ++c) {
+    bytes += 16 + row[c].AsText().size();
   }
   return bytes;
 }
@@ -67,6 +68,11 @@ uint64_t RowBytes(const std::vector<SqlValue>& row) {
 }  // namespace
 
 SqlTable::SqlTable(std::vector<SqlColumnDef> columns) : columns_(std::move(columns)) {
+  const size_t row_bytes = std::max<size_t>(1, columns_.size()) * sizeof(SqlValue);
+  while ((size_t{2} << row_shift_) * row_bytes <= kBlockBytes) {
+    ++row_shift_;
+  }
+  row_mask_ = (size_t{1} << row_shift_) - 1;
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].primary_key) {
       indexes_[static_cast<int>(i)];  // primary keys are always indexed
@@ -92,8 +98,8 @@ Status SqlTable::AddIndex(const std::string& column) {
   if (!inserted) {
     return Status::kAlreadyExists;
   }
-  for (const auto& [rid, row] : rows_) {
-    it->second.emplace(row[static_cast<size_t>(ci)].AsText(), rid);
+  for (size_t pos = 0; pos < row_ids_.size(); ++pos) {
+    it->second.emplace(RowAt(pos)[ci].AsText(), row_ids_[pos]);
   }
   host_indexes_.erase(ci);
   return Status::kOk;
@@ -104,33 +110,59 @@ bool SqlTable::HasIndex(const std::string& column) const {
   return ci >= 0 && indexes_.count(ci) != 0;
 }
 
-Status SqlTable::InsertRow(std::vector<SqlValue> row) {
-  ASB_ASSERT(row.size() == columns_.size());
-  // Enforce primary-key uniqueness.
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (!columns_[i].primary_key) {
+size_t SqlTable::PositionOf(RowId rid) const {
+  const auto it = std::lower_bound(row_ids_.begin(), row_ids_.end(), rid);
+  ASB_ASSERT(it != row_ids_.end() && *it == rid);
+  return static_cast<size_t>(it - row_ids_.begin());
+}
+
+Status SqlTable::InsertRows(const std::vector<int>& positions,
+                            const std::vector<std::vector<SqlValue>>& rows) {
+  // Every primary key is checked, against the table and against the other
+  // rows of this call, before any row is written.
+  for (const auto& [ci, index] : indexes_) {
+    if (!columns_[static_cast<size_t>(ci)].primary_key) {
       continue;
     }
-    auto idx = indexes_.find(static_cast<int>(i));
-    ASB_ASSERT(idx != indexes_.end());
-    if (idx->second.count(row[i].AsText()) != 0) {
-      return Status::kAlreadyExists;
+    std::set<std::string> keys;
+    for (const auto& values : rows) {
+      std::string key;  // a column the INSERT does not list stays NULL, ""
+      for (size_t i = 0; i < values.size(); ++i) {
+        if (positions[i] == ci) {
+          key = values[i].AsText();
+        }
+      }
+      if (index.count(key) != 0 || !keys.insert(std::move(key)).second) {
+        return Status::kAlreadyExists;
+      }
     }
   }
-  const RowId rid = next_row_id_++;
-  for (auto& [ci, index] : indexes_) {
-    index.emplace(row[static_cast<size_t>(ci)].AsText(), rid);
+  const size_t width = columns_.size();
+  for (const auto& values : rows) {
+    const RowId rid = next_row_id_++;
+    const size_t pos = row_ids_.size();
+    if ((pos >> row_shift_) == blocks_.size()) {
+      blocks_.emplace_back((row_mask_ + 1) * width);
+    }
+    SqlValue* row = MutableRowAt(pos);
+    for (size_t i = 0; i < values.size(); ++i) {
+      row[positions[i]] = values[i];
+    }
+    for (auto& [ci, index] : indexes_) {
+      index.emplace(row[ci].AsText(), rid);
+    }
+    for (auto& [ci, index] : host_indexes_) {
+      index.emplace(row[ci].TextHash(), rid);
+    }
+    approx_bytes_ += RowBytes(row, width);
+    row_ids_.push_back(rid);
   }
-  for (auto& [ci, index] : host_indexes_) {
-    index.emplace(row[static_cast<size_t>(ci)].TextHash(), rid);
-  }
-  approx_bytes_ += RowBytes(row);
-  rows_.emplace(rid, std::move(row));
   return Status::kOk;
 }
 
-void SqlTable::SetCell(RowId rid, int column, SqlValue v) {
-  SqlValue& cell = rows_.at(rid)[static_cast<size_t>(column)];
+void SqlTable::SetCell(size_t pos, int column, SqlValue v) {
+  const RowId rid = row_ids_[pos];
+  SqlValue& cell = MutableRowAt(pos)[column];
   if (auto idx = indexes_.find(column); idx != indexes_.end()) {
     EraseIndexEntry(idx->second, cell.AsText(), rid);
     idx->second.emplace(v.AsText(), rid);
@@ -142,38 +174,63 @@ void SqlTable::SetCell(RowId rid, int column, SqlValue v) {
   cell = std::move(v);
 }
 
-void SqlTable::EraseRow(RowId rid) {
-  auto row = rows_.find(rid);
-  for (auto& [ci, index] : indexes_) {
-    EraseIndexEntry(index, row->second[static_cast<size_t>(ci)].AsText(), rid);
+void SqlTable::EraseRows(std::vector<size_t> positions) {
+  if (positions.empty()) {
+    return;
   }
-  for (auto& [ci, index] : host_indexes_) {
-    EraseIndexEntry(index, row->second[static_cast<size_t>(ci)].TextHash(), rid);
+  const size_t width = columns_.size();
+  std::sort(positions.begin(), positions.end());
+  for (const size_t pos : positions) {
+    const SqlValue* row = RowAt(pos);
+    for (auto& [ci, index] : indexes_) {
+      EraseIndexEntry(index, row[ci].AsText(), row_ids_[pos]);
+    }
+    for (auto& [ci, index] : host_indexes_) {
+      EraseIndexEntry(index, row[ci].TextHash(), row_ids_[pos]);
+    }
+    approx_bytes_ -= RowBytes(row, width);
   }
-  approx_bytes_ -= RowBytes(row->second);
-  rows_.erase(row);
+  // One compacting pass: each kept row moves down over the erased ones.
+  size_t next = 0;  // next erased position to skip
+  size_t out = positions[0];
+  for (size_t pos = positions[0]; pos < row_ids_.size(); ++pos) {
+    if (next < positions.size() && positions[next] == pos) {
+      ++next;
+      continue;
+    }
+    row_ids_[out] = row_ids_[pos];
+    std::move(MutableRowAt(pos), MutableRowAt(pos) + width, MutableRowAt(out));
+    ++out;
+  }
+  // The cells past the survivors go back to NULL, and the blocks no row
+  // reaches any more are freed.
+  for (size_t pos = out; pos < row_ids_.size(); ++pos) {
+    std::fill_n(MutableRowAt(pos), width, SqlValue());
+  }
+  blocks_.resize((out + row_mask_) >> row_shift_);
+  row_ids_.resize(out);
 }
 
 const SqlTable::HostIndex& SqlTable::HostIndexFor(int column) const {
   auto [it, inserted] = host_indexes_.try_emplace(column);
   if (inserted) {
-    it->second.reserve(rows_.size());
-    for (const auto& [rid, row] : rows_) {
-      it->second.emplace(row[static_cast<size_t>(column)].TextHash(), rid);
+    it->second.reserve(row_ids_.size());
+    for (size_t pos = 0; pos < row_ids_.size(); ++pos) {
+      it->second.emplace(RowAt(pos)[column].TextHash(), row_ids_[pos]);
     }
   }
   return it->second;
 }
 
-std::vector<SqlTable::Rows::const_iterator> SqlTable::Scan(
-    const std::vector<SqlPredicate>& where, QueryResult* stats) const {
+std::vector<size_t> SqlTable::Scan(const std::vector<SqlPredicate>& where,
+                                   QueryResult* stats) const {
   // Column names resolve once per statement, not once per row visited.
   std::vector<ResolvedPredicate> resolved;
   resolved.reserve(where.size());
   for (const SqlPredicate& p : where) {
     resolved.push_back({ColumnIndex(p.column), p.op, &p.literal});
   }
-  std::vector<Rows::const_iterator> out;
+  std::vector<size_t> out;
   // Pick an indexed equality predicate if one exists; otherwise full scan.
   for (const ResolvedPredicate& p : resolved) {
     if (p.op != SqlCompare::kEq) {
@@ -187,9 +244,9 @@ std::vector<SqlTable::Rows::const_iterator> SqlTable::Scan(
     auto [lo, hi] = idx->second.equal_range(p.literal->AsText());
     for (auto it = lo; it != hi; ++it) {
       stats->rows_visited += 1;
-      const auto row = rows_.find(it->second);
-      if (RowMatches(row->second, resolved)) {
-        out.push_back(row);
+      const size_t pos = PositionOf(it->second);
+      if (RowMatches(RowAt(pos), resolved)) {
+        out.push_back(pos);
       }
     }
     return out;
@@ -201,22 +258,21 @@ std::vector<SqlTable::Rows::const_iterator> SqlTable::Scan(
     if (p.op != SqlCompare::kEq || p.column < 0) {
       continue;
     }
-    stats->rows_visited += rows_.size();
+    stats->rows_visited += row_ids_.size();
     auto [lo, hi] = HostIndexFor(p.column).equal_range(p.literal->TextHash());
     for (auto it = lo; it != hi; ++it) {
-      const auto row = rows_.find(it->second);
-      if (RowMatches(row->second, resolved)) {
-        out.push_back(row);
+      const size_t pos = PositionOf(it->second);
+      if (RowMatches(RowAt(pos), resolved)) {
+        out.push_back(pos);
       }
     }
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a->first < b->first; });
+    std::sort(out.begin(), out.end());
     return out;
   }
-  for (auto row = rows_.begin(); row != rows_.end(); ++row) {
+  for (size_t pos = 0; pos < row_ids_.size(); ++pos) {
     stats->rows_visited += 1;
-    if (RowMatches(row->second, resolved)) {
-      out.push_back(row);
+    if (RowMatches(RowAt(pos), resolved)) {
+      out.push_back(pos);
     }
   }
   return out;
@@ -298,18 +354,12 @@ Result<QueryResult> SqlDatabase::DoInsert(const InsertStmt& stmt) {
     }
     positions.push_back(ci);
   }
-  QueryResult result;
-  for (const auto& values : stmt.rows) {
-    std::vector<SqlValue> row(t->columns().size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      row[static_cast<size_t>(positions[i])] = values[i];
-    }
-    const Status s = t->InsertRow(std::move(row));
-    if (s != Status::kOk) {
-      return s;
-    }
-    result.rows_affected += 1;
+  const Status s = t->InsertRows(positions, stmt.rows);
+  if (s != Status::kOk) {
+    return s;
   }
+  QueryResult result;
+  result.rows_affected = stmt.rows.size();
   return result;
 }
 
@@ -347,9 +397,8 @@ Result<QueryResult> SqlDatabase::DoSelect(const SelectStmt& stmt) {
     if (oc < 0) {
       return Status::kNotFound;
     }
-    std::stable_sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
-      const int cmp =
-          a->second[static_cast<size_t>(oc)].Compare(b->second[static_cast<size_t>(oc)]);
+    std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+      const int cmp = t->RowAt(a)[oc].Compare(t->RowAt(b)[oc]);
       return stmt.order_desc ? cmp > 0 : cmp < 0;
     });
   }
@@ -357,8 +406,8 @@ Result<QueryResult> SqlDatabase::DoSelect(const SelectStmt& stmt) {
     rows.resize(static_cast<size_t>(stmt.limit));
   }
   result.rows_.reserve(rows.size());
-  for (const auto& row : rows) {
-    result.rows_.push_back(&row->second);
+  for (const size_t pos : rows) {
+    result.rows_.push_back(t->RowAt(pos));
   }
   return result;
 }
@@ -386,13 +435,16 @@ Result<QueryResult> SqlDatabase::DoUpdate(const UpdateStmt& stmt) {
     }
     auto [lo, hi] = t->indexes_.at(ci).equal_range(v.AsText());
     if (rows.size() > 1 ||
-        std::any_of(lo, hi, [&](const auto& entry) { return entry.second != rows[0]->first; })) {
+        std::any_of(lo, hi,
+                    [&](const auto& entry) { return entry.second != t->row_ids_[rows[0]]; })) {
       return Status::kAlreadyExists;
     }
   }
-  for (const auto& row : rows) {
+  // Rows are written in scan order, which is the order their new index
+  // entries take among equal keys.
+  for (const size_t pos : rows) {
     for (const auto& [ci, v] : sets) {
-      t->SetCell(row->first, ci, v);
+      t->SetCell(pos, ci, v);
     }
     result.rows_affected += 1;
   }
@@ -405,10 +457,9 @@ Result<QueryResult> SqlDatabase::DoDelete(const DeleteStmt& stmt) {
     return Status::kNotFound;
   }
   QueryResult result;
-  for (const auto& row : t->Scan(stmt.where, &result)) {
-    t->EraseRow(row->first);  // erasing a row leaves the other iterators valid
-    result.rows_affected += 1;
-  }
+  std::vector<size_t> rows = t->Scan(stmt.where, &result);
+  result.rows_affected = rows.size();
+  t->EraseRows(std::move(rows));
   return result;
 }
 

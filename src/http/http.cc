@@ -82,7 +82,7 @@ HttpRequestParser::State HttpRequestParser::TryParse() {
   const size_t header_end = buffer_.find("\r\n\r\n");
   if (header_end == std::string::npos) {
     // Guard against unbounded header growth from a hostile client.
-    return buffer_.size() > 64 * 1024 ? State::kError : State::kIncomplete;
+    return buffer_.size() > kMaxHeaderBytes ? State::kError : State::kIncomplete;
   }
   const std::string_view head = std::string_view(buffer_).substr(0, header_end);
   const std::vector<std::string> lines = Split(head, '\n');
@@ -132,8 +132,12 @@ HttpRequestParser::State HttpRequestParser::TryParse() {
   // Compared as what remains, so a declared length near 2^64 cannot wrap
   // the sum and complete the request early.
   const size_t body_start = header_end + 4;
-  if (content_length > buffer_.size() - body_start) {
-    return State::kIncomplete;
+  const size_t buffered = buffer_.size() - body_start;
+  if (content_length > buffered) {
+    return buffered > kMaxBodyBytes ? State::kError : State::kIncomplete;
+  }
+  if (content_length > kMaxBodyBytes) {
+    return State::kError;
   }
   request_.body = buffer_.substr(body_start, content_length);
   consumed_ = body_start + content_length;
@@ -164,6 +168,9 @@ HttpResponseReader::State HttpResponseReader::Feed(std::string_view bytes) {
   buffer_.append(bytes);
   const size_t header_end = buffer_.find("\r\n\r\n");
   if (header_end == std::string::npos) {
+    if (buffer_.size() > kMaxHeaderBytes) {
+      state_ = State::kError;
+    }
     return state_;
   }
   // Status line: HTTP/x.y CODE REASON.
@@ -191,7 +198,14 @@ HttpResponseReader::State HttpResponseReader::Feed(std::string_view bytes) {
     }
   }
   const size_t body_start = header_end + 4;
-  if (content_length <= buffer_.size() - body_start) {  // as in the request parser
+  const size_t buffered = buffer_.size() - body_start;
+  if (content_length > buffered) {  // as in the request parser
+    if (buffered > kMaxBodyBytes) {
+      state_ = State::kError;
+    }
+  } else if (content_length > kMaxBodyBytes) {
+    state_ = State::kError;
+  } else {
     status_ = static_cast<int>(code);
     body_ = buffer_.substr(body_start, content_length);
     state_ = State::kComplete;

@@ -9,6 +9,12 @@
 
 namespace asbestos {
 
+// What either reader buffers from a hostile or broken peer before it gives
+// up with kError: the header block, and the body whatever Content-Length
+// says. Fixed bounds, far above any message the OKWS services exchange.
+constexpr size_t kMaxHeaderBytes = 64 * 1024;
+constexpr size_t kMaxBodyBytes = 1024 * 1024;
+
 struct HttpRequest {
   std::string method;
   std::string path;       // path component only, query string stripped

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
-#include <memory>
+#include <new>
 
 #include "src/base/panic.h"
 #include "src/base/strings.h"
@@ -41,14 +41,16 @@ bool AsymmetricShapes(size_t small_count, size_t big_count) {
 namespace internal {
 
 // A chunk: sorted array of up to kChunkMaxEntries packed entries, reference
-// counted for copy-on-write sharing between labels.
+// counted for copy-on-write sharing between labels. A chunk is one heap
+// block: this header, then its `capacity` entry slots. Only the first `size`
+// slots are ever read; the rest are left uninitialized.
 struct Chunk {
   int32_t refcount = 1;
   uint16_t size = 0;
   uint16_t capacity = 0;
   Level min_level = Level::kL3;  // over entries only; meaningless when empty
   Level max_level = Level::kStar;
-  std::unique_ptr<uint64_t[]> entries;
+  uint64_t* entries = nullptr;  // the slots right after this header
 };
 
 namespace {
@@ -62,9 +64,10 @@ uint64_t ChunkBytes(uint16_t capacity) {
 }
 
 Chunk* NewChunk(uint16_t capacity) {
-  auto* c = new Chunk();
+  void* block = ::operator new(sizeof(Chunk) + capacity * sizeof(uint64_t));
+  auto* c = new (block) Chunk();
   c->capacity = capacity;
-  c->entries = std::make_unique<uint64_t[]>(capacity);
+  c->entries = reinterpret_cast<uint64_t*>(c + 1);
   g_mem.live_bytes += static_cast<int64_t>(ChunkBytes(capacity));
   g_mem.live_chunks += 1;
   return c;
@@ -74,7 +77,8 @@ void UnrefChunk(Chunk* c) {
   if (--c->refcount == 0) {
     g_mem.live_bytes -= static_cast<int64_t>(ChunkBytes(c->capacity));
     g_mem.live_chunks -= 1;
-    delete c;
+    c->~Chunk();
+    ::operator delete(c);
   }
 }
 
@@ -100,7 +104,7 @@ Handle ChunkFirstHandle(const Chunk* c) { return EntryHandle(c->entries[0]); }
 // Index of the first entry in c with handle >= h.
 uint16_t LowerBoundInChunk(const Chunk* c, Handle h) {
   const uint64_t key = h.value() << 3;
-  const uint64_t* begin = c->entries.get();
+  const uint64_t* begin = c->entries;
   const uint64_t* end = begin + c->size;
   // Levels occupy the low 3 bits, so compare on the handle part only.
   const uint64_t* it = std::lower_bound(begin, end, key,
@@ -109,6 +113,61 @@ uint16_t LowerBoundInChunk(const Chunk* c, Handle h) {
 }
 
 }  // namespace
+
+// A rep's chunk pointers, in handle order. The first pointer lives inline,
+// so a one-chunk label (up to 64 entries: every send's C_S, every taint)
+// costs no allocation for its list; a second chunk moves the list to a heap
+// array that doubles as it grows. 24 bytes, the std::vector it replaced.
+// Never copied or moved: it points into itself while inline.
+class ChunkList {
+ public:
+  ChunkList() = default;
+  ChunkList(const ChunkList&) = delete;
+  ChunkList& operator=(const ChunkList&) = delete;
+  ~ChunkList() {
+    if (data_ != &inline_) {
+      delete[] data_;
+    }
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Chunk*& operator[](size_t i) { return data_[i]; }
+  Chunk* operator[](size_t i) const { return data_[i]; }
+  Chunk* const* begin() const { return data_; }
+  Chunk* const* end() const { return data_ + size_; }
+
+  void reserve(size_t n) {
+    if (n > capacity_) {
+      Chunk** grown = new Chunk*[n];
+      std::copy(data_, data_ + size_, grown);
+      if (data_ != &inline_) {
+        delete[] data_;
+      }
+      data_ = grown;
+      capacity_ = static_cast<uint32_t>(n);
+    }
+  }
+  void push_back(Chunk* c) { Insert(size_, c); }
+  void Insert(size_t i, Chunk* c) {
+    if (size_ == capacity_) {
+      reserve(std::max<size_t>(4, 2 * static_cast<size_t>(capacity_)));
+    }
+    std::copy_backward(data_ + i, data_ + size_, data_ + size_ + 1);
+    data_[i] = c;
+    ++size_;
+  }
+  void Erase(size_t i) {
+    std::copy(data_ + i + 1, data_ + size_, data_ + i);
+    --size_;
+  }
+
+ private:
+  Chunk** data_ = &inline_;
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 1;
+  Chunk* inline_ = nullptr;
+};
 
 struct LabelRep {
   int32_t refcount = 1;
@@ -128,7 +187,7 @@ struct LabelRep {
   bool in_table = false;  // registered in the intern table (unlike the
                           // per-level shared default singletons)
   uint64_t level_counts[5] = {};  // explicit entries per level
-  std::vector<Chunk*> chunks;
+  ChunkList chunks;
 
   ~LabelRep() {
     for (Chunk* c : chunks) {
@@ -137,8 +196,13 @@ struct LabelRep {
   }
 };
 
-// The label heap accounting below (kRepBytes, ChunkBytes) feeds the modelled
-// memory figures (Figure 6, bytes per user): a field added here moves them.
+// The memory model. The label heap accounting (kRepBytes per rep,
+// ChunkBytes(capacity) per chunk: its header, every entry slot, and the
+// rep's pointer to it) feeds the modelled memory figures (Figure 6, bytes
+// per user): a field added here moves them. The host layout behind those
+// charges is leaner and is not what they count: a chunk's header and slots
+// are one heap block, and a one-chunk rep keeps its chunk pointer inline in
+// its ChunkList, so a label of up to 64 entries takes two allocations.
 static_assert(sizeof(LabelRep) == 96, "LabelRep size is part of the memory model");
 static_assert(sizeof(Chunk) == 24, "Chunk size is part of the memory model");
 
@@ -208,7 +272,7 @@ Chunk* CloneChunkWithCapacity(const Chunk* c, uint16_t capacity) {
   copy->size = c->size;
   copy->min_level = c->min_level;
   copy->max_level = c->max_level;
-  std::memcpy(copy->entries.get(), c->entries.get(), c->size * sizeof(uint64_t));
+  std::memcpy(copy->entries, c->entries, c->size * sizeof(uint64_t));
   return copy;
 }
 
@@ -328,7 +392,7 @@ LabelRepRef PackSortedEntries(Level default_level, const uint64_t* entries, size
     const uint16_t capacity = n <= kChunkMinCapacity ? kChunkMinCapacity : kChunkMaxEntries;
     Chunk* c = NewChunk(capacity);
     c->size = static_cast<uint16_t>(n);
-    std::memcpy(c->entries.get(), entries + i, n * sizeof(uint64_t));
+    std::memcpy(c->entries, entries + i, n * sizeof(uint64_t));
     RecomputeChunkExtrema(c);
     rep->chunks.push_back(c);
     i += n;
@@ -412,8 +476,8 @@ bool SameEntries(const LabelRep* a, const Overwrites& o, const LabelRep* b) {
       ++k;
     }
     if (aj == 0 && bj == 0 && achunks[ai]->size == bchunks[bi]->size) {
-      const uint64_t* as = achunks[ai]->entries.get();
-      const uint64_t* bs = bchunks[bi]->entries.get();
+      const uint64_t* as = achunks[ai]->entries;
+      const uint64_t* bs = bchunks[bi]->entries;
       uint16_t from = 0;
       for (; k < o.count && o.chunk[k] == ai; ++k) {
         if (o.entry[k] != bs[o.pos[k]] || !std::equal(as + from, as + o.pos[k], bs + from)) {
@@ -837,7 +901,7 @@ void Label::Set(Handle h, Level l) {
       --c->size;
       if (c->size == 0) {
         internal::UnrefChunk(c);
-        rep->chunks.erase(rep->chunks.begin() + static_cast<ptrdiff_t>(ci));
+        rep->chunks.Erase(ci);
       } else {
         internal::RecomputeChunkExtrema(c);
       }
@@ -881,14 +945,14 @@ void Label::Set(Handle h, Level l) {
       const uint16_t half = slot->size / 2;
       left->size = half;
       right->size = static_cast<uint16_t>(slot->size - half);
-      std::memcpy(left->entries.get(), slot->entries.get(), half * sizeof(uint64_t));
-      std::memcpy(right->entries.get(), slot->entries.get() + half,
+      std::memcpy(left->entries, slot->entries, half * sizeof(uint64_t));
+      std::memcpy(right->entries, slot->entries + half,
                   right->size * sizeof(uint64_t));
       internal::RecomputeChunkExtrema(left);
       internal::RecomputeChunkExtrema(right);
       internal::UnrefChunk(slot);
       rep->chunks[ci] = left;
-      rep->chunks.insert(rep->chunks.begin() + static_cast<ptrdiff_t>(ci) + 1, right);
+      rep->chunks.Insert(ci + 1, right);
       if (h >= internal::ChunkFirstHandle(right)) {
         ++ci;
       }

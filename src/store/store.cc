@@ -238,17 +238,19 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(StoreOptions opts) {
         return Status::kBadState;
       }
     }
-    const Status s = store->RecoverShard(*shard);
+    // Owned by the store before it recovers, so the records a refused
+    // snapshot had loaded leave the memory stats with it.
+    store->shards_.push_back(std::move(shard));
+    const Status s = store->RecoverShard(*store->shards_.back());
     if (!IsOk(s)) {
       return s;
     }
     // Persist the dentries this open may have created (the shard dir and
     // its O_CREAT'd wal) before any append can be acknowledged as durable.
-    const Status dir_sync = SyncDir(shard->dir);
+    const Status dir_sync = SyncDir(store->shards_.back()->dir);
     if (!IsOk(dir_sync)) {
       return dir_sync;
     }
-    store->shards_.push_back(std::move(shard));
   }
   if (shard_count > 1) {
     const Status root_sync = SyncDir(store->opts_.dir);  // shard-<k> dentries

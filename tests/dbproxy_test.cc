@@ -814,6 +814,48 @@ std::string LegacyTableImage(const SqlDatabase& db, const std::string& table) {
   return out;
 }
 
+// A multi-row INSERT that one key refuses writes nothing: no row is served,
+// the durable table image stays as it was, and the next write's image and a
+// reboot do not carry the refused rows either.
+TEST(DbproxyRebootTest, RefusedInsertLeavesTheTableAndItsImageUnchanged) {
+  asbestos::testing::TempDir dir;
+  const std::string store_dir = dir.path() + "/dbproxy";
+  const auto table_rows = [](ProxyBoot& boot) {
+    return const_cast<SqlDatabase&>(boot.proxy_->database()).FindTable("PK")->row_count();
+  };
+  {
+    ProxyBoot boot(store_dir, 0xb011);
+    boot.PrivExec("CREATE TABLE pk (id INTEGER PRIMARY KEY, v TEXT)");
+    boot.PrivExec("INSERT INTO pk (id, v, user_id) VALUES (1, 'a', 0)");
+    const std::string image = boot.proxy_->store()->Get("table/PK")->value;
+
+    boot.kernel_.WithProcessContext(boot.idd_, [&](ProcessContext& ctx) {
+      Message q;
+      q.type = MessageType::kQuery;
+      q.words = {1, 0};
+      q.data = "\nINSERT INTO pk (id, v, user_id) VALUES (2, 'b', 0), (1, 'c', 0)";
+      q.reply_port = boot.idd_port_;
+      EXPECT_EQ(ctx.Send(boot.proxy_->priv_port(), std::move(q)), Status::kOk);
+    });
+    boot.kernel_.RunUntilIdle();
+    ASSERT_FALSE(boot.received_.empty());
+    EXPECT_EQ(boot.received_.back().msg.type, MessageType::kDone);
+    EXPECT_EQ(boot.received_.back().msg.words[1],
+              static_cast<uint64_t>(-static_cast<int>(Status::kAlreadyExists)));
+    boot.received_.clear();
+    EXPECT_EQ(table_rows(boot), 1u);
+    EXPECT_EQ(boot.proxy_->store()->Get("table/PK")->value, image);
+
+    boot.PrivExec("INSERT INTO pk (id, v, user_id) VALUES (3, 'd', 0)");
+    EXPECT_EQ(table_rows(boot), 2u);
+    const std::string next = boot.proxy_->store()->Get("table/PK")->value;
+    EXPECT_EQ(next.find("t:1:b"), std::string::npos) << "the refused row reached the image";
+    EXPECT_NE(next.find("t:1:d"), std::string::npos);
+  }
+  ProxyBoot boot(store_dir, 0xb012);
+  EXPECT_EQ(table_rows(boot), 2u);
+}
+
 TEST(DbproxyRebootTest, TableImageMatchesLegacyEncodingAndRecovers) {
   asbestos::testing::TempDir dir;
   const std::string store_dir = dir.path() + "/dbproxy";

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,6 +135,84 @@ TEST(HttpResponseReaderTest, ContentLengthNearTwoToTheSixtyFourStaysIncomplete) 
   EXPECT_EQ(reader.Feed("HTTP/1.0 200 OK\r\nContent-Length: 18446744073709551600\r\n\r\nab"),
             HttpResponseReader::State::kIncomplete);
   EXPECT_EQ(reader.body(), "");
+}
+
+// Bodies are buffered up to kMaxBodyBytes whatever Content-Length says, and
+// headers up to kMaxHeaderBytes: one byte more, streamed in small reads, is
+// an error, never an ever-growing buffer.
+// Feeds `n` bytes in segment-sized reads while `feed` returns true.
+void StreamBytes(size_t n, const std::function<bool(std::string_view)>& feed) {
+  const std::string chunk(1460, 'b');  // one simulated TCP segment
+  size_t sent = 0;
+  while (sent < n) {
+    const size_t take = std::min(chunk.size(), n - sent);
+    sent += take;
+    if (!feed(std::string_view(chunk).substr(0, take))) {
+      break;
+    }
+  }
+}
+
+TEST(HttpRequestParserTest, BodyPastTheCapIsAnErrorWhateverContentLengthSays) {
+  for (const char* length : {"18446744073709551615", "2000000", "1048577"}) {
+    HttpRequestParser p;
+    ASSERT_EQ(p.Feed(std::string("POST /x HTTP/1.0\r\nContent-Length: ") + length + "\r\n\r\n"),
+              HttpRequestParser::State::kIncomplete);
+    size_t fed = 0;
+    StreamBytes(kMaxBodyBytes + 1, [&](std::string_view bytes) {
+      const auto state = p.Feed(bytes);
+      fed += bytes.size();
+      if (fed <= kMaxBodyBytes) {
+        EXPECT_EQ(state, HttpRequestParser::State::kIncomplete) << fed;
+      }
+      return state == HttpRequestParser::State::kIncomplete;
+    });
+    EXPECT_EQ(fed, kMaxBodyBytes + 1) << length;
+    EXPECT_EQ(p.state(), HttpRequestParser::State::kError) << length;
+  }
+  // A body of exactly the cap is still accepted.
+  HttpRequestParser p;
+  p.Feed("POST /x HTTP/1.0\r\nContent-Length: " + std::to_string(kMaxBodyBytes) + "\r\n\r\n");
+  EXPECT_EQ(p.Feed(std::string(kMaxBodyBytes, 'b')), HttpRequestParser::State::kComplete);
+  EXPECT_EQ(p.request().body.size(), kMaxBodyBytes);
+}
+
+TEST(HttpResponseReaderTest, BodyPastTheCapIsAnErrorWhateverContentLengthSays) {
+  for (const char* length : {"18446744073709551600", "2000000", "1048577"}) {
+    HttpResponseReader reader;
+    ASSERT_EQ(reader.Feed(std::string("HTTP/1.0 200 OK\r\nContent-Length: ") + length +
+                          "\r\n\r\n"),
+              HttpResponseReader::State::kIncomplete);
+    size_t fed = 0;
+    StreamBytes(kMaxBodyBytes + 1, [&](std::string_view bytes) {
+      const auto state = reader.Feed(bytes);
+      fed += bytes.size();
+      if (fed <= kMaxBodyBytes) {
+        EXPECT_EQ(state, HttpResponseReader::State::kIncomplete) << fed;
+      }
+      return state == HttpResponseReader::State::kIncomplete;
+    });
+    EXPECT_EQ(fed, kMaxBodyBytes + 1) << length;
+    EXPECT_EQ(reader.state(), HttpResponseReader::State::kError) << length;
+    EXPECT_EQ(reader.body(), "");
+  }
+  HttpResponseReader reader;
+  reader.Feed("HTTP/1.0 200 OK\r\nContent-Length: " + std::to_string(kMaxBodyBytes) +
+              "\r\n\r\n");
+  EXPECT_EQ(reader.Feed(std::string(kMaxBodyBytes, 'b')), HttpResponseReader::State::kComplete);
+  EXPECT_EQ(reader.body().size(), kMaxBodyBytes);
+}
+
+TEST(HttpResponseReaderTest, HeadersPastTheCapAreAnError) {
+  HttpResponseReader reader;
+  ASSERT_EQ(reader.Feed("HTTP/1.0 200 OK\r\nX-Pad: "), HttpResponseReader::State::kIncomplete);
+  size_t fed = 0;
+  StreamBytes(kMaxHeaderBytes, [&](std::string_view bytes) {
+    fed += bytes.size();
+    return reader.Feed(bytes) == HttpResponseReader::State::kIncomplete;
+  });
+  EXPECT_EQ(fed, kMaxHeaderBytes);
+  EXPECT_EQ(reader.state(), HttpResponseReader::State::kError);
 }
 
 // --- Seeded mutation: encode∘decode identity and "reject, never crash" ------

@@ -15,6 +15,61 @@ namespace {
 using testing::RecorderProcess;
 using testing::ScriptedProcess;
 
+// --- MessageWords: two words inline, more on the heap ------------------------
+
+std::vector<uint64_t> WordsOf(const MessageWords& w) { return {w.begin(), w.end()}; }
+
+TEST(MessageWordsTest, CopyMoveAndGrowthPastTwoWords) {
+  MessageWords w;
+  EXPECT_TRUE(w.empty());
+  w.push_back(1);
+  w.push_back(2);
+  EXPECT_EQ(WordsOf(w), (std::vector<uint64_t>{1, 2}));
+  w.push_back(3);  // spills to the heap
+  w.push_back(4);
+  w.push_back(5);
+  EXPECT_EQ(WordsOf(w), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  w[1] = 20;
+  EXPECT_EQ(w[1], 20u);
+
+  for (const MessageWords& source : {MessageWords{}, MessageWords{7}, MessageWords{7, 8},
+                                     MessageWords{7, 8, 9}, w}) {
+    const std::vector<uint64_t> want = WordsOf(source);
+    MessageWords copy = source;  // copy construction
+    EXPECT_EQ(WordsOf(copy), want);
+    copy.push_back(99);  // the copy owns its words
+    EXPECT_EQ(WordsOf(source), want);
+    MessageWords assigned{1, 2, 3, 4};  // heap to any size
+    assigned = source;
+    EXPECT_EQ(WordsOf(assigned), want);
+    MessageWords small{6};  // inline to any size
+    small = source;
+    EXPECT_EQ(WordsOf(small), want);
+    MessageWords moved = std::move(assigned);  // move construction
+    EXPECT_EQ(WordsOf(moved), want);
+    EXPECT_TRUE(assigned.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+    assigned.push_back(5);          // and usable
+    EXPECT_EQ(WordsOf(assigned), (std::vector<uint64_t>{5}));
+    MessageWords target{1, 2, 3};
+    target = std::move(moved);  // move assignment
+    EXPECT_EQ(WordsOf(target), want);
+    target = {4, 5};  // list assignment
+    EXPECT_EQ(WordsOf(target), (std::vector<uint64_t>{4, 5}));
+  }
+  MessageWords& self = w;
+  w = self;
+  EXPECT_EQ(WordsOf(w), (std::vector<uint64_t>{1, 20, 3, 4, 5}));
+}
+
+TEST(MessageWordsTest, MessageKeepsItsSize) {
+  EXPECT_EQ(sizeof(MessageWords), 24u);
+  Message m;
+  m.words = {1, 2, 3};
+  Message copy = m;
+  EXPECT_EQ(WordsOf(copy.words), (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(MessagePayloadBytes(copy), 3 * sizeof(uint64_t));
+}
+
 class KernelTest : public ::testing::Test {
  protected:
   Kernel kernel_{/*boot_key=*/0x5eedULL};

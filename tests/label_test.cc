@@ -223,6 +223,97 @@ TEST(LabelTest, ManyEntriesChunkSplitting) {
   }
 }
 
+// The label memory model: a rep is kRepBytes (sizeof(LabelRep), 96) and a
+// chunk ChunkBytes(capacity) = 24 (the header) + 8 per entry slot + 8 (the
+// rep's pointer to it), whatever the host layout behind them. A chunk is one
+// host block and a one-chunk rep keeps its chunk pointer inline, and the
+// accounted bytes must not notice.
+constexpr int64_t kRepBytes = 96;
+constexpr int64_t ChunkBytes(int64_t capacity) { return 24 + 8 * capacity + 8; }
+
+class LabelMemModelTest : public ::testing::Test {
+ protected:
+  // Live label memory above what the test started from.
+  struct Delta {
+    int64_t bytes;
+    int64_t reps;
+    int64_t chunks;
+  };
+  Delta Live() const {
+    const LabelMemStats& now = GetLabelMemStats();
+    return {now.live_bytes - start_.live_bytes, now.live_reps - start_.live_reps,
+            now.live_chunks - start_.live_chunks};
+  }
+  void ExpectLive(int64_t bytes, int64_t reps, int64_t chunks) const {
+    const Delta d = Live();
+    EXPECT_EQ(d.bytes, bytes);
+    EXPECT_EQ(d.reps, reps);
+    EXPECT_EQ(d.chunks, chunks);
+  }
+
+  Label label_{Level::kL1};  // the shared {1} rep exists before start_
+  LabelMemStats start_ = GetLabelMemStats();
+};
+
+TEST_F(LabelMemModelTest, OneEntryLabelIsOneRepAndOneSmallChunk) {
+  label_.Set(H(7), Level::kL3);
+  ExpectLive(kRepBytes + ChunkBytes(32), 1, 1);
+  EXPECT_EQ(label_.heap_bytes(), static_cast<uint64_t>(kRepBytes + ChunkBytes(32)));
+  label_.CheckRep();
+  label_ = Label(Level::kL1);
+  ExpectLive(0, 0, 0);
+}
+
+TEST_F(LabelMemModelTest, SixtyFourEntriesSplitIntoTwoChunksOfThirtyTwo) {
+  for (uint64_t h = 1; h <= 32; ++h) {
+    label_.Set(H(h * 10), Level::kL3);
+  }
+  ExpectLive(kRepBytes + ChunkBytes(32), 1, 1);
+  label_.Set(H(330), Level::kL3);  // the 33rd entry regrows the chunk to 64 slots
+  ExpectLive(kRepBytes + ChunkBytes(64), 1, 1);
+  for (uint64_t h = 34; h <= 64; ++h) {
+    label_.Set(H(h * 10), Level::kL3);
+  }
+  ExpectLive(kRepBytes + ChunkBytes(64), 1, 1);
+  label_.Set(H(5), Level::kL3);  // a full chunk splits 32 + 32 before the insert
+  ExpectLive(kRepBytes + 2 * ChunkBytes(64), 1, 2);
+  EXPECT_EQ(label_.heap_bytes(), static_cast<uint64_t>(kRepBytes + 2 * ChunkBytes(64)));
+  label_.CheckRep();
+  EXPECT_EQ(label_.entry_count(), 65u);
+  for (uint64_t h = 1; h <= 64; ++h) {
+    EXPECT_EQ(label_.Get(H(h * 10)), Level::kL3);
+  }
+  EXPECT_EQ(label_.Get(H(5)), Level::kL3);
+  // A copy shares both chunks: one more rep, no chunk bytes.
+  Label copy = label_;
+  copy.Set(H(640), Level::kL2);  // unshares the rep and the right chunk only
+  ExpectLive(2 * kRepBytes + 3 * ChunkBytes(64), 2, 3);
+  copy = label_;
+  ExpectLive(kRepBytes + 2 * ChunkBytes(64), 1, 2);
+}
+
+TEST_F(LabelMemModelTest, ErasingAChunksLastEntryFreesTheChunk) {
+  for (uint64_t h = 1; h <= 65; ++h) {
+    label_.Set(H(h), Level::kL3);  // in order: splits into 32 + 33
+  }
+  ExpectLive(kRepBytes + 2 * ChunkBytes(64), 1, 2);
+  for (uint64_t h = 1; h <= 32; ++h) {
+    label_.Set(H(h), Level::kL1);  // back to the default: removes the entry
+  }
+  ExpectLive(kRepBytes + ChunkBytes(64), 1, 1);  // the first chunk is gone
+  label_.CheckRep();
+  EXPECT_EQ(label_.entry_count(), 33u);
+  EXPECT_EQ(label_.Get(H(33)), Level::kL3);
+  EXPECT_EQ(label_.Get(H(1)), Level::kL1);
+  for (uint64_t h = 33; h <= 65; ++h) {
+    label_.Set(H(h), Level::kL1);
+  }
+  ExpectLive(kRepBytes, 1, 0);  // an entry-less private rep keeps no chunk
+  label_.CheckRep();
+  label_ = Label(Level::kL1);
+  ExpectLive(0, 0, 0);
+}
+
 TEST(LabelTest, EntriesSorted) {
   Label l(Level::kL1);
   for (uint64_t v : {900ULL, 1ULL, 44ULL, 500ULL, 7ULL}) {

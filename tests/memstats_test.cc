@@ -181,7 +181,7 @@ class QueueAccountingWorld {
     baseline_ = kernel_.MemReport().queue_bytes;
   }
 
-  void Send(size_t port, Payload data, std::vector<uint64_t> words = {}) {
+  void Send(size_t port, Payload data, MessageWords words = {}) {
     kernel_.WithProcessContext(tx_, [&](ProcessContext& ctx) {
       Message m;
       m.words = std::move(words);
@@ -234,6 +234,24 @@ TEST(MemStatsTest, QueueBytesExactForSoleOwnerPayload) {
     world.Drain(how);
     EXPECT_EQ(world.Queued(), 0u) << static_cast<int>(how);
     EXPECT_EQ(world.delivered(), how == QueueExit::kDelivery ? 2u : 0u);
+  }
+}
+
+// Each queued word is charged 8 bytes whether it sits inline in the message
+// (up to two) or in a heap array (three or more).
+TEST(MemStatsTest, QueueBytesCountEveryWordInlineOrNot) {
+  const MessageWords kWords[] = {{11}, {11, 22}, {11, 22, 33}};
+  for (const QueueExit how : kQueueExits) {
+    QueueAccountingWorld world(1);
+    uint64_t expected = 0;
+    for (const MessageWords& words : kWords) {
+      world.Send(0, Payload(), words);
+      expected += kQueuedMessageOverheadBytes + words.size() * sizeof(uint64_t);
+      EXPECT_EQ(world.Queued(), expected) << words.size() << " words";
+    }
+    world.Drain(how);
+    EXPECT_EQ(world.Queued(), 0u) << static_cast<int>(how);
+    EXPECT_EQ(world.delivered(), how == QueueExit::kDelivery ? 3u : 0u);
   }
 }
 

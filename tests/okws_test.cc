@@ -95,6 +95,21 @@ TEST_F(OkwsTest, MissingCredentialsIs401) {
   EXPECT_EQ(client.results()[0].status, 401);
 }
 
+// A body past the cap is refused at demux, whatever Content-Length claims,
+// and the same world still serves the next request.
+TEST_F(OkwsTest, BodyPastTheCapIs400) {
+  for (const uint64_t length : {uint64_t{kMaxBodyBytes} + 1, uint64_t{1} << 62}) {
+    HttpLoadClient client(&world_->net(), 80, 1);
+    client.Enqueue("POST /echo HTTP/1.0\r\nContent-Length: " + std::to_string(length) +
+                       "\r\n\r\n" + std::string(kMaxBodyBytes + 1, 'b'),
+                   0);
+    world_->RunClient(&client);
+    ASSERT_EQ(client.results().size(), 1u) << length;
+    EXPECT_EQ(client.results()[0].status, 400) << length;
+  }
+  EXPECT_EQ(Fetch("/echo", "alice", "pw-a").status, 200);
+}
+
 TEST_F(OkwsTest, SessionStateSurvivesAcrossConnections) {
   // The paper's toy workload: store on one connection, read on the next.
   auto r1 = Fetch("/store?d=remember-me", "alice", "pw-a");

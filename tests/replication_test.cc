@@ -1239,7 +1239,7 @@ class ReplEndToEndTest : public ::testing::Test {
     FsRequest(fs_proto::kUnlink, "pub3", {1});
   }
 
-  void FsRequest(uint64_t type, const std::string& path, std::vector<uint64_t> words,
+  void FsRequest(uint64_t type, const std::string& path, MessageWords words,
                  const SendArgs& args = SendArgs()) {
     fleet_->primary()->kernel().WithProcessContext(client_, [&](ProcessContext& ctx) {
       Message m;

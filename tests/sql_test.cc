@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/db/sql_engine.h"
 #include "src/db/sql_parser.h"
 #include "src/db/sql_tokenizer.h"
@@ -393,18 +395,18 @@ TEST_F(SqlSelectByReferenceTest, RowsAreViewsOfTheTableThroughTheProjection) {
   ASSERT_EQ(r->row_count(), 2u);
   ASSERT_EQ(r->columns, (std::vector<std::string>{"N", "OWNER"}));  // names fold to upper case
   // No copy: each output cell is the table's own cell, in projection order.
-  std::vector<const std::vector<SqlValue>*> owned_by_3;
-  db_.FindTable("NOTES")->ForEachRow([&](const std::vector<SqlValue>& row) {
+  std::vector<const SqlValue*> owned_by_3;  // each row's first cell in the table
+  db_.FindTable("NOTES")->ForEachRow([&](const SqlRowView row) {
     if (row[0].AsInt() == 3) {
-      owned_by_3.push_back(&row);
+      owned_by_3.push_back(&row[0]);
     }
   });
   ASSERT_EQ(owned_by_3.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     const SqlRowRef row = r->row(i);
     ASSERT_EQ(row.size(), 2u);
-    EXPECT_EQ(&row[0], &(*owned_by_3[i])[2]);
-    EXPECT_EQ(&row[1], &(*owned_by_3[i])[0]);
+    EXPECT_EQ(&row[0], &owned_by_3[i][2]);
+    EXPECT_EQ(&row[1], &owned_by_3[i][0]);
     EXPECT_EQ(&row.back(), &row[1]);
   }
 }
@@ -440,6 +442,214 @@ TEST_F(SqlEngineTest, UpdateCannotDuplicateAPrimaryKey) {
   EXPECT_EQ(db_.Execute("UPDATE pk SET id = 3 WHERE name = 'b'")->rows_affected, 1u);
   EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 3")->row_count(), 1u);
   EXPECT_EQ(db_.Execute("SELECT name FROM pk WHERE id = 2")->row_count(), 0u);
+}
+
+// A refused multi-row INSERT writes no row: every key is checked, against
+// the table and against the statement's other rows, before the first write.
+TEST_F(SqlEngineTest, MultiRowInsertIsAllOrNothing) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE pk (id INTEGER PRIMARY KEY, v TEXT)").ok());
+  EXPECT_EQ(db_.Execute("INSERT INTO pk (id, v) VALUES (1, 'a'), (1, 'b')").status(),
+            Status::kAlreadyExists);
+  EXPECT_EQ(db_.Execute("SELECT * FROM pk")->row_count(), 0u);
+  EXPECT_EQ(db_.FindTable("PK")->approx_bytes(), 0u);
+
+  ASSERT_TRUE(db_.Execute("INSERT INTO pk (id, v) VALUES (1, 'a')").ok());
+  const uint64_t bytes = db_.FindTable("PK")->approx_bytes();
+  // The taken key comes last, after a row that would have fit.
+  EXPECT_EQ(db_.Execute("INSERT INTO pk (id, v) VALUES (2, 'b'), (1, 'c')").status(),
+            Status::kAlreadyExists);
+  // Two rows without the key column share the NULL key.
+  EXPECT_EQ(db_.Execute("INSERT INTO pk (v) VALUES ('d'), ('e')").status(),
+            Status::kAlreadyExists);
+  auto all = db_.Execute("SELECT id, v FROM pk");
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->row_count(), 1u);
+  EXPECT_EQ(all->row(0)[1].AsText(), "a");
+  EXPECT_EQ(db_.FindTable("PK")->approx_bytes(), bytes);
+  EXPECT_EQ(db_.Execute("SELECT v FROM pk WHERE id = 2")->row_count(), 0u);
+  EXPECT_EQ(db_.Execute("INSERT INTO pk (id, v) VALUES (2, 'b'), (3, 'c')")->rows_affected, 2u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM pk")->row_count(), 3u);
+}
+
+// --- Flat row store ------------------------------------------------------------
+//
+// Rows live flat (ascending row ids beside one row-major cell array), and a
+// DELETE compacts them. Scattered deletes must leave every read path (full
+// scan, declared index, host index, ORDER BY) and UPDATE through both index
+// kinds answering as a plain list of the surviving rows does.
+class SqlFlatTableTest : public ::testing::Test {
+ protected:
+  struct Row {
+    int64_t id;
+    int64_t owner;
+    std::string v;
+  };
+
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE t (id INTEGER, owner INTEGER, v TEXT)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE INDEX byowner ON t (owner)").ok());
+    std::string insert = "INSERT INTO t (id, owner, v) VALUES ";
+    for (int64_t id = 0; id < kRows; ++id) {
+      Row row{id, id % 5, id % 3 == 0 ? "x" : "y" + std::to_string(id % 4)};
+      insert += (id == 0 ? "(" : ", (") + std::to_string(row.id) + ", " +
+                std::to_string(row.owner) + ", '" + row.v + "')";
+      model_.push_back(std::move(row));
+    }
+    ASSERT_TRUE(db_.Execute(insert).ok());
+  }
+
+  static std::string Render(const QueryResult& r) {
+    std::string out;
+    for (size_t i = 0; i < r.row_count(); ++i) {
+      const SqlRowRef row = r.row(i);
+      for (size_t c = 0; c < row.size(); ++c) {
+        out += (c == 0 ? "" : ",") + row[c].ToLiteral();
+      }
+      out += ";";
+    }
+    return out;
+  }
+
+  // The model's rows that pass `keep`, in `order`, rendered as id,owner,v.
+  template <typename Keep>
+  std::string Expected(Keep keep, bool by_id_desc = false) const {
+    std::vector<Row> rows;
+    for (const Row& row : model_) {
+      if (keep(row)) {
+        rows.push_back(row);
+      }
+    }
+    if (by_id_desc) {
+      std::reverse(rows.begin(), rows.end());  // the model is in id order
+    }
+    std::string out;
+    for (const Row& row : rows) {
+      out += std::to_string(row.id) + "," + std::to_string(row.owner) + ",'" + row.v + "';";
+    }
+    return out;
+  }
+
+  // Runs a DELETE on the table and on the model, then compares them.
+  template <typename Pred>
+  void Delete(const std::string& sql, Pred pred) {
+    const auto gone = std::remove_if(model_.begin(), model_.end(), pred);
+    const auto count = static_cast<uint64_t>(model_.end() - gone);
+    model_.erase(gone, model_.end());
+    auto r = db_.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql;
+    EXPECT_GT(count, 0u) << sql;
+    EXPECT_EQ(r->rows_affected, count) << sql;
+    ExpectAgrees();
+  }
+
+  // Runs an UPDATE on the table and on the model (`apply` edits a row and
+  // says whether it matched), then compares them.
+  template <typename Apply>
+  void Update(const std::string& sql, Apply apply) {
+    uint64_t count = 0;
+    for (Row& row : model_) {
+      count += apply(row) ? 1 : 0;
+    }
+    auto r = db_.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql;
+    EXPECT_GT(count, 0u) << sql;
+    EXPECT_EQ(r->rows_affected, count) << sql;
+    ExpectAgrees();
+  }
+
+  void ExpectAgrees() {
+    const auto all = [](const Row&) { return true; };
+    EXPECT_EQ(Render(db_.Execute("SELECT * FROM t").value()), Expected(all));
+    EXPECT_EQ(Render(db_.Execute("SELECT * FROM t ORDER BY id DESC").value()),
+              Expected(all, /*by_id_desc=*/true));
+    for (int64_t owner = 0; owner < 5; ++owner) {
+      auto r = db_.Execute("SELECT * FROM t WHERE owner = " + std::to_string(owner));
+      ASSERT_TRUE(r.ok());
+      const std::string want = Expected([&](const Row& row) { return row.owner == owner; });
+      // The declared index lists a key's rows in the order they took it.
+      std::vector<std::string> got_rows = Split(Render(r.value()), ';');
+      std::vector<std::string> want_rows = Split(want, ';');
+      std::sort(got_rows.begin(), got_rows.end());
+      std::sort(want_rows.begin(), want_rows.end());
+      EXPECT_EQ(got_rows, want_rows) << "owner " << owner;
+      EXPECT_EQ(r->index_probes, 1u);
+      EXPECT_EQ(r->rows_visited, r->row_count());
+    }
+    for (const char* v : {"x", "y1", "y2", "moved"}) {
+      auto r = db_.Execute(std::string("SELECT * FROM t WHERE v = '") + v + "'");
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(Render(r.value()), Expected([&](const Row& row) { return row.v == v; })) << v;
+      EXPECT_EQ(r->rows_visited, model_.size()) << "the host index still charges a full scan";
+    }
+    EXPECT_EQ(db_.FindTable("T")->row_count(), model_.size());
+  }
+
+  // Enough rows for a table of this width to span three storage blocks.
+  static constexpr int64_t kRows = 300;
+
+  SqlDatabase db_;
+  std::vector<Row> model_;
+};
+
+TEST_F(SqlFlatTableTest, ScatteredDeletesKeepEveryReadAndUpdatePathExact) {
+  ExpectAgrees();  // also builds the host index on v before the mutations
+  // Every third row, through the host index.
+  Delete("DELETE FROM t WHERE v = 'x'", [](const Row& row) { return row.v == "x"; });
+  // One owner's rows, through the declared index.
+  Delete("DELETE FROM t WHERE owner = 2", [](const Row& row) { return row.owner == 2; });
+  // The first and last surviving rows, and a run across a block boundary,
+  // by full scan.
+  Delete("DELETE FROM t WHERE id < 2", [](const Row& row) { return row.id < 2; });
+  Delete("DELETE FROM t WHERE id > 290", [](const Row& row) { return row.id > 290; });
+  Delete("DELETE FROM t WHERE id > 100 AND id < 160",
+         [](const Row& row) { return row.id > 100 && row.id < 160; });
+  // UPDATE through the declared index, then through the host index.
+  Update("UPDATE t SET v = 'moved' WHERE owner = 4", [](Row& row) {
+    if (row.owner != 4) {
+      return false;
+    }
+    row.v = "moved";
+    return true;
+  });
+  Update("UPDATE t SET owner = 0 WHERE v = 'y1'", [](Row& row) {
+    if (row.v != "y1") {
+      return false;
+    }
+    row.owner = 0;
+    return true;
+  });
+  // Rows inserted after the compaction land after the survivors.
+  ASSERT_TRUE(db_.Execute("INSERT INTO t (id, owner, v) VALUES (400, 2, 'x'), (401, 3, 'y1')").ok());
+  model_.push_back({400, 2, "x"});
+  model_.push_back({401, 3, "y1"});
+  ExpectAgrees();
+}
+
+TEST_F(SqlFlatTableTest, ApproxBytesReturnsToItsStartAfterChurn) {
+  const SqlTable* t = db_.FindTable("T");
+  const uint64_t start = t->approx_bytes();
+  for (int round = 0; round < 3; ++round) {
+    std::string insert = "INSERT INTO t (id, owner, v) VALUES ";
+    for (int64_t id = 1000; id < 1030; ++id) {
+      insert += (id == 1000 ? "(" : ", (") + std::to_string(id) + ", 7, 'churn" +
+                std::to_string(id * (round + 1)) + "')";
+    }
+    ASSERT_TRUE(db_.Execute(insert).ok());
+    EXPECT_GT(t->approx_bytes(), start);
+    // Deleted from the middle out, so the compaction moves surviving rows.
+    EXPECT_EQ(db_.Execute("DELETE FROM t WHERE id > 1010 AND id < 1020")->rows_affected, 9u);
+    EXPECT_GT(t->approx_bytes(), start);
+    EXPECT_EQ(db_.Execute("DELETE FROM t WHERE owner = 7")->rows_affected, 21u);
+    EXPECT_EQ(t->approx_bytes(), start) << "round " << round;
+  }
+  ExpectAgrees();
+  EXPECT_EQ(db_.Execute("DELETE FROM t")->rows_affected, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(t->approx_bytes(), 0u);
+  EXPECT_EQ(t->row_count(), 0u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->row_count(), 0u);
+  // A row reusing a vacated slot holds only what its INSERT lists.
+  ASSERT_TRUE(db_.Execute("INSERT INTO t (id) VALUES (7), (8)").ok());
+  EXPECT_EQ(Render(db_.Execute("SELECT * FROM t").value()), "7,NULL,NULL;8,NULL,NULL;");
 }
 
 // An equality on an undeclared column is found through a host-only index,
