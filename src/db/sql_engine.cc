@@ -171,6 +171,10 @@ void SqlTable::SetCell(size_t pos, int column, SqlValue v) {
     EraseIndexEntry(idx->second, cell.TextHash(), rid);
     idx->second.emplace(v.TextHash(), rid);
   }
+  // RowBytes counts each cell's text, so a cell that changes length moves
+  // the row's charge: EraseRows later subtracts the row as it stands.
+  approx_bytes_ += v.AsText().size();
+  approx_bytes_ -= cell.AsText().size();
   cell = std::move(v);
 }
 

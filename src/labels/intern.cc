@@ -132,9 +132,13 @@ uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, siz
   return h;
 }
 
+LabelRep* InternFind(uint64_t hash, InternMatchFn match, const void* ctx) {
+  return Table().Find(hash, match, ctx);
+}
+
 LabelRep* InternLookup(uint64_t hash, InternMatchFn match, const void* ctx) {
   g_intern.probes += 1;
-  return Table().Find(hash, match, ctx);
+  return InternFind(hash, match, ctx);
 }
 
 void InternInsert(uint64_t hash, LabelRep* rep) {
@@ -151,6 +155,11 @@ void InternErase(uint64_t hash, const LabelRep* rep) {
 void InternNoteDedup(uint64_t bytes_saved) {
   g_intern.hits += 1;
   g_intern.bytes_saved += bytes_saved;
+}
+
+void InternNoteProbedDedup(uint64_t bytes_saved) {
+  g_intern.probes += 1;
+  InternNoteDedup(bytes_saved);
 }
 
 }  // namespace internal

@@ -35,12 +35,15 @@
 // Lub memo: the asymmetric small ⊔ big with a one-entry small side (every
 // send's ES = PS ⊔ {uT 3, ⋆}) is remembered in a constant-size,
 // direct-mapped memo keyed by (big rep id, small default, small entry). A
-// hit re-finds the result's live canonical rep through InternLookup and
-// replays the work and dedup charges the uncached path would make, so
-// LabelWorkStats and LabelInternStats are the same with and without it. The
-// rule that keeps `label_bytes` honest: the memo never pins a rep. It holds
-// ids and hashes only; when the remembered rep has died, the probe finds no
-// twin and the merge is built and charged as if the memo were empty.
+// miss builds the result with Label::Set and canonicalizes it, and records
+// the result's id and hash and the entries_visited its build measured. A
+// hit finds that rep in the table by id with an uncounted InternFind, then
+// replays the recorded work and counts the probe, hit and dedup bytes
+// Canonicalize would have counted on finding it, so LabelWorkStats and
+// LabelInternStats are the same with and without the memo. The rule that
+// keeps `label_bytes` honest: the memo never pins a rep. It holds ids and
+// hashes only; when the remembered rep has died, the merge is built and
+// charged as if the memo were empty.
 //
 // Cost accounting: the intern machinery itself (hashing, probing, table
 // upkeep) is invisible to the work counters (LabelWorkStats) — it is an
@@ -110,6 +113,9 @@ uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, siz
 // outcome via InternNoteDedup (hit) or InternInsert (miss).
 using InternMatchFn = bool (*)(const LabelRep* candidate, const void* ctx);
 LabelRep* InternLookup(uint64_t hash, InternMatchFn match, const void* ctx);
+// InternLookup without the probe count: for a caller that counts the probe
+// only when it uses what it finds (InternNoteProbedDedup).
+LabelRep* InternFind(uint64_t hash, InternMatchFn match, const void* ctx);
 
 // Registers `rep` as the canonical rep for `hash` (a miss).
 void InternInsert(uint64_t hash, LabelRep* rep);
@@ -117,6 +123,9 @@ void InternInsert(uint64_t hash, LabelRep* rep);
 void InternErase(uint64_t hash, const LabelRep* rep);
 // Records a dedup hit and the heap bytes it avoided allocating.
 void InternNoteDedup(uint64_t bytes_saved);
+// Counts a probe and its dedup hit together, as InternLookup followed by
+// InternNoteDedup would.
+void InternNoteProbedDedup(uint64_t bytes_saved);
 
 // Empties the Lub memo (defined in label.cc; obs::ResetAll calls it).
 void ResetLubMemo();

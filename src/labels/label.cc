@@ -433,29 +433,25 @@ bool MatchRepAgainstFlat(const LabelRep* rep, const void* vctx) {
   return c.done();
 }
 
-// In-place overwrites of some of a rep's entries, in increasing (chunk, pos)
-// order. The asymmetric ⊔ of Label::Lub describes a result this way before
-// building it: its big side with a few entries raised. Only the first
-// `count` slots are ever written or read; the arrays are left uninitialized
-// because zeroing them costs a sixth of a probe hit.
-struct Overwrites {
-  size_t count = 0;
-  size_t chunk[kAsymmetricSmallLimit];
-  uint16_t pos[kAsymmetricSmallLimit];
-  uint64_t entry[kAsymmetricSmallLimit];
-};
-
-// Whether a's entries, with `o` applied to them, equal b's. Chunks that
-// start together and have one size compare whole, and the two share most
-// of them: a COW clone that diverged in one chunk still shares the others,
-// and a shared chunk that `o` leaves alone is equal without touching its
-// entries. Otherwise the walk compares entry by entry.
-bool SameEntries(const LabelRep* a, const Overwrites& o, const LabelRep* b) {
+// Extensional equality of two reps (Equals, and the intern probe of
+// Canonicalize). The default level and the level histogram reject in O(1)
+// before the entry walk. Chunks that start together and have one size
+// compare whole, and the two often share most of them: a COW clone that
+// diverged in one chunk still shares the others, which are equal without
+// touching their entries. Otherwise the walk compares entry by entry.
+bool SameContent(const LabelRep* a, const LabelRep* b) {
+  if (a->default_level != b->default_level) {
+    return false;
+  }
+  for (int i = 0; i < 5; ++i) {
+    if (a->level_counts[i] != b->level_counts[i]) {
+      return false;
+    }
+  }
   size_t ai = 0;
   size_t bi = 0;
   uint16_t aj = 0;
   uint16_t bj = 0;
-  size_t k = 0;  // first overwrite at or after a's position
   const auto& achunks = a->chunks;
   const auto& bchunks = b->chunks;
   for (;;) {
@@ -472,50 +468,22 @@ bool SameEntries(const LabelRep* a, const Overwrites& o, const LabelRep* b) {
     if (a_done || b_done) {
       return a_done && b_done;
     }
-    while (k < o.count && (o.chunk[k] < ai || (o.chunk[k] == ai && o.pos[k] < aj))) {
-      ++k;
-    }
     if (aj == 0 && bj == 0 && achunks[ai]->size == bchunks[bi]->size) {
       const uint64_t* as = achunks[ai]->entries;
       const uint64_t* bs = bchunks[bi]->entries;
-      uint16_t from = 0;
-      for (; k < o.count && o.chunk[k] == ai; ++k) {
-        if (o.entry[k] != bs[o.pos[k]] || !std::equal(as + from, as + o.pos[k], bs + from)) {
-          return false;
-        }
-        from = static_cast<uint16_t>(o.pos[k] + 1);
-      }
-      if (as != bs && !std::equal(as + from, as + achunks[ai]->size, bs + from)) {
+      if (as != bs && !std::equal(as, as + achunks[ai]->size, bs)) {
         return false;
       }
       ++ai;
       ++bi;
       continue;
     }
-    const bool overwritten = k < o.count && o.chunk[k] == ai && o.pos[k] == aj;
-    const uint64_t ae = overwritten ? o.entry[k] : achunks[ai]->entries[aj];
-    if (ae != bchunks[bi]->entries[bj]) {
+    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
       return false;
     }
     ++aj;
     ++bj;
   }
-}
-
-// Extensional equality of two reps (Equals, and the intern probe of
-// Canonicalize). The default level and the level histogram reject in O(1)
-// before the entry walk.
-bool SameContent(const LabelRep* a, const LabelRep* b) {
-  if (a->default_level != b->default_level) {
-    return false;
-  }
-  for (int i = 0; i < 5; ++i) {
-    if (a->level_counts[i] != b->level_counts[i]) {
-      return false;
-    }
-  }
-  static const Overwrites kNone{};
-  return SameEntries(a, kNone, b);
 }
 
 // The hash-consing funnel (see intern.h): every completed construction from
@@ -711,89 +679,18 @@ Slot FindSlot(const LabelRep* rep, Handle h) {
   return {lo - 1, pos, pos < c->size && EntryHandle(c->entries[pos]) == h};
 }
 
-// The asymmetric small ⊔ big of Label::Lub, described before it is built.
-// When every point change the small side makes overwrites an existing entry
-// of the big side, the result keeps the big side's chunk layout, so its
-// structural hash and level histogram follow from the big side's in O(k)
-// and the intern table can be probed without building anything.
-struct AsymmetricLub {
-  const LabelRep* big = nullptr;
-  internal::Overwrites changes;
-  uint64_t level_counts[5] = {};
-  uint64_t struct_hash = 0;
-
-  // Collects the changes; false as soon as one is not an overwrite (an
-  // insert, or a raise to the big default, which removes the entry): those
-  // move the chunk layout.
-  bool Collect(const LabelRep* big_rep, const LabelRep* small) {
-    big = big_rep;
-    std::copy(big->level_counts, big->level_counts + 5, level_counts);
-    struct_hash = big->struct_hash;
-    for (internal::Cursor it(small); !it.done(); it.Advance()) {
-      const Handle h = EntryHandle(it.entry());
-      const Slot slot = FindSlot(big, h);
-      const uint64_t* entry = slot.exists ? &big->chunks[slot.chunk]->entries[slot.pos] : nullptr;
-      const Level old = slot.exists ? EntryLevel(*entry) : big->default_level;
-      const Level now = LevelMax(old, EntryLevel(it.entry()));
-      if (now == old) {
-        continue;
-      }
-      if (!slot.exists || now == big->default_level) {
-        return false;
-      }
-      const size_t k = changes.count++;
-      changes.chunk[k] = slot.chunk;
-      changes.pos[k] = slot.pos;
-      changes.entry[k] = PackEntry(h, now);
-      level_counts[LevelOrdinal(old)] -= 1;
-      level_counts[LevelOrdinal(now)] += 1;
-      struct_hash +=
-          internal::InternHashEntry(changes.entry[k]) - internal::InternHashEntry(*entry);
-    }
-    return true;
-  }
-
-  static bool Matches(const LabelRep* candidate, const void* self) {
-    const auto* lub = static_cast<const AsymmetricLub*>(self);
-    return candidate->default_level == lub->big->default_level &&
-           std::equal(lub->level_counts, lub->level_counts + 5, candidate->level_counts) &&
-           internal::SameEntries(lub->big, lub->changes, candidate);
-  }
-
-  // What building the result with one Get and one Set per small entry
-  // charges (1 per Get, and 1 + the chunk's size per overwrite), and the
-  // heap the build's rep and chunk clones would have taken.
-  struct BuildCost {
-    uint64_t entries_visited = 0;
-    uint64_t clone_bytes = 0;
-  };
-  BuildCost CostOfBuild(size_t small_count) const {
-    BuildCost cost{small_count, internal::kRepBytes};
-    for (size_t k = 0; k < changes.count; ++k) {
-      const Chunk* c = big->chunks[changes.chunk[k]];
-      cost.entries_visited += 1 + c->size;
-      if (k == 0 || changes.chunk[k - 1] != changes.chunk[k]) {
-        cost.clone_bytes += internal::ChunkBytes(c->capacity);
-      }
-    }
-    return cost;
-  }
-};
-
 // The weak memo of the asymmetric ⊔ with a one-entry small side (intern.h):
 // a direct-mapped array keyed by (big rep id, small default, small entry).
 // A rep id names one content and one chunk layout forever, so a key that
-// matches means Collect would find the same all-overwrite change, with the
-// same result hash and build cost. The result is remembered by id only,
-// never by reference: the memo pins no rep, and a hit re-finds the live
-// twin through the intern table.
+// matches names the same result and the same build charges. The result is
+// remembered by id and hash only, never by reference: the memo pins no rep,
+// and a hit re-finds the live rep in the intern table.
 struct LubMemoEntry {
   uint64_t big_id = 0;  // 0: empty (no rep has id 0)
   uint64_t small_entry = 0;
   uint64_t result_id = 0;
   uint64_t result_hash = 0;
-  uint64_t build_visited = 0;
-  uint32_t build_bytes = 0;
+  uint64_t build_visited = 0;  // entries_visited the build charged
   uint8_t small_default = 0;
 
   bool Holds(const LabelRep* big, uint8_t default_ordinal, uint64_t entry) const {
@@ -805,31 +702,9 @@ static_assert(sizeof(LubMemoEntry) == 48, "memo slot size is part of the RSS bud
 constexpr size_t kLubMemoSlots = 1024;  // 48 KiB
 LubMemoEntry g_lub_memo[kLubMemoSlots];
 
-// The memo's twin probe: the remembered id, or (when that rep died and
-// another canonical rep took its content) the structural match, collected
-// only if a candidate with the result's hash but another id turns up.
-struct MemoProbe {
-  MemoProbe(uint64_t id, const LabelRep* big_rep, const LabelRep* small_rep)
-      : result_id(id), big(big_rep), small(small_rep) {}
-
-  uint64_t result_id;
-  const LabelRep* big;
-  const LabelRep* small;
-  mutable AsymmetricLub lub;  // default-initialized: Collect fills it
-  mutable bool collected = false;
-
-  static bool Matches(const LabelRep* candidate, const void* self) {
-    const auto* probe = static_cast<const MemoProbe*>(self);
-    if (candidate->id == probe->result_id) {
-      return true;
-    }
-    if (!probe->collected) {
-      probe->lub.Collect(probe->big, probe->small);
-      probe->collected = true;
-    }
-    return AsymmetricLub::Matches(candidate, &probe->lub);
-  }
-};
+bool HasId(const LabelRep* candidate, const void* id) {
+  return candidate->id == *static_cast<const uint64_t*>(id);
+}
 
 }  // namespace
 
@@ -1063,12 +938,11 @@ Label Label::Lub(const Label& a, const Label& b) {
   // everything in the big side, big-only entries and the default are
   // unchanged, so the result is the big label with the small side's entries
   // folded in pointwise. Account the work as if the big side were scanned.
-  // A result that differs from the big side is canonical. When it only
-  // overwrites big entries, a live twin is found before anything is built,
-  // so the sends of one owner (ES = PS ⊔ CS, dbproxy's row fan-out) share one
-  // rep and one id while any of them is queued. With a one-entry small side
-  // the memo skips even the description: a hit re-finds the twin by id and
-  // replays the charges the description would have made.
+  // A result that differs from the big side is canonicalized, so the sends
+  // of one owner (ES = PS ⊔ CS, dbproxy's row fan-out) share one rep and
+  // one id while any of them is queued. With a one-entry small side the
+  // memo answers a repeat without building: it takes the remembered rep
+  // while it lives and replays the charges its build measured.
   {
     const Label& small = a.entry_count() <= b.entry_count() ? a : b;
     const Label& big = a.entry_count() <= b.entry_count() ? b : a;
@@ -1076,58 +950,40 @@ Label Label::Lub(const Label& a, const Label& b) {
         LevelLeq(small.default_level(), big.min_level())) {
       g_work.entries_visited += big.entry_count() + small.entry_count();
       const LabelRep* big_rep = big.rep_.get();
-      const LabelRep* small_rep = small.rep_.get();
-      // A one-entry small side (a send's C_S = {uT 3, ⋆}) goes through the
-      // memo; `memo` stays set only while the result is an all-overwrite
-      // change, the shape the memo remembers.
-      const uint8_t small_default = LevelOrdinal(small_rep->default_level);
+      const uint8_t small_default = LevelOrdinal(small.default_level());
       uint64_t small_entry = 0;
       LubMemoEntry* memo = nullptr;
       if (small.entry_count() == 1) {
-        small_entry = internal::Cursor(small_rep).entry();
+        small_entry = internal::Cursor(small.rep_.get()).entry();
         memo = &g_lub_memo[HashMix64(big_rep->id, small_entry) & (kLubMemoSlots - 1)];
-      }
-      AsymmetricLub::BuildCost cost;
-      uint64_t result_hash = 0;
-      LabelRep* twin = nullptr;
-      if (memo != nullptr && memo->Holds(big_rep, small_default, small_entry)) {
-        cost = {memo->build_visited, memo->build_bytes};
-        result_hash = memo->result_hash;
-        const MemoProbe probe{memo->result_id, big_rep, small_rep};
-        twin = internal::InternLookup(result_hash, MemoProbe::Matches, &probe);
-      } else {
-        AsymmetricLub lub;
-        if (lub.Collect(big_rep, small_rep) && lub.changes.count > 0) {
-          cost = lub.CostOfBuild(small.entry_count());
-          result_hash = lub.struct_hash;
-          twin = internal::InternLookup(result_hash, AsymmetricLub::Matches, &lub);
-        } else {
-          memo = nullptr;
+        // The id check counts nothing; a hit counts what Canonicalize
+        // would have when it found this rep.
+        LabelRep* twin = memo->Holds(big_rep, small_default, small_entry)
+                             ? internal::InternFind(memo->result_hash, HasId, &memo->result_id)
+                             : nullptr;
+        if (twin != nullptr) {
+          g_work.entries_visited += memo->build_visited;
+          internal::InternNoteProbedDedup(internal::RepHeapBytes(twin));
+          ++twin->refcount;
+          return Label(LabelRepRef(twin));
         }
       }
-      const auto remember = [&](uint64_t result_id) {
-        if (memo != nullptr) {
-          *memo = {big_rep->id,         small_entry, result_id, result_hash,
-                   cost.entries_visited, static_cast<uint32_t>(cost.clone_bytes), small_default};
-        }
-      };
-      if (twin != nullptr) {
-        g_work.entries_visited += cost.entries_visited;
-        internal::InternNoteDedup(cost.clone_bytes);
-        remember(twin->id);
-        ++twin->refcount;
-        return Label(LabelRepRef(twin));
-      }
+      const uint64_t visited_before = g_work.entries_visited;
       Label result = big;
       for (Label::EntryIter it = small.IterateEntries(); !it.done(); it.Advance()) {
         result.Set(it.handle(), LevelMax(big.Get(it.handle()), it.level()));
       }
       // No change leaves the big side's own rep, possibly a process's
       // mutable label: canonicalizing it would freeze that label.
-      if (result.rep_.get() != big_rep) {
-        result.Canonicalize();
+      if (result.rep_.get() == big_rep) {
+        return result;
       }
-      remember(result.rep_id());
+      const uint64_t build_visited = g_work.entries_visited - visited_before;
+      result.Canonicalize();
+      if (memo != nullptr) {
+        *memo = {big_rep->id, small_entry, result.rep_->id, result.rep_->struct_hash,
+                 build_visited, small_default};
+      }
       return result;
     }
   }

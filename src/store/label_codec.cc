@@ -1,5 +1,7 @@
 #include "src/store/label_codec.h"
 
+#include <utility>
+
 namespace asbestos {
 namespace codec {
 
@@ -167,12 +169,18 @@ std::string PickleLabel(const Label& label) {
 }
 
 Status UnpickleLabel(std::string_view data, Label* out) {
+  // Decoded aside, so that refusing trailing bytes leaves *out untouched too.
   size_t pos = 0;
-  const Status s = ReadLabel(data, &pos, out);
+  Label decoded;
+  const Status s = ReadLabel(data, &pos, &decoded);
   if (!IsOk(s)) {
     return s;
   }
-  return pos == data.size() ? Status::kOk : Status::kInvalidArgs;
+  if (pos != data.size()) {
+    return Status::kInvalidArgs;
+  }
+  *out = std::move(decoded);
+  return Status::kOk;
 }
 
 }  // namespace codec

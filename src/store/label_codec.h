@@ -53,7 +53,8 @@ Status ReadString(std::string_view data, size_t* pos, std::string_view* out);
 void AppendLabel(const Label& label, std::string* out);
 Status ReadLabel(std::string_view data, size_t* pos, Label* out);
 
-// Whole-buffer forms. Unpickle rejects trailing bytes (kInvalidArgs).
+// Whole-buffer forms. Unpickle rejects trailing bytes (kInvalidArgs); like
+// ReadLabel, it leaves *out untouched on any failure.
 std::string PickleLabel(const Label& label);
 Status UnpickleLabel(std::string_view data, Label* out);
 

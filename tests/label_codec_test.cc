@@ -279,5 +279,99 @@ TEST(LabelCodecPropertyTest, RandomStarRichLabelsRoundTripWithValidReps) {
   }
 }
 
+// One to four byte-level edits: flip a bit, overwrite, insert, delete,
+// truncate, or splice in a varint byte run (continuation bits, an overlong
+// zero, a 2^64-scale value).
+std::string Mutate(std::string s, Rng& rng) {
+  static const char* const kRuns[] = {"\xff", "\x80\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\x01",
+                                      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", "\x00"};
+  static const size_t kRunSizes[] = {1, 2, 9, 10, 1};
+  const auto pos = [&](size_t limit) { return static_cast<size_t>(rng.NextBelow(limit)); };
+  for (uint64_t edits = rng.NextInRange(1, 4); edits > 0; --edits) {
+    switch (rng.NextBelow(6)) {
+      case 0:
+        if (!s.empty()) {
+          s[pos(s.size())] ^= static_cast<char>(1u << rng.NextBelow(8));
+        }
+        break;
+      case 1:
+        if (!s.empty()) {
+          s[pos(s.size())] = static_cast<char>(rng.Next());
+        }
+        break;
+      case 2:
+        s.insert(pos(s.size() + 1), 1, static_cast<char>(rng.Next()));
+        break;
+      case 3:
+        if (!s.empty()) {
+          s.erase(pos(s.size()), 1);
+        }
+        break;
+      case 4:
+        s.resize(pos(s.size() + 1));
+        break;
+      default: {
+        const size_t run = rng.NextBelow(5);
+        s.insert(pos(s.size() + 1), kRuns[run], kRunSizes[run]);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+// "Reject and leave the output alone, or decode a valid label" for mutated
+// encodings of random labels and of ⋆-rich labels of about 10^3 entries (the
+// shape of netd's and idd's send labels). An accepted decode must pass
+// CheckRep and re-encode to canonical bytes: no longer than its input
+// (minimal varints, maximal runs), and decoding back to the same label and
+// the same bytes. The budget and seed are fixed so a failure replays exactly.
+TEST(LabelCodecTest, SeededMutation) {
+  constexpr int kIterations = 20000;
+  Rng rng(0x1abe1'c0dec);
+  std::vector<std::string> encodings;
+  for (int i = 0; i < 48; ++i) {
+    Label l(kAllLevels[rng.NextBelow(5)]);
+    if (i % 3 == 0) {
+      uint64_t handle = 0;
+      for (uint64_t e = rng.NextInRange(800, 1200); e > 0; --e) {
+        handle += 1 + rng.NextBelow(4);
+        l.Set(H(handle), rng.NextBelow(8) != 0 ? Level::kStar : kAllLevels[rng.NextBelow(5)]);
+      }
+    } else {
+      for (uint64_t e = rng.NextBelow(40); e > 0; --e) {
+        const uint64_t h = rng.NextBool() ? rng.NextInRange(1, 500)
+                                          : rng.NextInRange(1, Handle::kMaxValue);
+        l.Set(H(h), kAllLevels[rng.NextBelow(5)]);
+      }
+    }
+    encodings.push_back(codec::PickleLabel(l));
+  }
+
+  const Label sentinel({{H(77), Level::kL1}}, Level::kL2);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const std::string mutated = Mutate(encodings[rng.NextBelow(encodings.size())], rng);
+    Label out = sentinel;
+    if (!IsOk(codec::UnpickleLabel(mutated, &out))) {
+      ++rejected;
+      ASSERT_EQ(out.rep_id(), sentinel.rep_id()) << "iteration " << iter;
+      continue;
+    }
+    ++accepted;
+    out.CheckRep();
+    const std::string canonical = codec::PickleLabel(out);
+    ASSERT_LE(canonical.size(), mutated.size()) << "iteration " << iter;
+    Label again;
+    ASSERT_EQ(codec::UnpickleLabel(canonical, &again), Status::kOk) << "iteration " << iter;
+    ASSERT_TRUE(again.Equals(out)) << "iteration " << iter;
+    ASSERT_EQ(codec::PickleLabel(again), canonical) << "iteration " << iter;
+  }
+  // The edits exercise both outcomes.
+  EXPECT_GT(accepted, kIterations / 20);
+  EXPECT_GT(rejected, kIterations / 20);
+}
+
 }  // namespace
 }  // namespace asbestos

@@ -636,6 +636,17 @@ TEST_F(SqlFlatTableTest, ApproxBytesReturnsToItsStartAfterChurn) {
     }
     ASSERT_TRUE(db_.Execute(insert).ok());
     EXPECT_GT(t->approx_bytes(), start);
+    // Lengthen 9 of the rows, then shorten one back below its first length:
+    // each UPDATE moves the charge by the change in text length.
+    const uint64_t before_update = t->approx_bytes();
+    EXPECT_EQ(db_.Execute("UPDATE t SET v = 'lengthened by an update' WHERE id > 1015 AND "
+                          "id < 1025")
+                  ->rows_affected,
+              9u);
+    EXPECT_GT(t->approx_bytes(), before_update);
+    const uint64_t lengthened = t->approx_bytes();
+    EXPECT_EQ(db_.Execute("UPDATE t SET v = 's' WHERE id = 1016")->rows_affected, 1u);
+    EXPECT_EQ(t->approx_bytes(), lengthened - std::string("lengthened by an update").size() + 1);
     // Deleted from the middle out, so the compaction moves surviving rows.
     EXPECT_EQ(db_.Execute("DELETE FROM t WHERE id > 1010 AND id < 1020")->rows_affected, 9u);
     EXPECT_GT(t->approx_bytes(), start);
