@@ -1,8 +1,8 @@
 // Replication benchmarks: WAL ship throughput (primary side), K-follower
-// fan-out through the shared frame cache (ship throughput and per-follower
-// apply lag vs K, cache hit rate), follower apply lag (batch arrival →
-// records live in the replica, labels interned), snapshot catch-up, and the
-// full multi-machine simnet/netd path.
+// fan-out (ship throughput and per-follower apply lag vs K, WAL reads per
+// batch), follower apply lag (batch arrival → records live in the replica,
+// labels interned), snapshot catch-up, and the full multi-machine
+// simnet/netd path.
 //
 // Results are machine-readable: unless the caller passes its own
 // --benchmark_out, the run writes BENCH_replication.json (google-benchmark
@@ -140,10 +140,10 @@ void BM_ShipAndApply(benchmark::State& state) {
 }
 BENCHMARK(BM_ShipAndApply)->Args({16, 256})->Args({256, 256})->Args({256, 4096});
 
-// K-follower fan-out: one primary feeding Arg0 followers in lockstep
-// through the hub's shared frame cache. Items = records × K (each record
-// must land on every follower); the cache hit rate and the WAL reads that
-// actually hit the log show what the sharing saves as K grows.
+// K-follower fan-out: one primary feeding Arg0 followers in lockstep. Items
+// = records × K (each record must land on every follower). Each session
+// reads the log for itself, so wal_reads_per_batch (ReadShardWal calls per
+// batch of 256 puts) grows with K.
 void BM_FanOutShipAndApply(benchmark::State& state) {
   obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
   const size_t followers = static_cast<size_t>(state.range(0));
@@ -151,6 +151,7 @@ void BM_FanOutShipAndApply(benchmark::State& state) {
   FanOut fan(4, followers);
   uint64_t i = 0;
   uint64_t shipped_bytes = 0;
+  const uint64_t wal_reads_before = fan.primary->wal_read_calls();
   for (auto _ : state) {
     state.PauseTiming();
     for (uint64_t k = 0; k < per_batch; ++k) {
@@ -171,10 +172,9 @@ void BM_FanOutShipAndApply(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * per_batch * followers));
   state.SetBytesProcessed(static_cast<int64_t>(shipped_bytes));
-  const FrameCacheStats& cache = fan.hub->cache_stats();
-  const double lookups = static_cast<double>(cache.hits + cache.misses);
-  state.counters["cache_hit_rate"] =
-      lookups == 0 ? 0.0 : static_cast<double>(cache.hits) / lookups;
+  state.counters["wal_reads_per_batch"] =
+      static_cast<double>(fan.primary->wal_read_calls() - wal_reads_before) /
+      static_cast<double>(state.iterations());
   state.counters["wal_reads"] = static_cast<double>(fan.primary->wal_read_calls());
   state.counters["records_applied_per_follower"] =
       static_cast<double>(fan.replicas[0]->stats().records_applied);
@@ -344,7 +344,8 @@ BENCHMARK(BM_ReadFanOut)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // The full multi-machine path: file-server writes on the primary world, NIC
 // pumps, netd labeled messages, one wire ferry per follower, and each
 // follower's group commit. Arg0: follower machine count. Items = records
-// fully replicated to EVERY follower per second, machine to machine.
+// fully replicated to EVERY follower per second, machine to machine;
+// wal_reads_per_batch counts ReadShardWal calls per round of 64 puts.
 void BM_EndToEndSimnet(benchmark::State& state) {
   obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
   const size_t followers = static_cast<size_t>(state.range(0));
@@ -367,6 +368,7 @@ void BM_EndToEndSimnet(benchmark::State& state) {
   ASB_ASSERT(fleet.PumpUntilSynced(10000));
 
   uint64_t i = 0;
+  const uint64_t wal_reads_before = fleet.primary()->fs()->store()->wal_read_calls();
   for (auto _ : state) {
     // Append straight into the file server's store (the workload driver is
     // not what this bench measures); the pump's OnIdle flushes AND ships.
@@ -384,10 +386,9 @@ void BM_EndToEndSimnet(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * per_round * followers));
   state.counters["wire_bytes"] = static_cast<double>(wire_bytes);
-  const FrameCacheStats& cache = fleet.primary()->fs()->replication()->hub()->cache_stats();
-  const double lookups = static_cast<double>(cache.hits + cache.misses);
-  state.counters["cache_hit_rate"] =
-      lookups == 0 ? 0.0 : static_cast<double>(cache.hits) / lookups;
+  state.counters["wal_reads_per_batch"] =
+      static_cast<double>(fleet.primary()->fs()->store()->wal_read_calls() - wal_reads_before) /
+      static_cast<double>(state.iterations());
   RemoveTree(dir);
 }
 BENCHMARK(BM_EndToEndSimnet)->Arg(1)->Arg(3);

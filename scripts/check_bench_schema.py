@@ -33,7 +33,7 @@ REQUIRED_COUNTERS = {
     "BENCH_labels.json": ["charged_work_per_check", "cache_hit_rate"],
     "BENCH_store.json": ["pickled_bytes", "bytes_per_second"],
     "BENCH_replication.json": [
-        "cache_hit_rate",
+        "wal_reads",
         "records_applied",
         "reads_per_sec_aggregate",
         "refusal_rate",

@@ -1,7 +1,6 @@
 #include "src/db/dbproxy.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 
 #include "src/base/panic.h"
@@ -530,27 +529,19 @@ void DbproxyProcess::HandleQuery(ProcessContext& ctx, const Message& msg, bool p
   ChargeQuery(ctx, result.value());
 
   if (std::holds_alternative<SelectStmt>(stmt)) {
-    // Owners' taints, looked up once per SELECT into a direct-mapped cache
-    // (owner 0 never enters it; an invalid handle marks an unknown owner).
-    std::array<std::pair<int64_t, Handle>, 256> taint_of{};
     const QueryResult& rows = result.value();
     for (size_t i = 0; i < rows.row_count(); ++i) {
       const SqlRowRef row = rows.row(i);
       const int64_t owner = row.back().AsInt();
       SendArgs args;
       if (owner != 0) {
-        auto& [cached_owner, taint] = taint_of[static_cast<uint64_t>(owner) % taint_of.size()];
-        if (cached_owner != owner) {
-          const Binding* owner_binding = bindings_.FindById(owner);
-          cached_owner = owner;
-          taint = owner_binding == nullptr ? Handle() : owner_binding->taint;
-        }
-        if (!taint.valid()) {
+        const Binding* owner_binding = bindings_.FindById(owner);
+        if (owner_binding == nullptr || !owner_binding->taint.valid()) {
           continue;  // unknown owner: fail closed
         }
         // Each row is a separate message with the owner's taint (§7.5);
         // the kernel drops rows the receiver may not see.
-        args.contaminate = Label({{taint, Level::kL3}}, Level::kStar);
+        args.contaminate = Label({{owner_binding->taint, Level::kL3}}, Level::kStar);
       }
       std::string data;
       AppendDbRow(row, row.size() - 1, &data);  // strip the hidden column

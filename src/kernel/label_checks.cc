@@ -119,13 +119,6 @@ struct CheckCache {
   };
 
   std::array<Entry, Slots>* slots = nullptr;  // allocated on first use
-  // Memo of the last slot a probe resolved to (always a way-0 slot: hits
-  // and inserts both end at way 0). The batched delivery pump checks the
-  // same (ES, QR, DR, V, pR) tuple back-to-back while draining one port;
-  // this skips the hash for those repeats. Correctness needs no
-  // invalidation: the memo re-verifies key and validity, and ReplayHit
-  // replays the recorded costs either way, so accounting cannot tell.
-  Entry* last = nullptr;
 
   // First entry of the key's set; the set is kWays consecutive entries.
   Entry* SetFor(const std::array<uint64_t, KeyArity>& key) {
@@ -216,20 +209,12 @@ namespace {
 template <typename Cache, size_t KeyArity, typename EvalFn>
 bool CachedCheck(Cache& cache, const std::array<uint64_t, KeyArity>& key, uint64_t* work,
                  const EvalFn& eval) {
-  // Front memo: a repeat of the immediately preceding tuple (the batched
-  // pump's common case) resolves without hashing. Pointing at a way-0 slot
-  // only, with the key re-checked, this is behaviorally identical to the
-  // full probe below — same hit stats, same MRU order, same replayed costs.
-  if (cache.last != nullptr && cache.last->valid && cache.last->key == key) {
-    return ReplayHit(*cache.last, work);
-  }
   auto* set = cache.SetFor(key);
   for (size_t way = 0; way < Cache::kWays; ++way) {
     if (set[way].valid && set[way].key == key) {
       if (way != 0) {
         std::swap(set[0], set[way]);
       }
-      cache.last = &set[0];
       return ReplayHit(set[0], work);
     }
   }
@@ -238,7 +223,6 @@ bool CachedCheck(Cache& cache, const std::array<uint64_t, KeyArity>& key, uint64
   if (&victim != &set[0]) {
     std::swap(set[0], victim);  // freshly inserted = most recently used
   }
-  cache.last = &set[0];
   return verdict;
 }
 

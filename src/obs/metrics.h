@@ -4,8 +4,8 @@
 // The paper's whole evaluation is measurement (Figures 6-9: per-component
 // cycle attribution, kernel bytes per user, per-request latency), but the
 // repo's instrumentation grew as one-off accessors scattered per module
-// (GetLabelCheckCacheStats, DurableStore::wal_read_calls, FrameCache hit
-// counters, KernelMemReport, ...). This registry gives them one roof:
+// (GetLabelCheckCacheStats, DurableStore::wal_read_calls, KernelMemReport,
+// ...). This registry gives them one roof:
 //
 //   * Counter       monotonically increasing u64, owned by the registry;
 //                   call sites cache `static obs::Counter& c = ...` so the
@@ -30,7 +30,7 @@
 // usual one-kernel worlds never collide.
 //
 // Metric naming scheme: `<subsystem>.<object>.<field>`, all lower_snake,
-// e.g. kernel.label_cache.hits, store.wal_read_calls, repl.frame_cache.bytes,
+// e.g. kernel.label_cache.hits, store.wal_read_calls, repl.hub0.sessions,
 // cycles.component.kernel_ipc, okws.request_cycles.count. See README
 // "Observability" for the full table.
 //

@@ -329,11 +329,6 @@ ReplicationHub::ReplicationHub(const DurableStore* store, uint64_t source_id,
         const HubDebugStatus st = DebugStatus();
         sink.Set(prefix + "sessions", static_cast<uint64_t>(st.sessions.size()));
         sink.Set(prefix + "successor_id", st.successor_id);
-        sink.Set(prefix + "frame_cache.hits", st.cache.hits);
-        sink.Set(prefix + "frame_cache.misses", st.cache.misses);
-        sink.Set(prefix + "frame_cache.evictions", st.cache.evictions);
-        sink.Set(prefix + "frame_cache.bytes", st.cache.bytes);
-        sink.Set(prefix + "frame_cache.hit_bytes", st.cache.hit_bytes);
         uint64_t max_lag = 0;
         uint64_t min_lease = 0;
         bool have_lease = false;
@@ -417,7 +412,6 @@ HubDebugStatus ReplicationHub::DebugStatus() const {
   HubDebugStatus st;
   st.source_id = source_id_;
   st.successor_id = SuccessorId();
-  st.cache = cache_.stats();
   // Fold the process-global read-plane scoreboard in (the counters live in
   // read_gate.cc so they survive any one gate; this is the one-stop view).
   obs::Registry& reg = obs::Registry::Get();
@@ -489,15 +483,10 @@ uint64_t ReplicationHub::SuccessorId() const {
 
 Status ReplicationHub::ReadSpan(uint32_t shard, uint64_t generation, uint64_t offset,
                                 uint64_t max_bytes, Payload* span) {
-  const uint64_t tail = store_->shard_wal_offset(shard);
-  if (cache_.Lookup(shard, generation, offset, max_bytes, tail, span)) {
-    return Status::kOk;
-  }
   std::string bytes;
   const Status s = store_->ReadShardWal(shard, generation, offset, max_bytes, &bytes);
   if (IsOk(s)) {
     *span = Payload(std::move(bytes));  // adopt the read's storage, no copy
-    cache_.Insert(shard, generation, offset, *span);
   }
   return s;
 }

@@ -4,14 +4,14 @@
 //
 // The split:
 //
-//   ReplicationHub      one per primary store — owns the shared frame cache
-//                       (one WAL read feeds every follower at that span),
-//                       mints sessions, computes the lease deadline and the
-//                       deterministic successor designation.
+//   ReplicationHub      one per primary store — mints sessions, computes
+//                       the lease deadline and the deterministic successor
+//                       designation.
 //   FollowerSession     one per connected follower — its own go-back-N
 //                       cursor set, hello/resume state, snapshot catch-up,
-//                       and lease/heartbeat stamps. All WAL reads go through
-//                       the hub's cache.
+//                       and lease/heartbeat stamps. Each session reads the
+//                       WAL spans it ships itself (one ReadShardWal per
+//                       batch); nothing is shared between sessions.
 //
 // Each session keeps two cursors per shard into the primary's WAL history:
 //
@@ -28,7 +28,7 @@
 // session ships a whole-shard snapshot instead and resumes streaming from
 // the position the snapshot covers — catch-up is compaction-safe by
 // construction, and one straggler being imaged never stalls its siblings:
-// every other session keeps streaming batches through the shared cache.
+// every other session keeps streaming batches from the log.
 //
 // A session starts with kHello and then WAITS, per shard, for the
 // follower's resume ack: a follower that already mirrors this source
@@ -52,7 +52,7 @@
 #include <string>
 #include <vector>
 
-#include "src/replication/frame_cache.h"
+#include "src/kernel/payload.h"
 #include "src/replication/wire.h"
 #include "src/store/store.h"
 
@@ -226,7 +226,6 @@ struct HubDebugStatus {
   };
   uint64_t source_id = 0;
   uint64_t successor_id = 0;
-  FrameCacheStats cache;
   std::vector<Session> sessions;
   // Fleet-wide read-plane scoreboard (process-global counters from
   // src/replication/read_gate.cc, snapshotted here for one-stop health).
@@ -271,21 +270,16 @@ class ReplicationHub {
   // among caught-up sessions; 0 when no session qualifies.
   uint64_t SuccessorId() const;
 
-  // Shared WAL read path: serves (shard, generation, offset, ≤max_bytes)
-  // from the frame cache, falling back to DurableStore::ReadShardWal and
-  // caching the result. `generation` must be the shard's CURRENT generation
-  // (cursor-vs-generation divergence is handled by the caller shipping a
-  // snapshot instead). The returned span may exceed max_bytes on a cache
-  // hit; callers slice at WAL frame boundaries anyway. The out-param is a
-  // refcounted view sharing the cache's buffer — K follower sessions
-  // streaming the same span hold one allocation between them.
+  // WAL read path: DurableStore::ReadShardWal of (shard, generation,
+  // offset, ≤max_bytes), adopted into a Payload without a copy.
+  // `generation` must be the shard's CURRENT generation (cursor-vs-generation
+  // divergence is handled by the caller shipping a snapshot instead).
   Status ReadSpan(uint32_t shard, uint64_t generation, uint64_t offset, uint64_t max_bytes,
                   Payload* span);
 
   uint64_t source_id() const { return source_id_; }
   uint64_t auth_token() const { return options_.auth_token; }
   const DurableStore* store() const { return store_; }
-  const FrameCacheStats& cache_stats() const { return cache_.stats(); }
 
   // Replication/lease health surface: cursors, lag, and lease state for
   // every live session. Also exported as gauges (repl.hub<k>.*) while the
@@ -305,7 +299,6 @@ class ReplicationHub {
   const DurableStore* store_;
   uint64_t source_id_;
   ReplicationOptions options_;
-  FrameCache cache_;
   std::vector<std::unique_ptr<FollowerSession>> sessions_;
   mutable std::vector<RetiredDesignee> retired_designees_;  // pruned in SuccessorId
   uint64_t next_session_id_ = 1;

@@ -147,9 +147,9 @@ struct WireMessage {
   // 0 means untraced. Purely observational: no protocol decision reads it.
   uint64_t trace_id = 0;
   // kBatch: raw WAL frames; kSnapshot: image. A refcounted buffer view
-  // (src/kernel/payload.h): the hub's frame cache, each follower session's
-  // outgoing batch, and the kernel queue entry all share one buffer, so a
-  // K-follower fan-out of a WAL span is one allocation end to end.
+  // (src/kernel/payload.h): the session's WAL read, its outgoing batch and
+  // the kernel queue entry all share one buffer, so shipping a span costs
+  // one allocation end to end.
   Payload payload;
 };
 

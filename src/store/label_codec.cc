@@ -34,6 +34,11 @@ Status ReadVarint(std::string_view data, size_t* pos, uint64_t* out) {
     }
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
+      // A final zero byte after a continuation adds no bits: the value has a
+      // shorter spelling, and each value has exactly one.
+      if (byte == 0 && i > 0) {
+        return Status::kInvalidArgs;
+      }
       *out = value;
       return Status::kOk;
     }
@@ -123,6 +128,7 @@ Status ReadLabel(std::string_view data, size_t* pos, Label* out) {
   // tracks. On any failure *out is untouched.
   LabelBuilder builder(def);
   uint64_t handle = 0;
+  uint8_t prev_level_ordinal = def_ordinal;  // no run may repeat this level
   for (uint64_t r = 0; r < runs; ++r) {
     uint64_t header = 0;
     s = ReadVarint(data, pos, &header);
@@ -131,10 +137,13 @@ Status ReadLabel(std::string_view data, size_t* pos, Label* out) {
     }
     const uint8_t level_ordinal = header & 0x7;
     const uint64_t len = header >> 3;
-    // A canonical encoding never stores default-valued entries or empty runs.
-    if (level_ordinal > LevelOrdinal(Level::kL3) || level_ordinal == def_ordinal || len == 0) {
+    // A canonical encoding never stores default-valued entries or empty
+    // runs, and its runs are maximal: two neighbours never share a level.
+    if (level_ordinal > LevelOrdinal(Level::kL3) || level_ordinal == def_ordinal ||
+        level_ordinal == prev_level_ordinal || len == 0) {
       return Status::kInvalidArgs;
     }
+    prev_level_ordinal = level_ordinal;
     // Each delta is at least one byte, so a run longer than the remaining
     // buffer can never decode; failing here keeps a forged length from
     // driving a quadratic validate-per-entry loop over a short buffer.

@@ -19,9 +19,11 @@
 // once per entry — the binary twin of the chunk extrema trick in src/labels.
 //
 // Decoding is strict: truncated input returns kBufferTooSmall, corrupt input
-// (bad level, level equal to the default, zero-length run, zero delta,
-// handle overflow past 61 bits, oversized varint) returns kInvalidArgs.
-// Decoders never panic on untrusted bytes.
+// (bad level, level equal to the default, zero-length run, a run with its
+// predecessor's level, zero delta, handle overflow past 61 bits, oversized
+// or overlong varint) returns kInvalidArgs. Every label therefore has one
+// accepted spelling, the one AppendLabel writes. Decoders never panic on
+// untrusted bytes.
 #ifndef SRC_STORE_LABEL_CODEC_H_
 #define SRC_STORE_LABEL_CODEC_H_
 
@@ -40,8 +42,9 @@ namespace codec {
 // LEB128: 7 value bits per byte, high bit = continuation. At most 10 bytes.
 void AppendVarint(uint64_t v, std::string* out);
 // Reads one varint at *pos, advancing it. kBufferTooSmall when the buffer
-// ends mid-varint; kInvalidArgs when the encoding exceeds 10 bytes or
-// overflows 64 bits.
+// ends mid-varint; kInvalidArgs when the encoding exceeds 10 bytes,
+// overflows 64 bits, or is overlong (ends in a zero byte after a
+// continuation byte, e.g. 85 00 for 5).
 Status ReadVarint(std::string_view data, size_t* pos, uint64_t* out);
 
 // Varint length prefix followed by the raw bytes.

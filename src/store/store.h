@@ -167,14 +167,12 @@ class DurableStore {
   // Reads up to max_bytes of raw framed WAL bytes at (generation, offset).
   // kNotFound when that generation was compacted away (ship a snapshot) or
   // the offset is past the tail (a cursor from a lost future: resync).
-  // This is the replication hub's shared read path: the hub's frame cache
-  // fronts it so K followers at nearby offsets cost one pread, not K —
-  // wal_read_calls() counts the reads that actually reached the log.
+  // Every follower session reads its batches through here, one call per
+  // batch; wal_read_calls() counts them.
   Status ReadShardWal(uint32_t shard, uint64_t generation, uint64_t offset,
                       uint64_t max_bytes, std::string* out) const;
 
-  // Number of ReadShardWal calls that hit the log (observability for the
-  // replication frame cache: hub read requests minus this = reads saved).
+  // Number of ReadShardWal calls (the replication read load on the log).
   uint64_t wal_read_calls() const { return wal_read_calls_; }
 
   // Serializes the shard's live records into a snapshot image (the on-disk
