@@ -55,13 +55,15 @@ void PutRecord(DurableStore* store, uint64_t i, size_t value_bytes) {
 
 // Parses a frame stream and applies every frame to the replica, feeding
 // acks back into the session.
-void ApplyStream(std::string stream, ReplicaStore* replica, FollowerSession* session) {
+void ApplyStream(const std::string& stream, ReplicaStore* replica, FollowerSession* session) {
   std::string acks;
   replwire::WireMessage m;
-  while (replwire::ConsumeFrame(&stream, &m) == replwire::FrameParse::kFrame) {
+  size_t pos = 0;
+  while (replwire::ParseFrame(stream, &pos, &m) == replwire::FrameParse::kFrame) {
     ASB_ASSERT(replica->HandleFrame(m, &acks) == Status::kOk);
   }
-  while (replwire::ConsumeFrame(&acks, &m) == replwire::FrameParse::kFrame) {
+  pos = 0;
+  while (replwire::ParseFrame(acks, &pos, &m) == replwire::FrameParse::kFrame) {
     session->HandleAck(m);
   }
 }
@@ -198,7 +200,8 @@ void BM_FollowerApplyLag(benchmark::State& state) {
     pair.sessions[0]->PollFrames(1 << 16, ~0ULL, &frames);
     std::vector<replwire::WireMessage> batch;
     replwire::WireMessage m;
-    while (replwire::ConsumeFrame(&frames, &m) == replwire::FrameParse::kFrame) {
+    size_t pos = 0;
+    while (replwire::ParseFrame(frames, &pos, &m) == replwire::FrameParse::kFrame) {
       batch.push_back(std::move(m));
     }
     state.ResumeTiming();
@@ -207,7 +210,8 @@ void BM_FollowerApplyLag(benchmark::State& state) {
       ASB_ASSERT(pair.replicas[0]->HandleFrame(b, &acks) == Status::kOk);
     }
     state.PauseTiming();
-    while (replwire::ConsumeFrame(&acks, &m) == replwire::FrameParse::kFrame) {
+    pos = 0;
+    while (replwire::ParseFrame(acks, &pos, &m) == replwire::FrameParse::kFrame) {
       pair.sessions[0]->HandleAck(m);
     }
     state.ResumeTiming();

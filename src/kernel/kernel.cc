@@ -714,9 +714,8 @@ void Kernel::SysSend(Process& proc, EventProcess* ep, SyscallFrame& f) {
   qm.effective_send = Label::Lub(ps, args.contaminate);
   qm.decont_send = args.decont_send;
   qm.decont_receive = args.decont_receive;
-  qm.payload_bytes = payload;
   if (obs::EventLog::enabled()) {
-    qm.sender = proc.name;
+    qm.sender = std::make_unique<std::string>(proc.name);
   }
   ChargeLabelWorkSince(baseline);
 
@@ -955,7 +954,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     Label& qs_ref = ep != nullptr ? ep->send_label : proc->send_label;
 
     ChargeTo(Component::kKernelIpc,
-             costs::kRecvBaseCycles + qm.payload_bytes * costs::kMessageByteCycles);
+             costs::kRecvBaseCycles + MessagePayloadBytes(qm.msg) * costs::kMessageByteCycles);
     const LabelWorkStats baseline = GetLabelWorkStats();
     uint64_t fused_work = 0;
 
@@ -1087,25 +1086,28 @@ bool Kernel::DeliverFromPort(Vnode& port) {
       // The receive-side label effects, as taint edges. Recorded after
       // the mutations so post reps are the labels the handler will run with.
       obs::EventLog& log = obs::EventLog::Get();
+      // Empty when the log was turned on after this message was sent.
+      static const std::string kNoSender;
+      const std::string& sender = qm.sender != nullptr ? *qm.sender : kNoSender;
       if (contaminates) {
-        log.Edge(obs::RecordKind::kContaminate, proc->name, qm.sender,
+        log.Edge(obs::RecordKind::kContaminate, proc->name, sender,
                  pre_qs_rep, qs.rep_id(), qm.effective_send,
                  qm.msg.trace_id);
       }
       if (!IsTopLabel(qm.decont_send)) {
-        log.Edge(obs::RecordKind::kGrant, proc->name, qm.sender,
+        log.Edge(obs::RecordKind::kGrant, proc->name, sender,
                  pre_qs_rep, qs.rep_id(), qm.decont_send,
                  qm.msg.trace_id);
       }
       if (!IsBottomLabel(qm.decont_receive)) {
-        log.Edge(obs::RecordKind::kGrant, proc->name, qm.sender,
+        log.Edge(obs::RecordKind::kGrant, proc->name, sender,
                  pre_qr_rep, qr_mut.rep_id(), qm.decont_receive,
                  qm.msg.trace_id);
       }
       if (!IsTopLabel(qm.msg.verify)) {
         // The verify label lowered the delivery bound: a declassification
         // the verify-port holder vouched for.
-        log.Edge(obs::RecordKind::kDeclassify, proc->name, qm.sender,
+        log.Edge(obs::RecordKind::kDeclassify, proc->name, sender,
                  pre_qs_rep, qs.rep_id(), qm.msg.verify,
                  qm.msg.trace_id);
       }

@@ -296,21 +296,25 @@ class Kernel {
  private:
   friend class ProcessContext;
 
+  // A queued message is immutable, so what delivery needs of it that the
+  // message itself determines (its payload bytes) is recomputed there.
   struct QueuedMessage {
     Message msg;
     Label effective_send;    // ES, snapshotted at send time
     Label decont_send;       // D_S
     Label decont_receive;    // D_R
-    uint64_t payload_bytes = 0;
     // Nonzero when this message was its payload buffer's only holder at
     // send: nothing else can alias the buffer while it is queued, so its
     // bytes are recorded here rather than refcounted in queued_buf_refs_.
     uint64_t sole_buffer_bytes = 0;
-    // Sender process name, filled only while the event log is enabled (the
+    // Sender process name, set only while the event log is enabled (the
     // paper's kernel does not tell receivers who sent; this exists solely
     // so taint edges can point at their source).
-    std::string sender;
+    std::unique_ptr<std::string> sender;
   };
+  // 128 bytes, so a 512-byte std::deque node holds four envelopes. The
+  // model charges kQueuedMessageOverheadBytes, not this host size.
+  static_assert(sizeof(QueuedMessage) == 128, "four queue envelopes per deque node");
 
   // Vnode: one per active handle. Ports keep their label, receive-rights
   // owner, and message queue here (the paper packs all of this in 64 bytes;

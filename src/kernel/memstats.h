@@ -22,7 +22,10 @@ constexpr uint64_t kPageSize = 4096;
 constexpr uint64_t kVnodeBytes = 64;        // §5.6: per active handle
 constexpr uint64_t kProcessKernelBytes = 320;  // §6.1: minimal process structure
 constexpr uint64_t kEpKernelBytes = 44;     // §6.1: event-process kernel state
-constexpr uint64_t kQueuedMessageOverheadBytes = 64;  // kernel envelope per queued message
+// Kernel envelope per queued message, as the model charges it. The host's
+// Kernel::QueuedMessage is 128 bytes (four to a std::deque node); the
+// charge does not follow the host layout.
+constexpr uint64_t kQueuedMessageOverheadBytes = 64;
 constexpr uint64_t kOverlayPageSlotBytes = 16;  // EP modified-page list entry
 // Modeled per-entry overhead of the label intern table (src/labels/intern.h):
 // hash-bucket node, chain slot, and the canonical rep's back-pointer fields.

@@ -137,7 +137,7 @@ struct Message {
   uint64_t trace_id = 0;
 };
 
-static_assert(sizeof(Message) == 96, "queue envelopes are sized to a Message");
+static_assert(sizeof(Message) == 88, "Kernel::QueuedMessage is sized to a Message");
 
 inline uint64_t MessagePayloadBytes(const Message& m) {
   return m.data.size() + m.words.size() * sizeof(uint64_t);

@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "src/base/panic.h"
 #include "src/obs/metrics.h"
 
 namespace asbestos {
@@ -58,8 +59,9 @@ void ResetPayloadStats() { g_stats = PayloadStats(); }
 
 Payload::Payload(std::string s) {
   if (!s.empty()) {
+    ASB_ASSERT(s.size() < kTracksBuffer && "a payload is below 4 GiB");
     buf_ = NewBuf(std::move(s));
-    len_ = buf_->size();
+    len_ = static_cast<uint32_t>(buf_->size());
   }
 }
 
@@ -124,7 +126,7 @@ Payload Payload::substr(size_t pos, size_t n) const {
     return Payload();
   }
   CountShare(take);
-  return Payload(buf_, off_ + pos, take);
+  return Payload(buf_, static_cast<uint32_t>(off_ + pos), static_cast<uint32_t>(take));
 }
 
 std::string* Payload::Mutable() {
@@ -146,7 +148,7 @@ std::string* Payload::Mutable() {
   }
   // The buffer is now exclusive at offset 0; let the view track its size so
   // the caller's edits — including resizes — show through size()/view().
-  len_ = npos;
+  len_ = kTracksBuffer;
   return buf_.get();
 }
 

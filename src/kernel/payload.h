@@ -73,10 +73,10 @@ class Payload {
   ~Payload() = default;
 
   // --- Read view -----------------------------------------------------------
-  // len_ == npos marks a view that tracks its (exclusive, offset-0) buffer's
-  // size — the state Mutable() leaves behind, so edits through the returned
-  // string (including resizes) are immediately visible here.
-  size_t size() const { return len_ == npos ? buf_->size() : len_; }
+  // len_ == kTracksBuffer marks a view that tracks its (exclusive, offset-0)
+  // buffer's size — the state Mutable() leaves behind, so edits through the
+  // returned string (including resizes) are immediately visible here.
+  size_t size() const { return len_ == kTracksBuffer ? buf_->size() : len_; }
   bool empty() const { return size() == 0; }
   std::string_view view() const {
     return buf_ ? std::string_view(buf_->data() + off_, size()) : std::string_view();
@@ -121,16 +121,21 @@ class Payload {
   long use_count() const { return buf_.use_count(); }
 
  private:
-  Payload(std::shared_ptr<std::string> buf, size_t off, size_t len)
+  static constexpr uint32_t kTracksBuffer = UINT32_MAX;
+
+  Payload(std::shared_ptr<std::string> buf, uint32_t off, uint32_t len)
       : buf_(std::move(buf)), off_(off), len_(len) {}
 
   // The buffer is logically immutable after construction; the non-const
   // element type exists only so Mutable() can hand back exclusively-owned
   // storage without reallocating.
   std::shared_ptr<std::string> buf_;
-  size_t off_ = 0;
-  size_t len_ = 0;
+  // 32-bit view bounds keep Message at 88 bytes (a message body is far
+  // below 4 GiB; construction panics on one that is not).
+  uint32_t off_ = 0;
+  uint32_t len_ = 0;
 };
+static_assert(sizeof(Payload) == 24, "a shared_ptr and two 32-bit view bounds");
 
 bool operator==(const Payload& a, const Payload& b);
 bool operator==(const Payload& a, std::string_view b);

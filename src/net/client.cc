@@ -18,7 +18,7 @@ bool HttpLoadClient::Step() {
       ++failures_;
       continue;
     }
-    net_->ClientSend(a.conn, request);
+    net_->ClientSend(a.conn, std::move(request));
     active_.push_back(std::move(a));
   }
 

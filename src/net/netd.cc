@@ -1,6 +1,7 @@
 #include "src/net/netd.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
@@ -71,7 +72,11 @@ void NetdProcess::PollNetwork(ProcessContext& ctx) {
         Conn& conn = conns_.at(pit->second);
         ctx.ChargeCycles(SegmentsForBytes(ev.bytes.size()) * costs::kNetdSegmentCycles +
                          ev.bytes.size() * costs::kNetdByteCycles);
-        conn.rx.append(ev.bytes);
+        if (conn.rx.empty()) {
+          conn.rx = std::move(ev.bytes);  // adopt the event's buffer, no copy
+        } else {
+          conn.rx.append(ev.bytes);
+        }
         SatisfyReads(ctx, conn);
         break;
       }
@@ -275,8 +280,13 @@ bool NetdProcess::TryReadReply(ProcessContext& ctx, Conn& conn, const PendingRea
   const uint64_t n = std::min<uint64_t>(conn.rx.size(), r.max_bytes);
   const bool eof = conn.client_closed && n == 0;
   m.words = {r.cookie, eof ? 1ULL : 0ULL};
-  m.data = conn.rx.substr(0, n);
-  conn.rx.erase(0, n);
+  if (n == conn.rx.size()) {
+    m.data = std::move(conn.rx);  // the whole buffer becomes the reply payload
+    conn.rx.clear();
+  } else {
+    m.data = conn.rx.substr(0, n);
+    conn.rx.erase(0, n);
+  }
   m.trace_id = conn.trace_id;
   EmitReadSpan(conn, m.data.size());
   ctx.Send(r.reply_port, std::move(m), TaintedReply(conn));

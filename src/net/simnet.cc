@@ -1,5 +1,8 @@
 #include "src/net/simnet.h"
 
+#include <iterator>
+#include <utility>
+
 #include "src/base/panic.h"
 
 namespace asbestos {
@@ -37,7 +40,7 @@ ConnId SimNet::ClientConnect(uint16_t dst_port) {
   return id;
 }
 
-void SimNet::ClientSend(ConnId conn, std::string_view bytes) {
+void SimNet::ClientSend(ConnId conn, std::string bytes) {
   Connection* c = Find(conn);
   if (c == nullptr || c->state == ConnState::kClosed || c->state == ConnState::kClientClosed) {
     return;
@@ -51,7 +54,7 @@ void SimNet::ClientSend(ConnId conn, std::string_view bytes) {
   ev.kind = ServerEvent::Kind::kData;
   ev.conn = conn;
   ev.listen_port = c->listen_port;
-  ev.bytes = std::string(bytes);
+  ev.bytes = std::move(bytes);
   events_.push_back(std::move(ev));
 }
 
@@ -91,7 +94,8 @@ void SimNet::ClientClose(ConnId conn) {
 }
 
 std::vector<SimNet::ServerEvent> SimNet::DrainServerEvents() {
-  std::vector<ServerEvent> out(events_.begin(), events_.end());
+  std::vector<ServerEvent> out(std::make_move_iterator(events_.begin()),
+                               std::make_move_iterator(events_.end()));
   events_.clear();
   return out;
 }

@@ -41,7 +41,10 @@ class SimNet {
   // listens there (RST). Bytes may be sent immediately; they are delivered
   // to the server after it accepts.
   ConnId ClientConnect(uint16_t dst_port);
-  void ClientSend(ConnId conn, std::string_view bytes);
+  // Takes the bytes by value: a sender that moves its buffer in hands it to
+  // netd's data event as is, so a large replication burst is never copied
+  // on the wire.
+  void ClientSend(ConnId conn, std::string bytes);
   // Drains bytes the server has sent.
   std::string ClientTakeReceived(ConnId conn);
   bool ClientSeesClosed(ConnId conn) const;  // FIN from server (after data drained)
@@ -58,7 +61,8 @@ class SimNet {
 
   void ServerListen(uint16_t port);
   bool IsListening(uint16_t port) const;
-  // Pending events since the last drain (the NIC interrupt queue).
+  // Pending events since the last drain (the NIC interrupt queue), moved
+  // out with their bytes.
   std::vector<ServerEvent> DrainServerEvents();
   void ServerAccept(ConnId conn);
   void ServerSend(ConnId conn, std::string_view bytes);

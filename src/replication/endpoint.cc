@@ -129,10 +129,10 @@ bool ReplicationEndpoint::HandleMessage(ProcessContext& ctx, const Message& msg)
       }
       Conn& conn = it->second;
       const bool eof = msg.words.size() > 1 && msg.words[1] != 0;
-      conn.rx.append(msg.data);
+      replwire::FrameReader frames(&conn.rx, msg.data);
       replwire::WireMessage frame;
       for (;;) {
-        const replwire::FrameParse p = replwire::ConsumeFrame(&conn.rx, &frame);
+        const replwire::FrameParse p = frames.Next(&frame);
         if (p == replwire::FrameParse::kNeedMore) {
           break;
         }
@@ -144,6 +144,7 @@ bool ReplicationEndpoint::HandleMessage(ProcessContext& ctx, const Message& msg)
           conn.session->HandleAck(frame);
         }
       }
+      frames.KeepTail();
       if (eof) {
         DropSession(ctx, cookie, /*close_conn=*/true);
       } else {

@@ -140,11 +140,11 @@ void FollowerProcess::HandleReadPlane(ProcessContext& ctx, const Message& msg) {
         return;  // stale reply from a closed read connection
       }
       const bool eof = msg.words.size() > 1 && msg.words[1] != 0;
-      it->second.rx.append(msg.data);
       std::string tx;
+      replwire::FrameReader frames(&it->second.rx, msg.data);
       replwire::WireMessage frame;
       for (;;) {
-        const replwire::FrameParse p = replwire::ConsumeFrame(&it->second.rx, &frame);
+        const replwire::FrameParse p = frames.Next(&frame);
         if (p == replwire::FrameParse::kNeedMore) {
           break;
         }
@@ -169,6 +169,13 @@ void FollowerProcess::HandleReadPlane(ProcessContext& ctx, const Message& msg) {
         resp.trace_id = frame.trace_id;
         replwire::AppendFrame(resp, &tx);
       }
+      // A legitimate kReadReq is small; a header announcing more than the
+      // cap would have the follower buffer whatever the reader sends.
+      if (frames.unparsed_bytes() > kMaxReadRequestBytes) {
+        CloseReadConn(ctx, cookie);
+        return;
+      }
+      frames.KeepTail();
       if (!tx.empty()) {
         Message write;
         write.type = netd_proto::kWrite;
@@ -222,11 +229,11 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         return;  // stale reply from an ended session
       }
       const bool eof = msg.words.size() > 1 && msg.words[1] != 0;
-      rx_.append(msg.data);
       std::string acks;
+      replwire::FrameReader frames(&rx_, msg.data);
       replwire::WireMessage frame;
       for (;;) {
-        const replwire::FrameParse p = replwire::ConsumeFrame(&rx_, &frame);
+        const replwire::FrameParse p = frames.Next(&frame);
         if (p == replwire::FrameParse::kNeedMore) {
           break;  // torn frame: keep the prefix, await the rest
         }
@@ -250,6 +257,7 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
           return;
         }
       }
+      frames.KeepTail();
       if (!acks.empty()) {
         Message write;
         write.type = netd_proto::kWrite;

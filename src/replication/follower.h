@@ -41,7 +41,9 @@
 // own delivery check (bit-identical cycles to a primary-side read). Read
 // connections are independent of the replication session: they survive a
 // primary outage and keep answering — with refusals — until the lease
-// actually expires, which is exactly the contract.
+// actually expires, which is exactly the contract. A read connection whose
+// unparsed bytes pass kMaxReadRequestBytes is closed: a header may announce
+// a frame of up to 4 GiB, and the follower must not buffer that.
 #ifndef SRC_REPLICATION_FOLLOWER_H_
 #define SRC_REPLICATION_FOLLOWER_H_
 
@@ -57,6 +59,11 @@ namespace asbestos {
 
 class FollowerProcess : public ProcessCode {
  public:
+  // Cap on a read connection's buffered, unparsed bytes. Like HTTP's
+  // kMaxBodyBytes it is 1 MiB, far above the largest legitimate kReadReq (a
+  // store key and a clearance label).
+  static constexpr uint64_t kMaxReadRequestBytes = 1 << 20;
+
   // Opens the replica store immediately (panics if the directory is
   // corrupt, like every durable server here: a follower must not limp on
   // empty state it does not actually have).

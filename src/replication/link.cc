@@ -1,10 +1,25 @@
 #include "src/replication/link.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/base/panic.h"
 
 namespace asbestos {
+
+namespace {
+
+// Appends what src_conn received to *buffer, adopting the bytes when
+// nothing is buffered yet.
+void TakeReceived(SimNet* src, ConnId src_conn, std::string* buffer) {
+  std::string bytes = src->ClientTakeReceived(src_conn);
+  if (buffer->empty()) {
+    *buffer = std::move(bytes);
+  } else {
+    buffer->append(bytes);
+  }
+}
+
+}  // namespace
 
 ReplicationLink::ReplicationLink(SimNet* primary_net, uint16_t primary_port,
                                  SimNet* follower_net, uint16_t follower_port)
@@ -47,11 +62,15 @@ uint64_t ReplicationLink::FerryChunk(std::string* buffer, SimNet* dst, ConnId ds
   if (buffer->empty() || dst_conn == kNoConn) {
     return 0;
   }
-  const uint64_t n =
-      max_chunk_ == 0 ? buffer->size() : std::min<uint64_t>(max_chunk_, buffer->size());
-  dst->ClientSend(dst_conn, std::string_view(*buffer).substr(0, n));
-  buffer->erase(0, n);
-  return n;
+  const uint64_t n = buffer->size();
+  if (max_chunk_ == 0 || n <= max_chunk_) {
+    dst->ClientSend(dst_conn, std::move(*buffer));  // forward the whole buffer
+    buffer->clear();
+    return n;
+  }
+  dst->ClientSend(dst_conn, buffer->substr(0, max_chunk_));
+  buffer->erase(0, max_chunk_);
+  return max_chunk_;
 }
 
 uint64_t ReplicationLink::Step() {
@@ -63,14 +82,14 @@ uint64_t ReplicationLink::Step() {
   // endpoint's busy refusal, a follower ending its session) is redialed on
   // the next step, as a link daemon watching its sockets would.
   if (p_conn_ != kNoConn) {
-    to_follower_ += primary_net_->ClientTakeReceived(p_conn_);
+    TakeReceived(primary_net_, p_conn_, &to_follower_);
     if (primary_net_->ClientSeesClosed(p_conn_)) {
       primary_net_->ClientClose(p_conn_);
       p_conn_ = kNoConn;
     }
   }
   if (f_conn_ != kNoConn) {
-    to_primary_ += follower_net_->ClientTakeReceived(f_conn_);
+    TakeReceived(follower_net_, f_conn_, &to_primary_);
     if (follower_net_->ClientSeesClosed(f_conn_)) {
       follower_net_->ClientClose(f_conn_);
       f_conn_ = kNoConn;
@@ -245,14 +264,16 @@ bool ReadClient::Read(const std::string& key, const Label& clearance,
   req.label = clearance;
   std::string wire;
   replwire::AppendFrame(req, &wire);
-  net_->ClientSend(conn_, wire);
+  net_->ClientSend(conn_, std::move(wire));
   replwire::WireMessage resp;
   for (int i = 0; i < max_iters; ++i) {
     pump();
-    rx_ += net_->ClientTakeReceived(conn_);
+    const std::string delivery = net_->ClientTakeReceived(conn_);
+    replwire::FrameReader frames(&rx_, delivery);
     for (;;) {
-      const replwire::FrameParse p = replwire::ConsumeFrame(&rx_, &resp);
+      const replwire::FrameParse p = frames.Next(&resp);
       if (p == replwire::FrameParse::kNeedMore) {
+        frames.KeepTail();
         break;
       }
       if (p == replwire::FrameParse::kCorrupt || resp.type != replwire::kReadResp) {
@@ -268,6 +289,7 @@ bool ReadClient::Read(const std::string& key, const Label& clearance,
       out->secrecy = resp.label;
       out->staleness_cycles = resp.staleness;
       out->applied = resp.cursor;
+      frames.KeepTail();
       return true;
     }
     if (net_->ClientSeesClosed(conn_)) {

@@ -69,6 +69,7 @@ class ReplicationLink {
  private:
   void TryConnect();
   // Moves one direction, honoring max_chunk_; leftover stays buffered here.
+  // An unfragmented buffer is handed over whole, so it keeps no capacity.
   uint64_t FerryChunk(std::string* buffer, SimNet* dst, ConnId dst_conn);
 
   SimNet* primary_net_;

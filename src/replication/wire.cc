@@ -165,16 +165,34 @@ void AppendFrame(const WireMessage& msg, std::string* out) {
   AppendCrcFrame(EncodePayload(msg), out);
 }
 
-FrameParse ConsumeFrame(std::string* buffer, WireMessage* msg) {
-  const FrameView f = ReadCrcFrame(*buffer, 0);
+FrameParse ParseFrame(std::string_view bytes, size_t* pos, WireMessage* msg) {
+  const FrameView f = ReadCrcFrame(bytes, *pos);
   if (f.status == FrameRead::kTorn) {
     return FrameParse::kNeedMore;
   }
   if (f.status == FrameRead::kCorrupt || !IsOk(DecodePayload(f.payload, msg))) {
     return FrameParse::kCorrupt;
   }
-  buffer->erase(0, f.bytes);
+  *pos += f.bytes;
   return FrameParse::kFrame;
+}
+
+FrameReader::FrameReader(std::string* tail, std::string_view delivery)
+    : tail_(tail), bytes_(delivery), joined_(!tail->empty()) {
+  if (joined_) {
+    tail_->append(delivery);
+    bytes_ = *tail_;
+  }
+}
+
+void FrameReader::KeepTail() {
+  if (!joined_) {
+    tail_->assign(bytes_.substr(pos_));  // just the torn frame, if any
+  } else if (pos_ == bytes_.size()) {
+    std::string().swap(*tail_);  // drained: free whatever the tail grew to
+  } else {
+    tail_->erase(0, pos_);
+  }
 }
 
 uint64_t FirstWalFrameBytes(std::string_view span) { return ReadCrcFrame(span, 0).bytes; }

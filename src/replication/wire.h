@@ -158,16 +158,43 @@ void AppendFrame(const WireMessage& msg, std::string* out);
 
 // Incremental frame parser outcomes for a byte-stream transport.
 enum class FrameParse {
-  kFrame,     // one complete frame consumed; *msg is valid
-  kNeedMore,  // the buffer ends mid-frame: keep the bytes, wait for more
+  kFrame,     // one complete frame parsed; *msg is valid
+  kNeedMore,  // the bytes end mid-frame: keep them, wait for more
   kCorrupt,   // CRC or payload decode failure: the session is poisoned
 };
 
-// Attempts to consume one frame from the front of `buffer`. On kFrame the
-// frame's bytes are erased from the buffer and *msg is filled; on kNeedMore
-// the buffer is untouched; on kCorrupt the buffer contents are undefined
-// (callers drop the session).
-FrameParse ConsumeFrame(std::string* buffer, WireMessage* msg);
+// Parses the frame that starts at byte *pos of `bytes`. On kFrame *msg is
+// filled and *pos advances past the frame; otherwise *pos is left alone.
+FrameParse ParseFrame(std::string_view bytes, size_t* pos, WireMessage* msg);
+
+// The receive side of a frame stream that arrives in deliveries of any
+// size (netd kRead replies, SimNet reads). Each delivery is parsed where it
+// lies, by offset; only a frame torn across deliveries is kept, in *tail,
+// and the next delivery is appended to it. So a burst of many frames costs
+// no copy and no per-frame erase, and a drained stream holds no buffer.
+//
+//   replwire::FrameReader frames(&rx, delivery);
+//   while ((p = frames.Next(&msg)) == FrameParse::kFrame) { ... }
+//   if (p == FrameParse::kNeedMore) frames.KeepTail();
+class FrameReader {
+ public:
+  // Views `delivery`, behind whatever *tail kept from the last one. Both
+  // must outlive the reader, and *tail must not change while it parses.
+  FrameReader(std::string* tail, std::string_view delivery);
+
+  FrameParse Next(WireMessage* msg) { return ParseFrame(bytes_, &pos_, msg); }
+  // Bytes not yet parsed: after kNeedMore, the torn frame's prefix.
+  size_t unparsed_bytes() const { return bytes_.size() - pos_; }
+  // Leaves exactly the unparsed bytes in *tail; a drained tail keeps no
+  // buffer.
+  void KeepTail();
+
+ private:
+  std::string* tail_;
+  std::string_view bytes_;
+  size_t pos_ = 0;
+  bool joined_;  // the delivery was appended to a non-empty *tail
+};
 
 // Splits a raw WAL byte span (as read by DurableStore::ReadShardWal) at
 // whole-frame boundaries: returns the length of the longest run of whole,

@@ -77,7 +77,8 @@ TEST(ReplWireTest, FrameRoundTrip) {
   replwire::AppendFrame(busy, &stream);
 
   replwire::WireMessage out;
-  ASSERT_EQ(replwire::ConsumeFrame(&stream, &out), replwire::FrameParse::kFrame);
+  size_t pos = 0;
+  ASSERT_EQ(replwire::ParseFrame(stream, &pos, &out), replwire::FrameParse::kFrame);
   EXPECT_EQ(out.type, replwire::kBatch);
   EXPECT_EQ(out.shard, 3u);
   EXPECT_EQ(out.generation, 7u);
@@ -85,19 +86,19 @@ TEST(ReplWireTest, FrameRoundTrip) {
   EXPECT_EQ(out.lease_until, 123456u);
   EXPECT_EQ(out.successor_id, 9u);
   EXPECT_EQ(out.payload, batch.payload);
-  ASSERT_EQ(replwire::ConsumeFrame(&stream, &out), replwire::FrameParse::kFrame);
+  ASSERT_EQ(replwire::ParseFrame(stream, &pos, &out), replwire::FrameParse::kFrame);
   EXPECT_EQ(out.type, replwire::kAck);
   EXPECT_EQ(out.source_id, 0xABCDEFu);
   EXPECT_EQ(out.offset, 8192u);
   EXPECT_EQ(out.follower_id, 42u);
-  ASSERT_EQ(replwire::ConsumeFrame(&stream, &out), replwire::FrameParse::kFrame);
+  ASSERT_EQ(replwire::ParseFrame(stream, &pos, &out), replwire::FrameParse::kFrame);
   EXPECT_EQ(out.type, replwire::kHeartbeat);
   EXPECT_EQ(out.lease_until, 999u);
   EXPECT_EQ(out.successor_id, 42u);
-  ASSERT_EQ(replwire::ConsumeFrame(&stream, &out), replwire::FrameParse::kFrame);
+  ASSERT_EQ(replwire::ParseFrame(stream, &pos, &out), replwire::FrameParse::kFrame);
   EXPECT_EQ(out.type, replwire::kBusy);
   EXPECT_EQ(out.retry_after, 777u);
-  EXPECT_TRUE(stream.empty());
+  EXPECT_EQ(pos, stream.size());
 }
 
 TEST(ReplWireTest, TornFrameWaitsForMoreBytes) {
@@ -113,10 +114,14 @@ TEST(ReplWireTest, TornFrameWaitsForMoreBytes) {
   std::string buffer;
   for (size_t i = 0; i + 1 < whole.size(); ++i) {
     buffer.push_back(whole[i]);
-    ASSERT_EQ(replwire::ConsumeFrame(&buffer, &out), replwire::FrameParse::kNeedMore);
+    size_t pos = 0;
+    ASSERT_EQ(replwire::ParseFrame(buffer, &pos, &out), replwire::FrameParse::kNeedMore);
+    ASSERT_EQ(pos, 0u) << "a torn frame consumes nothing";
   }
   buffer.push_back(whole.back());
-  ASSERT_EQ(replwire::ConsumeFrame(&buffer, &out), replwire::FrameParse::kFrame);
+  size_t pos = 0;
+  ASSERT_EQ(replwire::ParseFrame(buffer, &pos, &out), replwire::FrameParse::kFrame);
+  EXPECT_EQ(pos, whole.size());
   EXPECT_EQ(out.source_id, 42u);
   EXPECT_EQ(out.shard_count, 4u);
 }
@@ -130,7 +135,8 @@ TEST(ReplWireTest, CorruptFramePoisons) {
   replwire::AppendFrame(hello, &stream);
   stream[stream.size() - 1] ^= 0x55;  // flip payload bits: CRC must catch it
   replwire::WireMessage out;
-  EXPECT_EQ(replwire::ConsumeFrame(&stream, &out), replwire::FrameParse::kCorrupt);
+  size_t pos = 0;
+  EXPECT_EQ(replwire::ParseFrame(stream, &pos, &out), replwire::FrameParse::kCorrupt);
 }
 
 // Lower-case hex of a byte string, for pinning wire bytes.
@@ -247,8 +253,9 @@ TEST(ReplWireTest, GoldenFrames) {
     replwire::AppendFrame(msg, &bytes);
     EXPECT_EQ(Hex(bytes), want) << "type " << msg.type;
     replwire::WireMessage out;
-    ASSERT_EQ(replwire::ConsumeFrame(&bytes, &out), replwire::FrameParse::kFrame);
-    EXPECT_TRUE(bytes.empty());
+    size_t pos = 0;
+    ASSERT_EQ(replwire::ParseFrame(bytes, &pos, &out), replwire::FrameParse::kFrame);
+    EXPECT_EQ(pos, bytes.size());
     EXPECT_EQ(out.type, msg.type);
     EXPECT_EQ(out.trace_id, msg.trace_id);
     std::string again;
@@ -281,16 +288,19 @@ TEST(ReplWireTest, UnassignedTypeSevenIsCorrupt) {
   std::string heartbeat = framed({replwire::kHeartbeat, 999, 42, 0x1234});
   EXPECT_EQ(heartbeat, want);
   replwire::WireMessage out;
-  EXPECT_EQ(replwire::ConsumeFrame(&heartbeat, &out), replwire::FrameParse::kFrame);
+  size_t pos = 0;
+  EXPECT_EQ(replwire::ParseFrame(heartbeat, &pos, &out), replwire::FrameParse::kFrame);
   // Type 7 with the old hand-off's fields (shard, generation, offset,
   // lease_until, successor_id, trace_id) is an unknown type.
   std::string seven = framed({7, 1, 2, 300, 5000, 4, 0x1234});
-  EXPECT_EQ(replwire::ConsumeFrame(&seven, &out), replwire::FrameParse::kCorrupt);
+  pos = 0;
+  EXPECT_EQ(replwire::ParseFrame(seven, &pos, &out), replwire::FrameParse::kCorrupt);
   // The trailer is trace_id alone. A heartbeat with the retired two-field
   // trailer (trace_id, then a length-prefixed profiler stack, here empty)
   // has a byte left over, so it is corrupt, not misread.
   std::string old_trailer = framed({replwire::kHeartbeat, 999, 42, 0x1234, 0});
-  EXPECT_EQ(replwire::ConsumeFrame(&old_trailer, &out), replwire::FrameParse::kCorrupt);
+  pos = 0;
+  EXPECT_EQ(replwire::ParseFrame(old_trailer, &pos, &out), replwire::FrameParse::kCorrupt);
 }
 
 // Mutated frame bodies, re-framed with a correct length and CRC so every
@@ -339,18 +349,19 @@ TEST(ReplWireTest, SeededMutation) {
     }
     std::string frame = CrcFrame(body);
     replwire::WireMessage msg;
-    const replwire::FrameParse parse = replwire::ConsumeFrame(&frame, &msg);
+    size_t pos = 0;
+    const replwire::FrameParse parse = replwire::ParseFrame(frame, &pos, &msg);
     ASSERT_NE(parse, replwire::FrameParse::kNeedMore) << "iteration " << iter;
     if (parse == replwire::FrameParse::kCorrupt) {
       continue;
     }
     ++accepted;
-    EXPECT_TRUE(frame.empty()) << "iteration " << iter;
+    EXPECT_EQ(pos, frame.size()) << "iteration " << iter;
     std::string once;
     replwire::AppendFrame(msg, &once);
-    std::string copy = once;
     replwire::WireMessage again;
-    ASSERT_EQ(replwire::ConsumeFrame(&copy, &again), replwire::FrameParse::kFrame)
+    size_t again_pos = 0;
+    ASSERT_EQ(replwire::ParseFrame(once, &again_pos, &again), replwire::FrameParse::kFrame)
         << "iteration " << iter;
     std::string twice;
     replwire::AppendFrame(again, &twice);
@@ -362,9 +373,10 @@ TEST(ReplWireTest, SeededMutation) {
   EXPECT_LT(accepted, kIterations - kIterations / 20);
 }
 
-// A stream of golden frames fed to the parser in random-sized pieces, as a
-// byte-stream transport delivers them: the parser answers kNeedMore until
-// each frame's last byte has arrived, and decodes the same sequence.
+// A stream of golden frames fed to a FrameReader in random-sized pieces, as a
+// byte-stream transport delivers them: the reader answers kNeedMore until
+// each frame's last byte has arrived, decodes the same sequence, and keeps
+// nothing once the stream ends on a frame boundary.
 TEST(ReplWireTest, TornStreamDecodesTheSameFrames) {
   std::vector<std::string> frames;
   for (const auto& [msg, hex] : GoldenCases()) {
@@ -381,24 +393,26 @@ TEST(ReplWireTest, TornStreamDecodesTheSameFrames) {
       stream += sent.back();
       ends.push_back(stream.size());
     }
-    std::string buffer;
+    std::string tail;
     std::vector<std::string> decoded;
     size_t fed = 0;
     while (fed < stream.size()) {
       const size_t piece = std::min<size_t>(rng.NextInRange(1, 24), stream.size() - fed);
-      buffer.append(stream, fed, piece);
+      const std::string delivery = stream.substr(fed, piece);
       fed += piece;
+      replwire::FrameReader reader(&tail, delivery);
       replwire::WireMessage msg;
       replwire::FrameParse parse;
-      while ((parse = replwire::ConsumeFrame(&buffer, &msg)) == replwire::FrameParse::kFrame) {
+      while ((parse = reader.Next(&msg)) == replwire::FrameParse::kFrame) {
         decoded.emplace_back();
         replwire::AppendFrame(msg, &decoded.back());
       }
       ASSERT_EQ(parse, replwire::FrameParse::kNeedMore) << "stream " << stream_no;
+      reader.KeepTail();
       const size_t complete = std::upper_bound(ends.begin(), ends.end(), fed) - ends.begin();
       ASSERT_EQ(decoded.size(), complete) << "stream " << stream_no << " at byte " << fed;
     }
-    EXPECT_TRUE(buffer.empty());
+    EXPECT_TRUE(tail.empty());
     EXPECT_EQ(decoded, sent) << "stream " << stream_no;
   }
 }
@@ -444,13 +458,14 @@ class ReplProtocolTest : public ::testing::Test {
   }
 
   // Parses a byte stream into individual frames.
-  static std::vector<replwire::WireMessage> Parse(std::string stream) {
+  static std::vector<replwire::WireMessage> Parse(const std::string& stream) {
     std::vector<replwire::WireMessage> out;
     replwire::WireMessage m;
-    while (replwire::ConsumeFrame(&stream, &m) == replwire::FrameParse::kFrame) {
+    size_t pos = 0;
+    while (replwire::ParseFrame(stream, &pos, &m) == replwire::FrameParse::kFrame) {
       out.push_back(m);
     }
-    EXPECT_TRUE(stream.empty());
+    EXPECT_EQ(pos, stream.size());
     return out;
   }
 
@@ -1483,6 +1498,200 @@ TEST_F(ReplEndToEndTest, OverCapacityFollowerGetsBusyFrameAndBacksOff) {
   EXPECT_TRUE(endpoint->hub()->AllFullySynced());
 }
 
+// --- One burst, any fragmentation --------------------------------------------
+
+// What a primary puts on the wire at once for a fresh follower: the hello,
+// a snapshot per shard, then a run of small kBatch frames of labeled
+// records. A real session builds it; a scratch replica answers the hello
+// and the snapshots so the session goes on to ship batches.
+struct Burst {
+  std::unique_ptr<DurableStore> primary;
+  std::string bytes;
+  std::vector<size_t> frame_ends;  // offset just past each frame
+};
+
+Burst MakeBurst(const std::string& dir) {
+  Burst b;
+  StoreOptions opts;
+  opts.dir = dir + "/primary";
+  opts.shards = 4;
+  auto store = DurableStore::Open(opts);
+  EXPECT_TRUE(store.ok());
+  b.primary = store.take();
+  const Label secrecy({{H(77), Level::kL3}}, Level::kStar);
+  const Label integrity({{H(88), Level::kL0}}, Level::kL3);
+  const auto put = [&](int first, int last) {
+    for (int i = first; i < last; ++i) {
+      EXPECT_EQ(b.primary->Put("key" + std::to_string(i), "value " + std::to_string(i),
+                               i % 2 == 0 ? secrecy : Label::Bottom(), integrity),
+                Status::kOk);
+    }
+  };
+  put(0, 8);
+  ReplicationHub hub(b.primary.get(), /*source_id=*/0x5EED);
+  FollowerSession* session = hub.OpenSession();
+  opts.dir = dir + "/scratch-replica";
+  auto scratch = ReplicaStore::Open(opts);
+  EXPECT_TRUE(scratch.ok());
+  // Appends `frames` to the burst, applies them to the scratch replica and
+  // hands its acks back to the session.
+  const auto ship = [&](const std::string& frames) {
+    b.bytes += frames;
+    std::string acks;
+    replwire::WireMessage m;
+    size_t pos = 0;
+    while (replwire::ParseFrame(frames, &pos, &m) == replwire::FrameParse::kFrame) {
+      EXPECT_EQ(scratch.value()->HandleFrame(m, &acks), Status::kOk);
+    }
+    pos = 0;
+    while (replwire::ParseFrame(acks, &pos, &m) == replwire::FrameParse::kFrame) {
+      session->HandleAck(m);
+    }
+  };
+  ship(session->SessionHello());
+  std::string frames;
+  session->PollFrames(/*max_batch_bytes=*/256, ~0ULL, &frames);  // the snapshots
+  ship(frames);
+  put(8, 48);
+  frames.clear();
+  session->PollFrames(/*max_batch_bytes=*/256, ~0ULL, &frames);  // the batches
+  ship(frames);
+  EXPECT_GT(scratch.value()->stats().batches_applied, 4u);
+  replwire::WireMessage m;
+  size_t pos = 0;
+  while (replwire::ParseFrame(b.bytes, &pos, &m) == replwire::FrameParse::kFrame) {
+    b.frame_ends.push_back(pos);
+  }
+  EXPECT_EQ(pos, b.bytes.size());
+  return b;
+}
+
+// What one follower machine made of a burst.
+struct BurstOutcome {
+  std::unique_ptr<FollowerWorld> follower;
+  std::vector<replwire::ReadCursorToken> cursors;
+  std::string acks;           // everything the follower sent back, in order
+  bool session_ended = false;  // the follower closed the connection
+};
+
+// Queues `burst` on a bare SimNet standing in for the primary's machine and
+// lets a ReplicationLink delivering at most max_chunk bytes at a time (0 =
+// whole) carry it to a fresh follower machine.
+BurstOutcome DeliverBurst(const std::string& dir, const std::string& burst,
+                          uint64_t max_chunk) {
+  constexpr uint16_t kPrimaryPort = 7000;
+  constexpr uint16_t kFollowerPort = 7100;
+  BurstOutcome out;
+  StoreOptions opts;
+  opts.dir = dir;
+  opts.shards = 4;
+  out.follower = std::make_unique<FollowerWorld>(0x0452, kFollowerPort, opts);
+  out.follower->Pump();  // attach the listener
+  SimNet primary_net;
+  primary_net.ServerListen(kPrimaryPort);
+  ReplicationLink link(&primary_net, kPrimaryPort, &out.follower->net(), kFollowerPort);
+  link.set_max_chunk(max_chunk);
+  const std::vector<SimNet::ServerEvent> dial = primary_net.DrainServerEvents();
+  EXPECT_EQ(dial.size(), 1u);
+  primary_net.ServerAccept(dial.at(0).conn);
+  primary_net.ServerSend(dial.at(0).conn, burst);
+  int quiet = 0;  // steps in a row that moved nothing, once the burst is across
+  for (int i = 0; i < 100000 && quiet < 3; ++i) {
+    const uint64_t moved = link.Step();
+    if (!link.connected()) {
+      out.session_ended = true;
+      break;
+    }
+    out.follower->Pump();
+    for (const SimNet::ServerEvent& ev : primary_net.DrainServerEvents()) {
+      out.acks += ev.bytes;
+    }
+    if (link.bytes_to_follower() == burst.size()) {
+      quiet = moved == 0 ? quiet + 1 : 0;
+    }
+  }
+  EXPECT_TRUE(out.session_ended || quiet == 3) << "the burst never drained";
+  for (uint32_t shard = 0; shard < 4; ++shard) {
+    out.cursors.push_back(out.follower->follower()->replica()->applied_cursor(shard));
+  }
+  return out;
+}
+
+void ExpectSameCursors(const std::vector<replwire::ReadCursorToken>& got,
+                       const std::vector<replwire::ReadCursorToken>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(got[s].source_id, want[s].source_id) << "shard " << s;
+    EXPECT_EQ(got[s].generation, want[s].generation) << "shard " << s;
+    EXPECT_EQ(got[s].offset, want[s].offset) << "shard " << s;
+  }
+}
+
+// The frame reader parses each delivery where it lies and keeps only a torn
+// tail: however the link cuts one burst — a byte at a time, just short of,
+// on and just past a frame boundary — the follower ends with the same
+// records, cursors and acks as when the burst arrives whole.
+TEST_F(ReplEndToEndTest, OneBurstAppliesTheSameUnderEveryChunking) {
+  const Burst burst = MakeBurst(dir_.path());
+  ASSERT_GE(burst.frame_ends.size(), 10u) << "a hello, 4 snapshots and several batches";
+  const uint64_t frame = burst.frame_ends[6] - burst.frame_ends[5];  // the second batch frame
+  const BurstOutcome whole = DeliverBurst(dir_.path() + "/whole", burst.bytes, 0);
+  EXPECT_FALSE(whole.session_ended);
+  ExpectStoresIdentical(*burst.primary, *whole.follower->follower()->replica()->store());
+  EXPECT_FALSE(whole.acks.empty());
+  for (const uint64_t chunk : {uint64_t{1}, uint64_t{7}, uint64_t{8}, uint64_t{9}, frame - 1,
+                               frame, frame + 1}) {
+    SCOPED_TRACE("max_chunk " + std::to_string(chunk));
+    const BurstOutcome cut =
+        DeliverBurst(dir_.path() + "/chunk" + std::to_string(chunk), burst.bytes, chunk);
+    EXPECT_FALSE(cut.session_ended);
+    ExpectStoresIdentical(*burst.primary, *cut.follower->follower()->replica()->store());
+    ExpectSameCursors(cut.cursors, whole.cursors);
+    EXPECT_EQ(cut.acks, whole.acks);
+    EXPECT_EQ(cut.follower->follower()->replica()->stats().batches_applied,
+              whole.follower->follower()->replica()->stats().batches_applied);
+  }
+}
+
+// A corrupt frame in the middle of one delivery ends the session there: the
+// frames before it are applied, none after it is.
+TEST_F(ReplEndToEndTest, CorruptFrameMidDeliveryAppliesExactlyTheEarlierFrames) {
+  const Burst burst = MakeBurst(dir_.path());
+  const size_t bad = burst.frame_ends.size() - 3;  // a batch frame with batches after it
+  ASSERT_GE(bad, 7u);
+  std::string poisoned = burst.bytes;
+  poisoned[burst.frame_ends[bad] - 1] ^= 0x55;  // last payload byte: the CRC must catch it
+
+  // The expected outcome: the frames before `bad`, applied to a replica in
+  // process.
+  StoreOptions opts;
+  opts.dir = dir_.path() + "/expected";
+  opts.shards = 4;
+  auto expected = ReplicaStore::Open(opts);
+  ASSERT_TRUE(expected.ok());
+  std::string acks;
+  const std::string_view good = std::string_view(burst.bytes).substr(0, burst.frame_ends[bad - 1]);
+  replwire::WireMessage m;
+  size_t pos = 0;
+  while (replwire::ParseFrame(good, &pos, &m) == replwire::FrameParse::kFrame) {
+    ASSERT_EQ(expected.value()->HandleFrame(m, &acks), Status::kOk);
+  }
+  ASSERT_EQ(pos, good.size());
+
+  const BurstOutcome got = DeliverBurst(dir_.path() + "/follower", poisoned, 0);
+  EXPECT_TRUE(got.session_ended);
+  const ReplicaStore* replica = got.follower->follower()->replica();
+  ExpectStoresIdentical(*expected.value()->store(), *replica->store());
+  EXPECT_EQ(replica->stats().snapshots_installed, 4u);
+  EXPECT_EQ(replica->stats().batches_applied, bad - 5) << "every batch before the bad frame";
+  EXPECT_EQ(replica->stats().batches_applied, expected.value()->stats().batches_applied);
+  std::vector<replwire::ReadCursorToken> want;
+  for (uint32_t shard = 0; shard < 4; ++shard) {
+    want.push_back(expected.value()->applied_cursor(shard));
+  }
+  ExpectSameCursors(got.cursors, want);
+}
+
 // --- Follower reads over the wire --------------------------------------------
 
 TEST_F(ReplEndToEndTest, ReadYourWritesRefusesLaggingFollower) {
@@ -1612,6 +1821,44 @@ TEST_F(ReplEndToEndTest, StaleLeaseFollowerRefusesAllReads) {
   ASSERT_TRUE(reader.Read("pub0", Label::Top(), {}, follower_pump, &r));
   EXPECT_EQ(r.status, ReadStatus::kRefusedStaleLease);
   EXPECT_GT(r.staleness_cycles, 0u);
+}
+
+// A reader whose frame header announces a 4 GiB frame would have the
+// follower buffer everything it sends. Once a read connection's unparsed
+// bytes pass kMaxReadRequestBytes the follower closes it; a well-formed
+// reader on its own connection is served before and after.
+TEST_F(ReplEndToEndTest, HostileReaderIsClosedAtTheBufferCap) {
+  StoreOptions opts;
+  opts.dir = dir_.path() + "/follower";
+  opts.shards = 4;
+  ReplicaOptions ropts;
+  ropts.auth_token = kAuthToken;
+  FollowerWorld follower(0x0452, kFollowerPortBase, opts, ropts, /*read_tcp_port=*/7500);
+  follower.Pump();
+  SimNet& net = follower.net();
+  const auto pump = [&] { follower.Pump(); };
+  ReadClient reader(&net, 7500, kAuthToken);
+  ReadResult r;
+  ASSERT_TRUE(reader.Read("k", Label::Top(), {}, pump, &r));
+
+  const ConnId hostile = net.ClientConnect(7500);
+  ASSERT_NE(hostile, kNoConn);
+  net.ClientSend(hostile, std::string("\xff\xff\xff\xff\0\0\0\0", 8));  // len 2^32 - 1
+  constexpr uint64_t kPiece = 64 * 1024;
+  uint64_t sent = 8;
+  while (sent < 2 * 1024 * 1024) {
+    net.ClientSend(hostile, std::string(kPiece, 'x'));
+    sent += kPiece;
+    pump();
+    if (sent <= FollowerProcess::kMaxReadRequestBytes) {
+      ASSERT_FALSE(net.ClientSeesClosed(hostile)) << "closed below the cap, at " << sent;
+    }
+  }
+  EXPECT_TRUE(net.ClientSeesClosed(hostile));
+  EXPECT_EQ(follower.follower()->read_sessions_accepted(), 2u);
+
+  ASSERT_TRUE(reader.Read("k", Label::Top(), {}, pump, &r)) << "the good reader is served";
+  EXPECT_TRUE(reader.connected());
 }
 
 TEST_F(ReplEndToEndTest, FleetMetricsArePerReplicaAndPerFollowerReadCounters) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace asbestos {
 namespace {
 
@@ -50,6 +53,34 @@ TEST(SimNetTest, BidirectionalData) {
   net.ServerSend(c, "pong");
   EXPECT_EQ(net.ClientTakeReceived(c), "pong");
   EXPECT_EQ(net.ClientTakeReceived(c), "") << "take drains";
+}
+
+// A send takes its bytes by value and a drain moves its events out: a
+// buffer moved in reaches the server as the same allocation, bytes intact,
+// and a string sent by copy is left as it was.
+TEST(SimNetTest, MovedEventsAndOwnedSendsKeepTheirBytes) {
+  SimNet net;
+  net.ServerListen(80);
+  const ConnId c = net.ClientConnect(80);
+  net.DrainServerEvents();
+  net.ServerAccept(c);
+  std::string burst(64 * 1024, '\0');
+  for (size_t i = 0; i < burst.size(); ++i) {
+    burst[i] = static_cast<char>('a' + i % 26);
+  }
+  const std::string want = burst;
+  const char* storage = burst.data();
+  net.ClientSend(c, std::move(burst));
+  const std::string kept = "sent by copy";
+  net.ClientSend(c, kept);
+  auto events = net.DrainServerEvents();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].bytes, want);
+  EXPECT_EQ(events[0].bytes.data(), storage) << "moved through, not copied";
+  EXPECT_EQ(events[1].bytes, "sent by copy");
+  EXPECT_EQ(kept, "sent by copy");
+  EXPECT_TRUE(net.DrainServerEvents().empty());
+  EXPECT_EQ(events[0].bytes, want) << "drained events own their bytes";
 }
 
 TEST(SimNetTest, ServerCloseVisibleAfterDataDrained) {

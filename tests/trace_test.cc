@@ -481,10 +481,11 @@ class ReplTraceTest : public ::testing::Test {
     obs::EventLog::SetEnabled(false);
   }
 
-  static std::vector<replwire::WireMessage> Parse(std::string stream) {
+  static std::vector<replwire::WireMessage> Parse(const std::string& stream) {
     std::vector<replwire::WireMessage> out;
     replwire::WireMessage m;
-    while (replwire::ConsumeFrame(&stream, &m) == replwire::FrameParse::kFrame) {
+    size_t pos = 0;
+    while (replwire::ParseFrame(stream, &pos, &m) == replwire::FrameParse::kFrame) {
       out.push_back(m);
       m = replwire::WireMessage();
     }
