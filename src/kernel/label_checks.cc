@@ -391,30 +391,28 @@ DeliveryRefusal ExplainDeliveryRefusal(const Label& es, const Label& qr,
   // First violating handle in increasing handle order: merge-scan the
   // explicit entries of ES and the bound, each side falling back to the
   // other's default where it has no entry.
-  std::vector<std::pair<Handle, Level>> es_e = es.Entries();
-  std::vector<std::pair<Handle, Level>> b_e = out.bound.Entries();
-  size_t i = 0;
-  size_t j = 0;
-  while (i < es_e.size() || j < b_e.size()) {
+  Label::EntryIter ie = es.IterateEntries();
+  Label::EntryIter ib = out.bound.IterateEntries();
+  while (!ie.done() || !ib.done()) {
     Handle h;
     Level le;
     Level lb;
-    if (j >= b_e.size() || (i < es_e.size() && es_e[i].first < b_e[j].first)) {
-      h = es_e[i].first;
-      le = es_e[i].second;
+    if (ib.done() || (!ie.done() && ie.handle() < ib.handle())) {
+      h = ie.handle();
+      le = ie.level();
       lb = out.bound.default_level();
-      ++i;
-    } else if (i >= es_e.size() || b_e[j].first < es_e[i].first) {
-      h = b_e[j].first;
+      ie.Advance();
+    } else if (ie.done() || ib.handle() < ie.handle()) {
+      h = ib.handle();
       le = es.default_level();
-      lb = b_e[j].second;
-      ++j;
+      lb = ib.level();
+      ib.Advance();
     } else {
-      h = es_e[i].first;
-      le = es_e[i].second;
-      lb = b_e[j].second;
-      ++i;
-      ++j;
+      h = ie.handle();
+      le = ie.level();
+      lb = ib.level();
+      ie.Advance();
+      ib.Advance();
     }
     if (!LevelLeq(le, lb)) {
       out.handle = h.value();

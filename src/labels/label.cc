@@ -16,11 +16,9 @@ namespace {
 LabelWorkStats g_work;
 LabelMemStats g_mem;
 
-// Packed entry: 61-bit handle in the upper bits, level ordinal in the low 3.
-// Handles are unique, so sorting by packed value sorts by handle.
-uint64_t PackEntry(Handle h, Level l) { return (h.value() << 3) | LevelOrdinal(l); }
-Handle EntryHandle(uint64_t e) { return Handle::FromValue(e >> 3); }
-Level EntryLevel(uint64_t e) { return static_cast<Level>(e & 0x7); }
+using internal::EntryHandle;
+using internal::EntryLevel;
+using internal::PackEntry;
 
 // The asymmetric fast paths engage when one side is a handful of entries and
 // the other is huge (netd/idd/ok-dbproxy labels grow with the user count).
@@ -1165,66 +1163,37 @@ void Label::Canonicalize() {
   internal::InternInsert(rep->struct_hash, rep);
 }
 
-Label::EntryIter::EntryIter(const internal::LabelRep* rep) : rep_(rep) { SkipToValid(); }
-
-void Label::EntryIter::SkipToValid() {
-  while (chunk_ < rep_->chunks.size() && index_ >= rep_->chunks[chunk_]->size) {
-    ++chunk_;
-    index_ = 0;
+void Label::EntryIter::NextChunk() {
+  while (chunk_ < rep_->chunks.size()) {
+    const Chunk* c = rep_->chunks[chunk_++];
+    if (c->size != 0) {
+      pos_ = c->entries;
+      end_ = c->entries + c->size;
+      return;
+    }
   }
-}
-
-bool Label::EntryIter::done() const { return chunk_ >= rep_->chunks.size(); }
-
-Handle Label::EntryIter::handle() const {
-  return EntryHandle(rep_->chunks[chunk_]->entries[index_]);
-}
-
-Level Label::EntryIter::level() const {
-  return EntryLevel(rep_->chunks[chunk_]->entries[index_]);
-}
-
-void Label::EntryIter::Advance() {
-  ++index_;
-  SkipToValid();
+  pos_ = end_;
 }
 
 Label::EntryIter Label::IterateEntries() const { return EntryIter(rep_.get()); }
 
-Label::NonStarIter::NonStarIter(const internal::LabelRep* rep) : rep_(rep) { SkipToValid(); }
-
-void Label::NonStarIter::SkipToValid() {
+void Label::NonStarIter::NextChunk() {
   while (chunk_ < rep_->chunks.size()) {
-    const Chunk* c = rep_->chunks[chunk_];
+    const Chunk* c = rep_->chunks[chunk_++];
     // Whole-chunk skip: the cached extrema say every entry here is ⋆.
-    if (index_ == 0 && c->max_level == Level::kStar) {
-      ++chunk_;
+    if (c->max_level == Level::kStar) {
       continue;
     }
-    while (index_ < c->size && EntryLevel(c->entries[index_]) == Level::kStar) {
-      ++index_;
+    pos_ = c->entries;
+    end_ = c->entries + c->size;
+    while (pos_ != end_ && EntryLevel(*pos_) == Level::kStar) {
+      ++pos_;
     }
-    if (index_ < c->size) {
+    if (pos_ != end_) {
       return;
     }
-    ++chunk_;
-    index_ = 0;
   }
-}
-
-bool Label::NonStarIter::done() const { return chunk_ >= rep_->chunks.size(); }
-
-Handle Label::NonStarIter::handle() const {
-  return EntryHandle(rep_->chunks[chunk_]->entries[index_]);
-}
-
-Level Label::NonStarIter::level() const {
-  return EntryLevel(rep_->chunks[chunk_]->entries[index_]);
-}
-
-void Label::NonStarIter::Advance() {
-  ++index_;
-  SkipToValid();
+  pos_ = end_;
 }
 
 Label::NonStarIter Label::IterateNonStarEntries() const { return NonStarIter(rep_.get()); }

@@ -47,6 +47,12 @@ namespace asbestos {
 namespace internal {
 struct LabelRep;
 
+// Packed entry: 61-bit handle in the upper bits, level ordinal in the low 3.
+// Handles are unique, so sorting by packed value sorts by handle.
+constexpr uint64_t PackEntry(Handle h, Level l) { return (h.value() << 3) | LevelOrdinal(l); }
+constexpr Handle EntryHandle(uint64_t e) { return Handle::FromValue(e >> 3); }
+constexpr Level EntryLevel(uint64_t e) { return static_cast<Level>(e & 0x7); }
+
 // Intrusive reference-counted pointer to a label representation.
 class LabelRepRef {
  public:
@@ -177,22 +183,30 @@ class Label {
   // Lightweight in-order reader over explicit entries. Valid only while the
   // label it came from is alive and unmodified. Used by the kernel to fuse
   // multi-label checks (e.g. the full Figure-4 delivery rule) into a single
-  // k-way merge without materializing intermediate labels.
+  // k-way merge without materializing intermediate labels. A flat cursor
+  // over one chunk's packed entries: the per-entry steps are inline, and
+  // only stepping to the next chunk is a call.
   class EntryIter {
    public:
-    bool done() const;
-    Handle handle() const;
-    Level level() const;
-    void Advance();
+    bool done() const { return pos_ == end_; }
+    Handle handle() const { return internal::EntryHandle(*pos_); }
+    Level level() const { return internal::EntryLevel(*pos_); }
+    void Advance() {
+      if (++pos_ == end_) {
+        NextChunk();
+      }
+    }
 
    private:
     friend class Label;
-    explicit EntryIter(const internal::LabelRep* rep);
-    void SkipToValid();
+    explicit EntryIter(const internal::LabelRep* rep) : rep_(rep) { NextChunk(); }
+    // Loads the next non-empty chunk, or leaves the cursor done.
+    void NextChunk();
 
     const internal::LabelRep* rep_;
-    size_t chunk_ = 0;
-    uint16_t index_ = 0;
+    const uint64_t* pos_ = nullptr;
+    const uint64_t* end_ = nullptr;
+    size_t chunk_ = 0;  // index of the next chunk to load
   };
 
   EntryIter IterateEntries() const;
@@ -201,22 +215,37 @@ class Label {
   // their cached extrema. A huge ⋆-rich label (netd's or idd's send label)
   // with a handful of non-⋆ entries iterates in O(#non-⋆ + #chunks): ⋆
   // entries are below everything and can never violate a ≤-check, so most
-  // kernel predicates only need the non-⋆ ones.
+  // kernel predicates only need the non-⋆ ones. The same flat cursor as
+  // EntryIter; ⋆ entries inside a chunk are skipped inline.
   class NonStarIter {
    public:
-    bool done() const;
-    Handle handle() const;
-    Level level() const;
-    void Advance();
+    bool done() const { return pos_ == end_; }
+    Handle handle() const { return internal::EntryHandle(*pos_); }
+    Level level() const { return internal::EntryLevel(*pos_); }
+    void Advance() {
+      ++pos_;
+      SkipStars();
+    }
 
    private:
     friend class Label;
-    explicit NonStarIter(const internal::LabelRep* rep);
-    void SkipToValid();
+    explicit NonStarIter(const internal::LabelRep* rep) : rep_(rep) { NextChunk(); }
+    void SkipStars() {
+      while (pos_ != end_ && level() == Level::kStar) {
+        ++pos_;
+      }
+      if (pos_ == end_) {
+        NextChunk();
+      }
+    }
+    // Loads the next chunk holding a non-⋆ entry, positioned on its first
+    // one, or leaves the cursor done.
+    void NextChunk();
 
     const internal::LabelRep* rep_;
-    size_t chunk_ = 0;
-    uint16_t index_ = 0;
+    const uint64_t* pos_ = nullptr;
+    const uint64_t* end_ = nullptr;
+    size_t chunk_ = 0;  // index of the next chunk to load
   };
 
   NonStarIter IterateNonStarEntries() const;

@@ -232,14 +232,18 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
       std::string acks;
       replwire::FrameReader frames(&rx_, msg.data);
       replwire::WireMessage frame;
+      // Set by a corrupt or refused frame: the session ends, but the acks
+      // for the frames applied before it in this delivery still go out
+      // ahead of the close, so the primary learns that progress now.
+      bool refused = false;
       for (;;) {
         const replwire::FrameParse p = frames.Next(&frame);
         if (p == replwire::FrameParse::kNeedMore) {
           break;  // torn frame: keep the prefix, await the rest
         }
         if (p == replwire::FrameParse::kCorrupt) {
-          EndSession(ctx, /*close_conn=*/true);
-          return;
+          refused = true;
+          break;
         }
         const Status s = replica_->HandleFrame(frame, &acks);
         if (s == Status::kWouldBlock) {
@@ -249,15 +253,17 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
                                     ? replica_->busy_retry_after()
                                     : replwire::kBusyRetryCycles;
           backoff_until_cycles_ = GetCycleAccounting().now() + wait;
-          EndSession(ctx, /*close_conn=*/true);
-          return;
+          refused = true;
+          break;
         }
         if (!IsOk(s)) {
-          EndSession(ctx, /*close_conn=*/true);
-          return;
+          refused = true;
+          break;
         }
       }
-      frames.KeepTail();
+      if (!refused) {
+        frames.KeepTail();
+      }
       if (!acks.empty()) {
         Message write;
         write.type = netd_proto::kWrite;
@@ -265,7 +271,7 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
         write.data = std::move(acks);
         ctx.Send(conn_, std::move(write));
       }
-      if (eof) {
+      if (refused || eof) {
         EndSession(ctx, /*close_conn=*/true);
       } else {
         IssueRead(ctx);

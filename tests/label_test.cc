@@ -1,5 +1,9 @@
 #include "src/labels/label.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/labels/handle.h"
@@ -441,6 +445,124 @@ TEST(LabelTest, NonStarIterOnAllStarAndEmptyLabels) {
   }
   EXPECT_TRUE(all_star.IterateNonStarEntries().done());
   EXPECT_TRUE(Label(Level::kL2).IterateNonStarEntries().done());
+}
+
+// The cursor shapes: EntryIter must yield exactly Entries(), and
+// NonStarIter exactly its non-⋆ subsequence, whatever the chunk layout
+// underneath — no chunks, one, a full one, a split, whole all-⋆ chunks
+// (skipped wholesale), non-⋆ entries on chunk edges, an erased chunk, and
+// chunks shared copy-on-write.
+using EntryList = std::vector<std::pair<Handle, Level>>;
+
+void ExpectCursorsMatchEntries(const Label& l) {
+  const EntryList entries = l.Entries();
+  EntryList non_star;
+  for (const auto& e : entries) {
+    if (e.second != Level::kStar) {
+      non_star.push_back(e);
+    }
+  }
+  EntryList walked;
+  for (Label::EntryIter it = l.IterateEntries(); !it.done(); it.Advance()) {
+    walked.emplace_back(it.handle(), it.level());
+  }
+  EXPECT_EQ(walked, entries);
+  EntryList walked_non_star;
+  for (Label::NonStarIter it = l.IterateNonStarEntries(); !it.done(); it.Advance()) {
+    walked_non_star.emplace_back(it.handle(), it.level());
+  }
+  EXPECT_EQ(walked_non_star, non_star);
+}
+
+// Levels other than the default {1}, ⋆ included, in a fixed rotation.
+Level RotatingLevel(uint64_t i) {
+  constexpr Level kLevels[4] = {Level::kStar, Level::kL3, Level::kL0, Level::kL2};
+  return kLevels[i % 4];
+}
+
+TEST(LabelTest, CursorsOnEntrylessLabels) {
+  ExpectCursorsMatchEntries(Label(Level::kL2));  // the shared default-only rep
+  Label emptied(Level::kL1);
+  emptied.Set(H(9), Level::kL3);
+  emptied.Set(H(9), Level::kL1);  // a private rep left with no chunk
+  ASSERT_EQ(emptied.entry_count(), 0u);
+  ExpectCursorsMatchEntries(emptied);
+  EXPECT_TRUE(emptied.IterateEntries().done());
+  EXPECT_TRUE(emptied.IterateNonStarEntries().done());
+}
+
+TEST(LabelTest, CursorsAcrossOneAndTwoChunks) {
+  // Rotation 0 starts every chunk on a ⋆ entry, rotation 1 on a non-⋆ one.
+  for (const uint64_t rotation : {uint64_t{0}, uint64_t{1}}) {
+    for (const uint64_t n : {uint64_t{1}, uint64_t{64}, uint64_t{65}}) {
+      SCOPED_TRACE("entries " + std::to_string(n) + ", rotation " + std::to_string(rotation));
+      Label l(Level::kL1);
+      for (uint64_t i = 0; i < n; ++i) {
+        l.Set(H(10 + 3 * i), RotatingLevel(i + rotation));
+      }
+      l.CheckRep();
+      ASSERT_EQ(l.entry_count(), n);
+      ExpectCursorsMatchEntries(l);
+    }
+  }
+}
+
+TEST(LabelTest, CursorsOverAStarRichLabelWithAllStarChunks) {
+  // Built in bulk, so chunk k holds entries [64k, 64k + 64). Chunks 20–39
+  // are all ⋆; every other chunk has a non-⋆ entry on its last edge and a
+  // few inside. Chunks below 20 have one on their first edge too, chunks
+  // from 40 on open with a run of ⋆ entries instead. The last chunk is
+  // partial (10^4 = 156 · 64 + 16).
+  constexpr uint64_t kCount = 10000;
+  LabelBuilder b(Level::kL1);
+  for (uint64_t i = 0; i < kCount; ++i) {
+    const uint64_t chunk = i / 64;
+    const uint64_t pos = i % 64;
+    Level l = Level::kStar;
+    if (chunk < 20 || chunk >= 40) {
+      if (chunk < 20 ? pos == 0 : pos == 5) {
+        l = Level::kL3;
+      } else if (pos == 63 || i == kCount - 1) {
+        l = Level::kL0;
+      } else if (i % 97 == 0) {
+        l = Level::kL2;
+      }
+    }
+    b.Append(H(3 + 7 * i), l);
+  }
+  const Label l = b.Build();
+  l.CheckRep();
+  ASSERT_EQ(l.entry_count(), kCount);
+  EXPECT_GT(l.CountEntriesAtLevel(Level::kStar), l.entry_count() / 2);
+  ExpectCursorsMatchEntries(l);
+}
+
+TEST(LabelTest, CursorsAfterSetToDefaultErasesAChunk) {
+  LabelBuilder b(Level::kL1);
+  for (uint64_t i = 0; i < 192; ++i) {
+    b.Append(H(100 + i), RotatingLevel(i));  // three full chunks
+  }
+  Label l = b.Build();
+  for (uint64_t i = 64; i < 128; ++i) {
+    l.Set(H(100 + i), Level::kL1);  // the middle chunk, entry by entry
+  }
+  l.CheckRep();
+  ASSERT_EQ(l.entry_count(), 128u);
+  ExpectCursorsMatchEntries(l);
+}
+
+TEST(LabelTest, CursorsOnACopyOnWriteCopyAndItsOriginal) {
+  Label original(Level::kL1);
+  for (uint64_t i = 0; i < 200; ++i) {
+    original.Set(H(5 + 2 * i), RotatingLevel(i));
+  }
+  const EntryList before = original.Entries();
+  Label copy = original;
+  copy.Set(H(6), Level::kL3);  // unshares the copy's first chunk only
+  ASSERT_EQ(copy.entry_count(), original.entry_count() + 1);
+  ExpectCursorsMatchEntries(copy);
+  ExpectCursorsMatchEntries(original);
+  EXPECT_EQ(original.Entries(), before);
 }
 
 TEST(LabelTest, WorkStatsCountOps) {

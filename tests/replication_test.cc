@@ -1611,6 +1611,10 @@ BurstOutcome DeliverBurst(const std::string& dir, const std::string& burst,
     }
   }
   EXPECT_TRUE(out.session_ended || quiet == 3) << "the burst never drained";
+  // What the last step carried across before the link saw the close.
+  for (const SimNet::ServerEvent& ev : primary_net.DrainServerEvents()) {
+    out.acks += ev.bytes;
+  }
   for (uint32_t shard = 0; shard < 4; ++shard) {
     out.cursors.push_back(out.follower->follower()->replica()->applied_cursor(shard));
   }
@@ -1690,6 +1694,9 @@ TEST_F(ReplEndToEndTest, CorruptFrameMidDeliveryAppliesExactlyTheEarlierFrames) 
     want.push_back(expected.value()->applied_cursor(shard));
   }
   ExpectSameCursors(got.cursors, want);
+  // The acks for the frames applied before the corrupt one reach the
+  // primary ahead of the close.
+  EXPECT_EQ(got.acks, acks);
 }
 
 // --- Follower reads over the wire --------------------------------------------
